@@ -32,6 +32,9 @@ from .recover import (
     DEFAULT_ENUM_CAP,
     DEFAULT_ENUM_FLOOR,
     MODES,
+    check_eta,
+    check_scan_knobs,
+    check_tau,
     recover_condensation,
     threshold as apply_threshold,
 )
@@ -93,8 +96,9 @@ class GridConfig:
             "regimes must be 'stable' or 'unstable'",
         )
         _require(self.noise_family in NOISE_FAMILIES, "unknown noise family")
-        _require(self.tau >= 0, "tau must be non-negative")
-        _require(self.eta > 0, "eta must be positive")
+        check_tau(self.tau)
+        check_eta(self.eta)
+        check_scan_knobs(self.enum_floor, self.enum_cap)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GridConfig":
@@ -132,6 +136,10 @@ class ThresholdSweepConfig:
         _require(self.regime in REGIME_TARGETS, "unknown regime")
         _require(self.mode in MODES, f"mode must be one of {MODES}")
         _require(self.noise_family in NOISE_FAMILIES, "unknown noise family")
+        for tau in self.taus:
+            check_tau(tau)
+        check_eta(self.eta)
+        check_scan_knobs(self.enum_floor, self.enum_cap)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ThresholdSweepConfig":

@@ -10,6 +10,7 @@ deterministic given the options.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class IcaOptions:
     def __post_init__(self):
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.restarts < 1:
@@ -65,11 +66,14 @@ def center_whiten(x) -> tuple:
 
     The whitening matrix ``k`` comes from the eigendecomposition of the
     (1/n-normalized) sample covariance, so ``z = (x - mean) @ k.T``.
-    Raises WhiteningError when the covariance is rank deficient.
+    Raises ValueError on non-finite samples and WhiteningError when the
+    covariance is rank deficient.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected a 2-D sample matrix")
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite (found NaN or Inf)")
     n, d = x.shape
     if n <= d:
         raise ValueError(f"need n > d samples, got n={n}, d={d}")

@@ -11,6 +11,9 @@ that also score variable-level structure.
 
 from __future__ import annotations
 
+import itertools
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -32,6 +35,9 @@ PROHIBITIVE_COST = 1e12
 DEFAULT_ENUM_FLOOR = 0.1
 DEFAULT_ENUM_CAP = 20000
 
+# candidates scored per batched eigenvalue call in the first-stable scan
+_SCAN_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class CandidateAdjacency:
@@ -43,6 +49,26 @@ class CandidateAdjacency:
 
     def support(self) -> DirectedGraph:
         return support_graph(self.b)
+
+
+def check_tau(tau) -> None:
+    """Raise ValueError unless ``tau`` is a finite non-negative threshold."""
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and non-negative, got {tau}")
+
+
+def check_eta(eta) -> None:
+    """Raise ValueError unless ``eta`` is a finite positive tolerance."""
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta}")
+
+
+def check_scan_knobs(enum_floor, enum_cap) -> None:
+    """Raise ValueError unless ``0 <= enum_floor < 1`` and ``enum_cap >= 1``."""
+    if not (math.isfinite(enum_floor) and 0 <= enum_floor < 1):
+        raise ValueError(f"enum_floor must be finite and in [0, 1), got {enum_floor}")
+    if not isinstance(enum_cap, numbers.Integral) or enum_cap < 1:
+        raise ValueError(f"enum_cap must be an integer >= 1, got {enum_cap}")
 
 
 def _as_square(w) -> np.ndarray:
@@ -61,8 +87,7 @@ def hungarian_admissible(w, eta: float = 1e-3) -> tuple:
     ``PW = W[perm, :]``. Raises NoAdmissiblePermutationError when every
     perfect matching uses a below-tolerance entry.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    check_eta(eta)
     m = _as_square(w)
     mags = np.abs(m.T)  # cost[i, r] scores row r at slot i
     cost = np.where(mags > eta, -np.log(np.maximum(mags, 1e-300)), PROHIBITIVE_COST)
@@ -77,14 +102,15 @@ def hungarian_admissible(w, eta: float = 1e-3) -> tuple:
     return tuple(perm)
 
 
-def _iter_admissible(m: np.ndarray, ok: np.ndarray):
+def _iter_admissible(ok: np.ndarray):
     """Yield admissible permutations in lexicographic order of the perm tuple.
 
     ``ok[r, i]`` marks row r as usable at slot i. DFS over slots choosing the
     smallest unused row first gives lexicographic order without materializing
     the d! search space.
     """
-    d = m.shape[0]
+    d = ok.shape[0]
+    allowed = [[r for r in range(d) if ok[r, i]] for i in range(d)]
     used = [False] * d
     perm = [0] * d
 
@@ -92,8 +118,8 @@ def _iter_admissible(m: np.ndarray, ok: np.ndarray):
         if slot == d:
             yield tuple(perm)
             return
-        for r in range(d):
-            if not used[r] and ok[r, slot]:
+        for r in allowed[slot]:
+            if not used[r]:
                 used[r] = True
                 perm[slot] = r
                 yield from rec(slot + 1)
@@ -107,15 +133,13 @@ def enumerate_admissible(w, eta: float = 1e-3) -> list:
 
     Guarded at d <= 12: the admissible count is a permanent and can reach d!.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    check_eta(eta)
     m = _as_square(w)
     if m.shape[0] > ENUMERATION_MAX_D:
         raise ValueError(
             f"enumeration is guarded at d <= {ENUMERATION_MAX_D}, got d={m.shape[0]}"
         )
-    ok = np.abs(m) > eta
-    return list(_iter_admissible(m, ok))
+    return list(_iter_admissible(np.abs(m) > eta))
 
 
 def b_from_w(w, perm) -> CandidateAdjacency:
@@ -141,8 +165,7 @@ def threshold(candidate: CandidateAdjacency, tau: float) -> CandidateAdjacency:
 
     The spectral radius is recomputed from the surviving entries.
     """
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    check_tau(tau)
     b = np.where(np.abs(candidate.b) < tau, 0.0, candidate.b)
     b.setflags(write=False)
     return CandidateAdjacency(
@@ -177,29 +200,43 @@ def _first_stable_scan(
     nonzero, so admissibility at eta alone would admit all d! permutations.
     A rook slot (r, i) is therefore only considered when |W[r, i]| is also
     at least ``floor`` times the largest magnitude in row r; candidates are
-    still built from the unpruned matrix. The scan stops at the first stable
-    candidate, tracks the minimum-radius one as fallback, and gives up on
-    the fallback after ``cap`` candidates (order is lexicographic, so the
-    result is deterministic).
+    still built from the unpruned matrix.
+
+    Candidates are scored in blocks: up to ``_SCAN_BLOCK`` permutations are
+    taken from the lexicographic enumeration, their ``B`` matrices built as
+    one stack and their spectral radii found by one batched eigenvalue call.
+    The scan returns the first candidate with radius < 1; otherwise, after
+    ``cap`` candidates (``cap >= 1`` counts candidates examined) or when the
+    enumeration ends, the earliest minimum-radius one. Each radius is
+    computed exactly as ``b_from_w`` computes it, so the result is the one a
+    candidate-by-candidate scan of the same order returns.
     """
+    d = m.shape[0]
     scale = np.max(np.abs(m), axis=1)
-    ok = np.abs(m) > np.maximum(eta, floor * scale[:, None])
-    best = None
-    count = 0
-    for perm in _iter_admissible(m, ok):
-        cand = b_from_w(m, perm)
-        if cand.spectral_radius < 1.0:
-            return cand
-        if best is None or cand.spectral_radius < best.spectral_radius:
-            best = cand
-        count += 1
-        if count >= cap:
+    perms = _iter_admissible(np.abs(m) > np.maximum(eta, floor * scale[:, None]))
+    diag = np.arange(d)
+    best, best_radius = None, math.inf
+    seen = 0
+    while seen < cap:
+        block = list(itertools.islice(perms, min(_SCAN_BLOCK, cap - seen)))
+        if not block:
             break
+        seen += len(block)
+        pw = m[np.array(block)]
+        b = -pw / pw[:, diag, diag][:, :, None]
+        b[:, diag, diag] = 0.0
+        radii = np.max(np.abs(np.linalg.eigvals(b)), axis=1)
+        stable = np.flatnonzero(radii < 1.0)
+        if stable.size:
+            return b_from_w(m, block[stable[0]])
+        j = int(np.argmin(radii))
+        if radii[j] < best_radius:
+            best, best_radius = block[j], radii[j]
     if best is None:
         raise NoAdmissiblePermutationError(
             "no admissible permutation among significant rook patterns"
         )
-    return best
+    return b_from_w(m, best)
 
 
 @dataclass(frozen=True)
@@ -245,9 +282,13 @@ def recover_condensation(
     FastICA -> permutation selection (per ``mode``) -> candidate adjacency ->
     hard threshold at ``tau`` -> SCC partition and inter-cluster edges of the
     surviving support. Per-stage wall times are recorded in milliseconds.
+    Raises ValueError on a non-finite or out-of-range knob before fitting.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    check_tau(tau)
+    check_eta(eta)
+    check_scan_knobs(enum_floor, enum_cap)
     opts = ica_opts if ica_opts is not None else IcaOptions()
 
     t0 = time.perf_counter()

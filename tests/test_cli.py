@@ -84,6 +84,14 @@ class TestExitCodes:
     def test_usage_error_missing_file(self, workspace):
         assert run("fit", "--data", workspace / "missing.csv") == 1
 
+    def test_usage_error_bad_enum_cap(self, workspace):
+        data = workspace / "data.csv"
+        x = np.random.default_rng(0).laplace(size=(100, 3))
+        np.savetxt(data, x, fmt="%.17g", delimiter=",", header="X1,X2,X3", comments="")
+        assert run("fit", "--data", data, "--enum-cap", 0) == 1
+        assert run("fit", "--data", data, "--mode", "enumerate-first-stable",
+                   "--enum-cap", 0) == 1
+
     def test_usage_error_bad_config_key(self, workspace):
         cfg = workspace / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))

@@ -105,6 +105,22 @@ class TestConfigs:
         with pytest.raises(ValueError):
             GridConfig(sample_sizes=(100, 100))
 
+    @pytest.mark.parametrize("cls", [GridConfig, ThresholdSweepConfig])
+    @pytest.mark.parametrize("knob", [
+        {"enum_cap": 0}, {"enum_cap": 1.5}, {"enum_floor": -0.1},
+        {"enum_floor": 1.0}, {"enum_floor": float("nan")},
+        {"eta": float("nan")}, {"eta": 0.0},
+    ])
+    def test_bad_scan_knobs_rejected(self, cls, knob):
+        with pytest.raises(ValueError):
+            cls(**knob)
+
+    def test_bad_taus_rejected(self):
+        with pytest.raises(ValueError):
+            GridConfig(tau=float("nan"))
+        with pytest.raises(ValueError):
+            ThresholdSweepConfig(taus=(0.1, float("nan")))
+
     def test_ica_sub_config(self):
         cfg = GridConfig.from_json_dict({"ica": {"restarts": 1, "seed": 4}})
         assert cfg.ica.restarts == 1

@@ -41,6 +41,13 @@ class TestCenterWhiten:
         with pytest.raises(ValueError):
             center_whiten(np.zeros((3, 3)))
 
+    def test_non_finite_samples_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = laplace_sources(100, 3, 3)
+            x[5, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                center_whiten(x)
+
     def test_rank_deficient(self):
         rng = np.random.default_rng(2)
         col = rng.normal(0, 1, (100, 1))
@@ -55,6 +62,10 @@ class TestIcaOptions:
             IcaOptions(nonlinearity="relu")
         with pytest.raises(ValueError):
             IcaOptions(tolerance=0)
+        with pytest.raises(ValueError):
+            IcaOptions(tolerance=float("nan"))
+        with pytest.raises(ValueError):
+            IcaOptions(tolerance=float("inf"))
         with pytest.raises(ValueError):
             IcaOptions(max_iterations=0)
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from lingcond import (
     b_from_w,
     condense,
     enumerate_admissible,
+    fastica,
     first_stable_select,
     generate_scm,
     hungarian_admissible,
@@ -20,6 +21,7 @@ from lingcond import (
     sample,
     threshold,
 )
+from lingcond import recover
 from conftest import best_assignment_brute
 
 
@@ -56,8 +58,9 @@ class TestHungarianAdmissible:
             assert score == pytest.approx(brute_score, abs=1e-9)
 
     def test_eta_validation(self):
-        with pytest.raises(ValueError):
-            hungarian_admissible(np.eye(2), eta=0)
+        for eta in (0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                hungarian_admissible(np.eye(2), eta=eta)
 
 
 class TestEnumerateAdmissible:
@@ -166,6 +169,12 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold(cand, -0.1)
 
+    def test_non_finite_tau_rejected(self):
+        cand = CandidateAdjacency(np.ones((2, 2)), (0, 1), 0.0)
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                threshold(cand, tau)
+
 
 class TestFirstStableSelect:
     def test_first_stable_wins(self):
@@ -258,6 +267,26 @@ class TestRecoverCondensation:
         with pytest.raises(ValueError):
             recover_condensation(x, mode="magic")
 
+    @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
+    @pytest.mark.parametrize("knob", [
+        {"tau": math.nan}, {"tau": math.inf}, {"tau": -0.1},
+        {"eta": math.nan}, {"eta": math.inf}, {"eta": 0.0},
+        {"enum_cap": 0}, {"enum_cap": -5}, {"enum_cap": 2.5},
+        {"enum_floor": math.nan}, {"enum_floor": -0.1}, {"enum_floor": 1.0},
+    ])
+    def test_bad_knobs_rejected(self, example_b, mode, knob):
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        x = sample(spec, 2000, seed=1)
+        with pytest.raises(ValueError):
+            recover_condensation(x, mode=mode, **knob)
+
+    def test_non_finite_samples_rejected(self, example_b):
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        x = sample(spec, 2000, seed=1)
+        x[17, 2] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            recover_condensation(x)
+
     def test_scan_matches_first_stable_select_on_population(self):
         # the lazy pruned scan and the list-based selector agree when the
         # demixing matrix has exact zeros
@@ -270,3 +299,76 @@ class TestRecoverCondensation:
             expected = first_stable_select(cands)
             got = _first_stable_scan(w, 1e-9, 0.0, 10**6)
             assert got.permutation == expected.permutation
+
+
+def _finite_sample_w(seed, regime, n):
+    scm = generate_scm(8, 3, 0.5, seed=seed, regime=regime)
+    return fastica(sample(scm, n, seed=seed), IcaOptions(seed=seed)).w
+
+
+def _reference_scan(w, eta, floor, cap):
+    """First-stable selection, one candidate at a time, over a brute-force
+    lexicographic enumeration of the significance-pruned rook patterns."""
+    d = w.shape[0]
+    mags = np.abs(w)
+    ok = mags > np.maximum(eta, floor * mags.max(axis=1)[:, None])
+    perms = (
+        p for p in itertools.permutations(range(d))
+        if all(ok[p[i], i] for i in range(d))
+    )
+    return first_stable_select(b_from_w(w, p) for p in itertools.islice(perms, cap))
+
+
+@pytest.fixture(scope="module")
+def sample_ws():
+    # finite-sample demixing matrices of d=8 grid models (n=200): seed 0 has
+    # 1244 pruned candidates and none stable; seed 8 has its first stable
+    # candidate at index 113 of 2282
+    return {seed: _finite_sample_w(seed, "stable", 200) for seed in (0, 8)}
+
+
+class TestFirstStableScan:
+    """The block scan returns the candidate a one-by-one scan returns."""
+
+    @pytest.mark.parametrize("seed, cap, stable", [
+        (0, 1, False),        # cap = 1
+        (0, 100, False),      # fallback, cap not a multiple of the block
+        (0, 10**6, False),    # enumeration runs out in a partial block
+        (8, 113, False),      # cap stops one short of the stable candidate
+        (8, 114, True),       # stable candidate is the last one examined
+        (8, 5000, True),      # stable candidate mid-block
+    ])
+    def test_matches_reference(self, sample_ws, seed, cap, stable):
+        w = sample_ws[seed]
+        got = recover._first_stable_scan(w, 1e-3, 0.1, cap)
+        expected = _reference_scan(w, 1e-3, 0.1, cap)
+        assert (expected.spectral_radius < 1.0) == stable
+        assert got.permutation == expected.permutation
+        assert np.array_equal(got.b, expected.b)
+        assert got.spectral_radius == expected.spectral_radius
+
+    @pytest.mark.parametrize("block", [1, 7, 113, 114])
+    def test_stable_candidate_at_block_boundary(self, sample_ws, monkeypatch, block):
+        # index 113 opens the second block at size 113 and closes the first
+        # at size 114
+        monkeypatch.setattr(recover, "_SCAN_BLOCK", block)
+        w = sample_ws[8]
+        got = recover._first_stable_scan(w, 1e-3, 0.1, 5000)
+        expected = _reference_scan(w, 1e-3, 0.1, 5000)
+        assert got.permutation == expected.permutation
+        assert np.array_equal(got.b, expected.b)
+
+    @pytest.mark.parametrize("block", [1, 64])
+    def test_fallback_tie_prefers_earliest(self, sample_ws, monkeypatch, block):
+        # with rows 0 and 1 equal, swapping them in a permutation gives the
+        # same B, so every radius is attained at least twice and the earlier
+        # twin is the one with row 0 placed first
+        monkeypatch.setattr(recover, "_SCAN_BLOCK", block)
+        w = sample_ws[0].copy()
+        w[1] = w[0]
+        got = recover._first_stable_scan(w, 1e-3, 0.1, 10**6)
+        expected = _reference_scan(w, 1e-3, 0.1, 10**6)
+        assert got.spectral_radius >= 1.0
+        assert got.permutation == expected.permutation
+        assert got.permutation.index(0) < got.permutation.index(1)
+        assert np.array_equal(got.b, expected.b)
