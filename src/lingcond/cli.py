@@ -26,7 +26,7 @@ from .harness import (
 )
 from .ica import IcaOptions, NONLINEARITIES
 from .lattice import valid_dag_coarsenings
-from .recover import MODES, recover_condensation
+from .recover import DEFAULT_ENUM_CAP, DEFAULT_ENUM_FLOOR, MODES, recover_condensation
 from .scm import (
     generate_scm,
     load_samples_csv,
@@ -69,18 +69,19 @@ def _build_parser() -> _Parser:
     smp.add_argument("--seed", type=int, default=0)
     smp.add_argument("--out", required=True)
 
+    ica = IcaOptions()
     fit = sub.add_parser("fit", help="recover a condensation from samples (JSON out)")
     fit.add_argument("--data", required=True)
     fit.add_argument("--tau", type=float, default=0.1)
     fit.add_argument("--eta", type=float, default=1e-3)
     fit.add_argument("--mode", choices=MODES, default="hungarian")
-    fit.add_argument("--nonlinearity", choices=NONLINEARITIES, default="logcosh")
-    fit.add_argument("--tol", type=float, default=1e-6)
-    fit.add_argument("--max-iter", type=int, default=500)
-    fit.add_argument("--restarts", type=int, default=3)
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--enum-floor", type=float, default=0.1)
-    fit.add_argument("--enum-cap", type=int, default=20000)
+    fit.add_argument("--nonlinearity", choices=NONLINEARITIES, default=ica.nonlinearity)
+    fit.add_argument("--tol", type=float, default=ica.tolerance)
+    fit.add_argument("--max-iter", type=int, default=ica.max_iterations)
+    fit.add_argument("--restarts", type=int, default=ica.restarts)
+    fit.add_argument("--seed", type=int, default=ica.seed)
+    fit.add_argument("--enum-floor", type=float, default=DEFAULT_ENUM_FLOOR)
+    fit.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     fit.add_argument("--out")
 
     lat = sub.add_parser("lattice", help="exhaustive DAG-coarsening report (JSON)")

@@ -1,8 +1,12 @@
 """Experiment harness: grid runs, threshold sweeps, sample-complexity study.
 
-Work units are (cell, seed) pairs, each pure given its derived sub-streams,
-so runs are deterministic, resumable (existing rows are skipped by key) and
-safely parallelizable. Results go to a flat CSV with the schema
+All three studies run one unit of work: a model, one sample of size n and
+one record seed, fitted once with ``recover_condensation`` at tau = 0, then
+thresholded and scored at each of the study's taus (the grid's one
+``cfg.tau``, the sweep's ``cfg.taus``, or beta_min / 2 of the fixed SCM).
+A unit is pure given its derived sub-seeds, so runs are deterministic,
+resumable (a unit whose rows all exist is skipped) and safely parallelizable.
+Results go to a flat CSV with the schema
 
     d,kappa,lambda,regime,n,seed,tau,ari,cluster_f1,variable_f1,hamming,
     exact_recovery,pred_clusters,fit_ms,ica_iters,error
@@ -15,11 +19,12 @@ excludes the sample size so one seed sees a growing sample of the same model.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -60,8 +65,50 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _check_study(cfg, regimes, taus) -> None:
+    """The checks all three study configs share."""
+    sizes = cfg.sample_sizes
+    _require(bool(sizes), "sample_sizes must be nonempty")
+    _require(
+        all(a < b for a, b in zip(sizes, sizes[1:])),
+        "sample_sizes must be strictly increasing",
+    )
+    _require(bool(cfg.seeds), "seeds must be nonempty")
+    _require(
+        bool(regimes) and all(r in REGIME_TARGETS for r in regimes),
+        "regimes must be nonempty, each 'stable' or 'unstable'",
+    )
+    _require(cfg.noise_family in NOISE_FAMILIES, "unknown noise family")
+    for tau in taus:
+        check_tau(tau)
+    check_eta(cfg.eta)
+
+
+class _StudyConfig:
+    """Base of the three study configs: their shared JSON constructor."""
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        """Build a config from JSON: ``lambda`` aliases ``lam``, an int ``seeds`` counts."""
+        kwargs = dict(data)
+        if "lambda" in kwargs:
+            kwargs["lam"] = kwargs.pop("lambda")
+        for name in ("kappas", "lambdas", "regimes", "sample_sizes", "taus", "window"):
+            if name in kwargs:
+                kwargs[name] = tuple(kwargs[name])
+        if "seeds" in kwargs:
+            seeds = kwargs["seeds"]
+            kwargs["seeds"] = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
+        if "ica" in kwargs:
+            kwargs["ica"] = IcaOptions(**kwargs["ica"])
+        unknown = set(kwargs) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**kwargs)
+
+
 @dataclass(frozen=True)
-class GridConfig:
+class GridConfig(_StudyConfig):
     """Main-grid configuration (cells = kappas x lambdas x regimes x sizes)."""
 
     d: int = 10
@@ -83,30 +130,13 @@ class GridConfig:
     def __post_init__(self):
         _require(bool(self.kappas), "kappas must be nonempty")
         _require(bool(self.lambdas), "lambdas must be nonempty")
-        _require(bool(self.regimes), "regimes must be nonempty")
-        _require(bool(self.sample_sizes), "sample_sizes must be nonempty")
-        _require(bool(self.seeds), "seeds must be nonempty")
-        _require(
-            all(a < b for a, b in zip(self.sample_sizes, self.sample_sizes[1:])),
-            "sample_sizes must be strictly increasing",
-        )
+        _check_study(self, self.regimes, (self.tau,))
         _require(self.mode in MODES, f"mode must be one of {MODES}")
-        _require(
-            all(r in REGIME_TARGETS for r in self.regimes),
-            "regimes must be 'stable' or 'unstable'",
-        )
-        _require(self.noise_family in NOISE_FAMILIES, "unknown noise family")
-        check_tau(self.tau)
-        check_eta(self.eta)
         check_scan_knobs(self.enum_floor, self.enum_cap)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GridConfig":
-        return cls(**_config_kwargs(cls, data))
 
 
 @dataclass(frozen=True)
-class ThresholdSweepConfig:
+class ThresholdSweepConfig(_StudyConfig):
     """One grid cell swept across thresholds with a shared fit per (n, seed)."""
 
     d: int = 10
@@ -127,27 +157,13 @@ class ThresholdSweepConfig:
 
     def __post_init__(self):
         _require(bool(self.taus), "taus must be nonempty")
-        _require(bool(self.sample_sizes), "sample_sizes must be nonempty")
-        _require(bool(self.seeds), "seeds must be nonempty")
-        _require(
-            all(a < b for a, b in zip(self.sample_sizes, self.sample_sizes[1:])),
-            "sample_sizes must be strictly increasing",
-        )
-        _require(self.regime in REGIME_TARGETS, "unknown regime")
+        _check_study(self, (self.regime,), self.taus)
         _require(self.mode in MODES, f"mode must be one of {MODES}")
-        _require(self.noise_family in NOISE_FAMILIES, "unknown noise family")
-        for tau in self.taus:
-            check_tau(tau)
-        check_eta(self.eta)
         check_scan_knobs(self.enum_floor, self.enum_cap)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ThresholdSweepConfig":
-        return cls(**_config_kwargs(cls, data))
 
 
 @dataclass(frozen=True)
-class SampleComplexityConfig:
+class SampleComplexityConfig(_StudyConfig):
     """Fixed-SCM recovery-rate study with tau pinned to beta_min / 2."""
 
     d: int = 10
@@ -167,39 +183,9 @@ class SampleComplexityConfig:
     noise_family: str = "laplace"
 
     def __post_init__(self):
-        _require(bool(self.sample_sizes), "sample_sizes must be nonempty")
-        _require(bool(self.seeds), "seeds must be nonempty")
-        _require(
-            all(a < b for a, b in zip(self.sample_sizes, self.sample_sizes[1:])),
-            "sample_sizes must be strictly increasing",
-        )
         _require(len(self.window) == 2 and self.window[0] < self.window[1],
                  "window must be (low, high) with low < high")
-        _require(self.regime in REGIME_TARGETS, "unknown regime")
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SampleComplexityConfig":
-        return cls(**_config_kwargs(cls, data))
-
-
-def _config_kwargs(cls, data: dict) -> dict:
-    """Normalize a JSON config dict into dataclass kwargs."""
-    kwargs = dict(data)
-    if "lambda" in kwargs:
-        kwargs["lam"] = kwargs.pop("lambda")
-    for name in ("kappas", "lambdas", "regimes", "sample_sizes", "taus", "window"):
-        if name in kwargs:
-            kwargs[name] = tuple(kwargs[name])
-    if "seeds" in kwargs:
-        seeds = kwargs["seeds"]
-        kwargs["seeds"] = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
-    if "ica" in kwargs:
-        kwargs["ica"] = IcaOptions(**kwargs["ica"])
-    allowed = set(cls.__dataclass_fields__)
-    unknown = set(kwargs) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return kwargs
+        _check_study(self, (self.regime,), ())
 
 
 @dataclass(frozen=True)
@@ -224,15 +210,8 @@ class ExperimentRecord:
     error: str = ""
 
     def key(self) -> tuple:
-        return (
-            self.d,
-            self.kappa,
-            rng_mod.quantize(self.lam),
-            self.regime,
-            self.n,
-            self.seed,
-            rng_mod.quantize(self.tau),
-        )
+        return (self.d, self.kappa, rng_mod.quantize(self.lam), self.regime,
+                self.n, self.seed, rng_mod.quantize(self.tau))
 
     def to_csv_row(self) -> str:
         def fmt(x):
@@ -244,15 +223,8 @@ class ExperimentRecord:
                 return repr(x)
             return str(x)
 
-        return ",".join(
-            fmt(x)
-            for x in (
-                self.d, self.kappa, self.lam, self.regime, self.n, self.seed,
-                self.tau, self.ari, self.cluster_f1, self.variable_f1,
-                self.hamming, self.exact_recovery, self.pred_clusters,
-                self.fit_ms, self.ica_iters, self.error,
-            )
-        )
+        # the field order is the column order of CSV_HEADER
+        return ",".join(fmt(getattr(self, f.name)) for f in fields(self))
 
     @classmethod
     def from_csv_row(cls, row: str) -> "ExperimentRecord":
@@ -260,27 +232,12 @@ class ExperimentRecord:
         if len(parts) != 16:
             raise ValueError(f"malformed record row: {row!r}")
 
-        def opt(val, conv):
-            return None if val == "" else conv(val)
-
-        return cls(
-            d=int(parts[0]),
-            kappa=int(parts[1]),
-            lam=float(parts[2]),
-            regime=parts[3],
-            n=int(parts[4]),
-            seed=int(parts[5]),
-            tau=float(parts[6]),
-            ari=opt(parts[7], float),
-            cluster_f1=opt(parts[8], float),
-            variable_f1=opt(parts[9], float),
-            hamming=opt(parts[10], int),
-            exact_recovery=opt(parts[11], lambda v: v == "1"),
-            pred_clusters=opt(parts[12], int),
-            fit_ms=opt(parts[13], float),
-            ica_iters=opt(parts[14], int),
-            error=parts[15],
-        )
+        key = (int(parts[0]), int(parts[1]), float(parts[2]), parts[3],
+               int(parts[4]), int(parts[5]), float(parts[6]))
+        # ari .. ica_iters are empty on an error row
+        parsers = (float, float, float, int, lambda v: v == "1", int, float, int)
+        metrics = [None if v == "" else p(v) for v, p in zip(parts[7:15], parsers)]
+        return cls(*key, *metrics, error=parts[15])
 
 
 def load_records(path) -> list:
@@ -311,213 +268,135 @@ def _cell_keys(d: int, kappa: int, lam: float, regime: str) -> tuple:
     return (d, kappa, rng_mod.quantize(lam), _REGIME_CODE[regime])
 
 
-def _ground_truth(scm):
-    support = scm.b.support()
-    partition = tarjan_scc(support)
-    return support, partition, condense(support)
+@dataclass(frozen=True)
+class _Unit:
+    """One model at one (n, seed): fitted once, scored at every tau in ``taus``.
 
+    ``cfg`` is the study config, read for ``d``, the weight bounds and the
+    noise family; ``ica`` already carries the derived ICA seed and ``fit``
+    holds the remaining ``recover_condensation`` knobs.
+    """
 
-def _fit_and_score(scm, x, tau, eta, ica_opts, mode, enum_floor, enum_cap, ica_seed):
-    opts = replace(ica_opts, seed=ica_seed)
-    result = recover_condensation(
-        x, tau=tau, eta=eta, ica_opts=opts, mode=mode,
-        enum_floor=enum_floor, enum_cap=enum_cap,
-    )
-    _, true_partition, true_condensation = _ground_truth(scm)
-    report = evaluate(
-        result.support(), result.partition, scm.b, true_partition, true_condensation
-    )
-    return result, report
+    cfg: object
+    kappa: int
+    lam: float
+    regime: str
+    n: int
+    seed: int
+    taus: tuple
+    scm_seed: int
+    sample_seed: int
+    ica: IcaOptions
+    fit: dict
 
-
-def _grid_task(args: dict) -> ExperimentRecord:
-    d, kappa, lam, regime, n, seed = (
-        args["d"], args["kappa"], args["lam"], args["regime"], args["n"], args["seed"]
-    )
-    cell = _cell_keys(d, kappa, lam, regime)
-    base = dict(
-        d=d, kappa=kappa, lam=lam, regime=regime, n=n, seed=seed, tau=args["tau"]
-    )
-    try:
-        scm = generate_scm(
-            d, kappa, lam, args["weight_low"], args["weight_high"], regime,
-            seed=rng_mod.derive_seed(seed, TAG_SCM, *cell),
-            noise_family=args["noise_family"],
-        )
-        x = sample(scm, n, seed=rng_mod.derive_seed(seed, TAG_SAMPLE, *cell, n))
-        result, report = _fit_and_score(
-            scm, x, args["tau"], args["eta"], args["ica"], args["mode"],
-            args["enum_floor"], args["enum_cap"],
-            ica_seed=rng_mod.derive_seed(seed, TAG_ICA, *cell, n),
-        )
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        return ExperimentRecord(**base, error=type(exc).__name__)
-    return ExperimentRecord(
-        **base,
-        ari=report.ari,
-        cluster_f1=report.cluster_dag_f1,
-        variable_f1=report.variable_f1,
-        hamming=report.hamming_support,
-        exact_recovery=report.hamming_support == 0,
-        pred_clusters=report.predicted_partition_size,
-        fit_ms=result.timings_ms["total_ms"],
-        ica_iters=result.ica_iterations,
-    )
-
-
-def _sweep_task(args: dict) -> list:
-    """One (n, seed) unit of the threshold sweep: fit once, threshold per tau."""
-    d, kappa, lam, regime, n, seed = (
-        args["d"], args["kappa"], args["lam"], args["regime"], args["n"], args["seed"]
-    )
-    cell = _cell_keys(d, kappa, lam, regime)
-    taus = args["taus"]
-    try:
-        scm = generate_scm(
-            d, kappa, lam, args["weight_low"], args["weight_high"], regime,
-            seed=rng_mod.derive_seed(seed, TAG_SCM, *cell),
-            noise_family=args["noise_family"],
-        )
-        x = sample(scm, n, seed=rng_mod.derive_seed(seed, TAG_SAMPLE, *cell, n))
-        # run the pipeline once at tau=0; re-threshold the same candidate per tau
-        opts = replace(args["ica"], seed=rng_mod.derive_seed(seed, TAG_ICA, *cell, n))
-        base_result = recover_condensation(
-            x, tau=0.0, eta=args["eta"], ica_opts=opts, mode=args["mode"],
-            enum_floor=args["enum_floor"], enum_cap=args["enum_cap"],
-        )
-        _, true_partition, true_condensation = _ground_truth(scm)
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    def rows(self) -> list:
+        """The unit's records before scoring, one per tau."""
         return [
-            ExperimentRecord(
-                d=d, kappa=kappa, lam=lam, regime=regime, n=n, seed=seed,
-                tau=tau, error=type(exc).__name__,
-            )
-            for tau in taus
+            ExperimentRecord(self.cfg.d, self.kappa, self.lam, self.regime,
+                             self.n, self.seed, tau)
+            for tau in self.taus
         ]
+
+
+def _run_unit(unit: _Unit) -> list:
+    """Fit at tau = 0, then threshold that candidate at each tau and score it.
+
+    Thresholding at 0 keeps every entry, so each support equals the one a
+    fit at that tau gives. A failed fit yields one error row per tau.
+    """
+    cfg, rows = unit.cfg, unit.rows()
+    try:
+        scm = generate_scm(
+            cfg.d, unit.kappa, unit.lam, cfg.weight_low, cfg.weight_high,
+            unit.regime, seed=unit.scm_seed, noise_family=cfg.noise_family,
+        )
+        x = sample(scm, unit.n, seed=unit.sample_seed)
+        fitted = recover_condensation(x, tau=0.0, ica_opts=unit.ica, **unit.fit)
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        return [replace(row, error=type(exc).__name__) for row in rows]
+    truth = scm.b.support()
+    true_partition, true_condensation = tarjan_scc(truth), condense(truth)
     records = []
-    for tau in taus:
-        b_hat = apply_threshold(base_result.b_hat, tau)
-        support = b_hat.support()
+    for row in rows:
+        support = apply_threshold(fitted.b_hat, row.tau).support()
         report = evaluate(
             support, tarjan_scc(support), scm.b, true_partition, true_condensation
         )
-        records.append(
-            ExperimentRecord(
-                d=d, kappa=kappa, lam=lam, regime=regime, n=n, seed=seed, tau=tau,
-                ari=report.ari,
-                cluster_f1=report.cluster_dag_f1,
-                variable_f1=report.variable_f1,
-                hamming=report.hamming_support,
-                exact_recovery=report.hamming_support == 0,
-                pred_clusters=report.predicted_partition_size,
-                fit_ms=base_result.timings_ms["total_ms"],
-                ica_iters=base_result.ica_iterations,
-            )
-        )
+        records.append(replace(
+            row,
+            ari=report.ari,
+            cluster_f1=report.cluster_dag_f1,
+            variable_f1=report.variable_f1,
+            hamming=report.hamming_support,
+            exact_recovery=report.hamming_support == 0,
+            pred_clusters=report.predicted_partition_size,
+            fit_ms=fitted.timings_ms["total_ms"],
+            ica_iters=fitted.ica_iterations,
+        ))
     return records
 
 
-def _complexity_task(args: dict) -> ExperimentRecord:
-    n, seed = args["n"], args["seed"]
-    scm = args["scm"]
-    tau = args["tau"]
-    base = dict(
-        d=scm.d, kappa=args["kappa"], lam=args["lam"], regime=scm.regime,
-        n=n, seed=seed, tau=tau,
-    )
-    try:
-        x = sample(scm, n, seed=rng_mod.derive_seed(seed, TAG_SAMPLE, n))
-        result, report = _fit_and_score(
-            scm, x, tau, args["eta"], args["ica"], "hungarian",
-            DEFAULT_ENUM_FLOOR, DEFAULT_ENUM_CAP,
-            ica_seed=rng_mod.derive_seed(seed, TAG_ICA, n),
-        )
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        return ExperimentRecord(**base, error=type(exc).__name__)
-    return ExperimentRecord(
-        **base,
-        ari=report.ari,
-        cluster_f1=report.cluster_dag_f1,
-        variable_f1=report.variable_f1,
-        hamming=report.hamming_support,
-        exact_recovery=report.hamming_support == 0,
-        pred_clusters=report.predicted_partition_size,
-        fit_ms=result.timings_ms["total_ms"],
-        ica_iters=result.ica_iterations,
-    )
+def _execute(cfg, cells, taus, sub_seeds, fit, out_path, workers) -> list:
+    """Run one unit per (cell, n, seed) whose rows are missing; merge and write.
 
-
-def _run_tasks(fn, tasks, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
-
-
-def _execute(out_path, wanted_keys, tasks, task_fn, workers, flatten=False):
-    """Shared resume/merge/write logic for the three runners."""
+    ``cells`` are (kappa, lambda, regime) triples and ``sub_seeds(seed, cell,
+    n)`` gives the (SCM, sample, ICA) seeds. Rows already in ``out_path`` win,
+    so reruns are idempotent. Returns the wanted records sorted by key.
+    """
+    units = []
+    for kappa, lam, regime in cells:
+        cell = _cell_keys(cfg.d, kappa, lam, regime)
+        for n in cfg.sample_sizes:
+            for seed in cfg.seeds:
+                scm_seed, sample_seed, ica_seed = sub_seeds(seed, cell, n)
+                units.append(_Unit(
+                    cfg, kappa, lam, regime, n, seed, taus, scm_seed, sample_seed,
+                    replace(cfg.ica, seed=ica_seed), fit,
+                ))
     existing = {r.key(): r for r in load_records(out_path)} if out_path else {}
-    todo = [t for t, keys in zip(tasks, wanted_keys) if any(k not in existing for k in keys)]
-    produced = _run_tasks(task_fn, todo, workers)
-    if flatten:
-        produced = [r for chunk in produced for r in chunk]
+    todo = [u for u in units if any(r.key() not in existing for r in u.rows())]
+    if workers <= 1 or len(todo) <= 1:
+        produced = [_run_unit(u) for u in todo]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            produced = list(pool.map(_run_unit, todo, chunksize=1))
     merged = dict(existing)
-    for rec in produced:
-        merged.setdefault(rec.key(), rec)  # existing rows win: reruns are idempotent
-    all_keys = {k for keys in wanted_keys for k in keys}
-    records = [merged[k] for k in sorted(all_keys) if k in merged]
+    for rec in itertools.chain.from_iterable(produced):
+        merged.setdefault(rec.key(), rec)
     if out_path:
-        keep = [r for r in merged.values() if r.key() in all_keys or r.key() in existing]
-        write_records(out_path, keep)
-    return records
+        write_records(out_path, merged.values())
+    return [merged[k] for k in sorted({r.key() for u in units for r in u.rows()})]
+
+
+def _cell_sub_seeds(seed: int, cell: tuple, n: int) -> tuple:
+    """Grid and sweep sub-seeds: the SCM stream is keyed by the cell, not by n."""
+    return (
+        rng_mod.derive_seed(seed, TAG_SCM, *cell),
+        rng_mod.derive_seed(seed, TAG_SAMPLE, *cell, n),
+        rng_mod.derive_seed(seed, TAG_ICA, *cell, n),
+    )
+
+
+def _scan_fit(cfg) -> dict:
+    return dict(eta=cfg.eta, mode=cfg.mode, enum_floor=cfg.enum_floor, enum_cap=cfg.enum_cap)
 
 
 def run_grid(cfg: GridConfig, out_path=None, workers: int = 1) -> list:
-    """Run every (cell, seed) of the grid; returns the records sorted by key."""
-    tasks, keys = [], []
-    for kappa in cfg.kappas:
-        for lam in cfg.lambdas:
-            for regime in cfg.regimes:
-                for n in cfg.sample_sizes:
-                    for seed in cfg.seeds:
-                        task = dict(
-                            d=cfg.d, kappa=kappa, lam=lam, regime=regime, n=n,
-                            seed=seed, tau=cfg.tau, eta=cfg.eta, ica=cfg.ica,
-                            mode=cfg.mode, weight_low=cfg.weight_low,
-                            weight_high=cfg.weight_high,
-                            noise_family=cfg.noise_family,
-                            enum_floor=cfg.enum_floor, enum_cap=cfg.enum_cap,
-                        )
-                        tasks.append(task)
-                        keys.append([
-                            (cfg.d, kappa, rng_mod.quantize(lam), regime, n, seed,
-                             rng_mod.quantize(cfg.tau))
-                        ])
-    return _execute(out_path, keys, tasks, _grid_task, workers)
+    """Run every (cell, n, seed) of the grid at ``cfg.tau``; records sorted by key."""
+    cells = itertools.product(cfg.kappas, cfg.lambdas, cfg.regimes)
+    return _execute(
+        cfg, cells, (cfg.tau,), _cell_sub_seeds, _scan_fit(cfg), out_path, workers
+    )
 
 
 def run_threshold_sweep(
     cfg: ThresholdSweepConfig, out_path=None, workers: int = 1
 ) -> list:
     """Sweep tau over a fixed cell, reusing one fitted pipeline per (n, seed)."""
-    tasks, keys = [], []
-    for n in cfg.sample_sizes:
-        for seed in cfg.seeds:
-            tasks.append(
-                dict(
-                    d=cfg.d, kappa=cfg.kappa, lam=cfg.lam, regime=cfg.regime,
-                    n=n, seed=seed, taus=cfg.taus, eta=cfg.eta, ica=cfg.ica,
-                    mode=cfg.mode, weight_low=cfg.weight_low,
-                    weight_high=cfg.weight_high, noise_family=cfg.noise_family,
-                    enum_floor=cfg.enum_floor, enum_cap=cfg.enum_cap,
-                )
-            )
-            keys.append([
-                (cfg.d, cfg.kappa, rng_mod.quantize(cfg.lam), cfg.regime, n, seed,
-                 rng_mod.quantize(tau))
-                for tau in cfg.taus
-            ])
-    return _execute(out_path, keys, tasks, _sweep_task, workers, flatten=True)
+    cells = [(cfg.kappa, cfg.lam, cfg.regime)]
+    return _execute(
+        cfg, cells, cfg.taus, _cell_sub_seeds, _scan_fit(cfg), out_path, workers
+    )
 
 
 def run_sample_complexity(
@@ -525,27 +404,28 @@ def run_sample_complexity(
 ) -> tuple:
     """Fixed-SCM sweep over n; returns (records, summary dict).
 
-    The threshold is beta_min / 2 of the generated SCM. The summary carries
-    per-n aggregates (mean Hamming, exact-recovery rate, 95% CI) and the OLS
-    log-log slope of the recovery error over the transition window.
+    The threshold is beta_min / 2 of the generated SCM, fitted in Hungarian
+    mode. The summary carries per-n aggregates (mean Hamming, exact-recovery
+    rate, 95% CI) and the OLS log-log slope of the recovery error over the
+    transition window.
     """
     scm = generate_scm(
         cfg.d, cfg.kappa, cfg.lam, cfg.weight_low, cfg.weight_high, cfg.regime,
         seed=cfg.scm_seed, noise_family=cfg.noise_family,
     )
     tau = scm.beta_min / 2
-    tasks, keys = [], []
-    for n in cfg.sample_sizes:
-        for seed in cfg.seeds:
-            tasks.append(
-                dict(n=n, seed=seed, scm=scm, tau=tau, kappa=cfg.kappa,
-                     lam=cfg.lam, eta=cfg.eta, ica=cfg.ica)
-            )
-            keys.append([
-                (cfg.d, cfg.kappa, rng_mod.quantize(cfg.lam), cfg.regime, n, seed,
-                 rng_mod.quantize(tau))
-            ])
-    records = _execute(out_path, keys, tasks, _complexity_task, workers)
+
+    def sub_seeds(seed, cell, n):  # one fixed model; sample and ICA keyed by n
+        return (
+            cfg.scm_seed,
+            rng_mod.derive_seed(seed, TAG_SAMPLE, n),
+            rng_mod.derive_seed(seed, TAG_ICA, n),
+        )
+
+    fit = dict(eta=cfg.eta, mode="hungarian", enum_floor=DEFAULT_ENUM_FLOOR,
+               enum_cap=DEFAULT_ENUM_CAP)
+    cells = [(cfg.kappa, cfg.lam, cfg.regime)]
+    records = _execute(cfg, cells, (tau,), sub_seeds, fit, out_path, workers)
     summary = summarize_sample_complexity(records, cfg.window)
     summary["tau"] = tau
     summary["betaMin"] = scm.beta_min
@@ -598,11 +478,8 @@ def summarize_grid(records) -> dict:
             "tau": tau, "seeds": len(group), "errors": len(group) - len(good),
         }
         if good:
-            for name, attr in (
-                ("ari", "ari"),
-                ("clusterF1", "cluster_f1"),
-                ("variableF1", "variable_f1"),
-            ):
+            for name, attr in (("ari", "ari"), ("clusterF1", "cluster_f1"),
+                               ("variableF1", "variable_f1")):
                 vals = [getattr(r, attr) for r in good]
                 entry[name] = _mean_ci(vals)
                 entry[name]["median"] = float(np.median(vals))
@@ -633,14 +510,9 @@ def summarize_sample_complexity(records, window) -> dict:
     for n in sorted(by_n):
         group = by_n[n]
         rate = _rate_ci(sum(r.exact_recovery for r in group), len(group))
-        per_n.append(
-            {
-                "n": n,
-                "seeds": len(group),
-                "meanHamming": _mean_ci([r.hamming for r in group]),
-                "exactRecovery": rate,
-            }
-        )
+        per_n.append({"n": n, "seeds": len(group),
+                      "meanHamming": _mean_ci([r.hamming for r in group]),
+                      "exactRecovery": rate})
     lo, hi = window
     xs, ys = [], []
     for entry in per_n:

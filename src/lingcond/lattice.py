@@ -32,6 +32,18 @@ def bell_number(d: int) -> int:
     return row[-1]
 
 
+def _stirling_row(d: int) -> list:
+    """[S(d, 0), ..., S(d, d)]: set partitions of d nodes by cluster count.
+
+    Stirling numbers of the second kind, S(m, k) = k S(m-1, k) + S(m-1, k-1).
+    """
+    row = [1]
+    for m in range(1, d + 1):
+        prev = row + [0]
+        row = [0] + [k * prev[k] + prev[k - 1] for k in range(1, m + 1)]
+    return row
+
+
 def enumerate_partitions(d: int) -> list:
     """All set partitions of 0..d-1 in restricted-growth-string order."""
     if d < 1:
@@ -64,9 +76,9 @@ class LatticeReport:
 
     def counts_by_cluster_count(self) -> dict:
         """{number of clusters: (total partitions, valid coarsenings)}."""
-        total = Counter(p.num_clusters for p in enumerate_partitions(self.d))
+        total = _stirling_row(self.d)
         valid = Counter(p.num_clusters for p in self.valid_coarsenings)
-        return {k: (total[k], valid.get(k, 0)) for k in sorted(total)}
+        return {k: (total[k], valid.get(k, 0)) for k in range(1, self.d + 1)}
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from lingcond.cli import main
+from lingcond.cli import _build_parser, main
+from lingcond.ica import IcaOptions
+from lingcond.recover import DEFAULT_ENUM_CAP, DEFAULT_ENUM_FLOOR
 from lingcond.scm import load_samples_csv, load_scm_json
 
 
@@ -58,6 +60,15 @@ class TestGenerateSampleFit:
         assert run("fit", "--data", data_path) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["tau"] == 0.1
+
+
+    def test_fit_defaults_come_from_the_library(self):
+        args = _build_parser().parse_args(["fit", "--data", "x.csv"])
+        ica = IcaOptions()
+        assert (args.nonlinearity, args.tol, args.max_iter, args.restarts, args.seed) == (
+            ica.nonlinearity, ica.tolerance, ica.max_iterations, ica.restarts, ica.seed
+        )
+        assert (args.enum_floor, args.enum_cap) == (DEFAULT_ENUM_FLOOR, DEFAULT_ENUM_CAP)
 
 
 class TestLatticeCommand:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from lingcond import (
     summarize_grid,
     summarize_sample_complexity,
 )
+from lingcond import harness
+from lingcond.exceptions import NumericalError
 from lingcond.harness import CSV_HEADER, load_records, ols_slope, write_records
 
 
@@ -30,6 +33,32 @@ def tiny_grid_cfg():
         mode="hungarian",
         ica=IcaOptions(restarts=1, max_iterations=200),
     )
+
+
+def tiny_sweep_cfg(**kw):
+    return ThresholdSweepConfig(
+        d=6, kappa=2, lam=0.4, regime="unstable", taus=(0.05, 0.2, 0.6),
+        sample_sizes=(300, 800), seeds=(0, 1), ica=IcaOptions(restarts=1), **kw,
+    )
+
+
+def tiny_complexity_cfg():
+    return SampleComplexityConfig(
+        d=6, kappa=2, lam=0.4, seeds=(0, 1), sample_sizes=(200, 600),
+        window=(100, 1000), ica=IcaOptions(restarts=1),
+    )
+
+
+RUNNERS = {
+    "grid": (run_grid, tiny_grid_cfg),
+    "sweep": (run_threshold_sweep, tiny_sweep_cfg),
+    "complexity": (lambda cfg, **kw: run_sample_complexity(cfg, **kw)[0],
+                   tiny_complexity_cfg),
+}
+
+
+def without_fit_ms(records):
+    return [replace(r, fit_ms=None) for r in records]
 
 
 class TestSufficientN:
@@ -115,6 +144,26 @@ class TestConfigs:
         with pytest.raises(ValueError):
             cls(**knob)
 
+    @pytest.mark.parametrize(
+        "cls", [GridConfig, ThresholdSweepConfig, SampleComplexityConfig]
+    )
+    @pytest.mark.parametrize("bad", [
+        {"eta": float("nan")}, {"eta": 0.0}, {"noise_family": "bogus"},
+        {"seeds": ()}, {"sample_sizes": ()}, {"sample_sizes": (500, 200)},
+    ])
+    def test_shared_checks_rejected(self, cls, bad):
+        with pytest.raises(ValueError):
+            cls(**bad)
+
+    def test_bad_regimes_rejected(self):
+        for bad in ((), ("stable", "bogus")):
+            with pytest.raises(ValueError):
+                GridConfig(regimes=bad)
+        with pytest.raises(ValueError):
+            ThresholdSweepConfig(regime="bogus")
+        with pytest.raises(ValueError):
+            SampleComplexityConfig(regime="bogus")
+
     def test_bad_taus_rejected(self):
         with pytest.raises(ValueError):
             GridConfig(tau=float("nan"))
@@ -166,17 +215,49 @@ class TestRunGrid:
                 b.ari, b.cluster_f1, b.variable_f1, b.hamming, b.ica_iters
             )
 
-    def test_workers_do_not_change_results(self, tmp_path):
-        cfg = tiny_grid_cfg()
-        serial = run_grid(cfg, out_path=None, workers=1)
-        parallel = run_grid(cfg, out_path=None, workers=2)
-        for a, b in zip(serial, parallel):
-            assert (a.key(), a.ari, a.hamming) == (b.key(), b.ari, b.hamming)
-
     def test_unique_keys(self, tmp_path):
         records = run_grid(tiny_grid_cfg())
         keys = [r.key() for r in records]
         assert len(set(keys)) == len(keys)
+
+
+class TestStudyUnit:
+    """All three runners share one unit: fit once per (cell, n, seed), score every tau."""
+
+    @pytest.mark.parametrize("name", list(RUNNERS))
+    def test_workers_do_not_change_results(self, name):
+        run, make_cfg = RUNNERS[name]
+        serial = run(make_cfg(), out_path=None, workers=1)
+        parallel = run(make_cfg(), out_path=None, workers=2)
+        assert serial and without_fit_ms(serial) == without_fit_ms(parallel)
+
+    @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
+    def test_grid_record_is_a_one_tau_sweep(self, mode):
+        common = dict(d=6, sample_sizes=(300, 800), seeds=(0, 1), mode=mode,
+                      ica=IcaOptions(restarts=1))
+        grid = GridConfig(kappas=(2,), lambdas=(0.4,), regimes=("unstable",),
+                          tau=0.2, **common)
+        sweep = ThresholdSweepConfig(kappa=2, lam=0.4, regime="unstable",
+                                     taus=(0.2,), **common)
+        records = run_grid(grid)
+        assert len(records) == 4 and not any(r.error for r in records)
+        assert without_fit_ms(records) == without_fit_ms(run_threshold_sweep(sweep))
+
+    @pytest.mark.parametrize("name", list(RUNNERS))
+    def test_failed_fit_gives_one_error_row_per_tau(self, name, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("forced failure")
+
+        monkeypatch.setattr(harness, "recover_condensation", fail)
+        run, make_cfg = RUNNERS[name]
+        cfg = make_cfg()
+        records = run(cfg)
+        taus_per_unit = len(cfg.taus) if name == "sweep" else 1
+        assert len(records) == len(cfg.sample_sizes) * len(cfg.seeds) * taus_per_unit
+        assert len({r.key() for r in records}) == len(records)
+        for rec in records:
+            assert rec.error == "NumericalError"
+            assert rec.ari is None and rec.fit_ms is None and rec.hamming is None
 
 
 class TestThresholdSweep:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,12 @@ class TestValidDagCoarsenings:
         # Stirling numbers S(5, k) for k = 1..5
         assert {k: t for k, (t, _) in counts.items()} == {1: 1, 2: 15, 3: 25, 4: 10, 5: 1}
         assert {k: v for k, (_, v) in counts.items()} == {1: 1, 2: 2, 3: 1, 4: 0, 5: 0}
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_cluster_count_totals_match_enumeration(self, d):
+        counts = valid_dag_coarsenings(DirectedGraph(d)).counts_by_cluster_count()
+        expected = Counter(p.num_clusters for p in enumerate_partitions(d))
+        assert {k: t for k, (t, _) in counts.items()} == dict(expected)
 
     def test_every_valid_is_coarser_than_floor(self):
         rng = np.random.default_rng(3)
