@@ -26,7 +26,9 @@ from .harness import (
 )
 from .ica import IcaOptions, NONLINEARITIES
 from .lattice import valid_dag_coarsenings
-from .recover import DEFAULT_ENUM_CAP, DEFAULT_ENUM_FLOOR, MODES, recover_condensation
+from .recover import (
+    DEFAULT_ENUM_CAP, DEFAULT_ENUM_FLOOR, DEFAULT_ETA, DEFAULT_TAU, MODES, recover_condensation,
+)
 from .scm import (
     generate_scm,
     load_samples_csv,
@@ -35,6 +37,16 @@ from .scm import (
     save_samples_csv,
     save_scm_json,
 )
+
+
+# study subcommand: (help, config class, runner, summary of the runner's result)
+_STUDIES = {
+    "grid": ("run the main experiment grid", GridConfig, run_grid, summarize_grid),
+    "sweep-threshold": ("sweep tau over one cell", ThresholdSweepConfig,
+                        run_threshold_sweep, summarize_grid),
+    "sample-complexity": ("fixed-SCM recovery-rate study", SampleComplexityConfig,
+                          run_sample_complexity, lambda result: result[1]),
+}
 
 
 class _UsageError(Exception):
@@ -72,8 +84,8 @@ def _build_parser() -> _Parser:
     ica = IcaOptions()
     fit = sub.add_parser("fit", help="recover a condensation from samples (JSON out)")
     fit.add_argument("--data", required=True)
-    fit.add_argument("--tau", type=float, default=0.1)
-    fit.add_argument("--eta", type=float, default=1e-3)
+    fit.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    fit.add_argument("--eta", type=float, default=DEFAULT_ETA)
     fit.add_argument("--mode", choices=MODES, default="hungarian")
     fit.add_argument("--nonlinearity", choices=NONLINEARITIES, default=ica.nonlinearity)
     fit.add_argument("--tol", type=float, default=ica.tolerance)
@@ -88,11 +100,7 @@ def _build_parser() -> _Parser:
     lat.add_argument("--graph", required=True)
     lat.add_argument("--out")
 
-    for name, helptext in (
-        ("grid", "run the main experiment grid"),
-        ("sweep-threshold", "sweep tau over one cell"),
-        ("sample-complexity", "fixed-SCM recovery-rate study"),
-    ):
+    for name, (helptext, *_) in _STUDIES.items():
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", required=True)
@@ -148,25 +156,12 @@ def _dispatch(args) -> int:
         _emit(valid_dag_coarsenings(graph).to_json_dict(), args.out)
         return 0
 
-    if args.command == "grid":
-        cfg = GridConfig.from_json_dict(_load_json(args.config))
-        records = run_grid(cfg, out_path=args.out, workers=args.workers)
+    if args.command in _STUDIES:
+        _, config_cls, run, summarize = _STUDIES[args.command]
+        cfg = config_cls.from_json_dict(_load_json(args.config))
+        result = run(cfg, out_path=args.out, workers=args.workers)
         if args.summary:
-            write_summary_json(args.summary, summarize_grid(records))
-        return 0
-
-    if args.command == "sweep-threshold":
-        cfg = ThresholdSweepConfig.from_json_dict(_load_json(args.config))
-        records = run_threshold_sweep(cfg, out_path=args.out, workers=args.workers)
-        if args.summary:
-            write_summary_json(args.summary, summarize_grid(records))
-        return 0
-
-    if args.command == "sample-complexity":
-        cfg = SampleComplexityConfig.from_json_dict(_load_json(args.config))
-        _, summary = run_sample_complexity(cfg, out_path=args.out, workers=args.workers)
-        if args.summary:
-            write_summary_json(args.summary, summary)
+            write_summary_json(args.summary, summarize(result))
         return 0
 
     raise _UsageError(f"unknown command {args.command!r}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -36,6 +37,8 @@ from .metrics import evaluate
 from .recover import (
     DEFAULT_ENUM_CAP,
     DEFAULT_ENUM_FLOOR,
+    DEFAULT_ETA,
+    DEFAULT_TAU,
     MODES,
     check_eta,
     check_scan_knobs,
@@ -43,7 +46,7 @@ from .recover import (
     recover_condensation,
     threshold as apply_threshold,
 )
-from .scm import NOISE_FAMILIES, REGIME_TARGETS, generate_scm, sample
+from .scm import _check_model_args, generate_scm, sample
 
 CSV_HEADER = (
     "d,kappa,lambda,regime,n,seed,tau,ari,cluster_f1,variable_f1,hamming,"
@@ -65,27 +68,33 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _check_study(cfg, regimes, taus) -> None:
-    """The checks all three study configs share."""
+def _check_study(cfg, taus) -> None:
+    """The checks all three study configs share, so no unit fails on its arguments."""
+    cells = cfg._cells()
+    _require(bool(cells), "kappas, lambdas and regimes must be nonempty")
+    for kappa, lam, regime in cells:
+        _check_model_args(cfg.d, kappa, lam, cfg.weight_low, cfg.weight_high,
+                          regime, cfg.noise_family)
     sizes = cfg.sample_sizes
     _require(bool(sizes), "sample_sizes must be nonempty")
     _require(
         all(a < b for a, b in zip(sizes, sizes[1:])),
         "sample_sizes must be strictly increasing",
     )
+    _require(min(sizes) > cfg.d, f"every sample size must exceed d={cfg.d}")
     _require(bool(cfg.seeds), "seeds must be nonempty")
-    _require(
-        bool(regimes) and all(r in REGIME_TARGETS for r in regimes),
-        "regimes must be nonempty, each 'stable' or 'unstable'",
-    )
-    _require(cfg.noise_family in NOISE_FAMILIES, "unknown noise family")
+    _require(all(isinstance(s, numbers.Integral) and s >= 0 for s in cfg.seeds),
+             "seeds must be non-negative integers")
     for tau in taus:
         check_tau(tau)
     check_eta(cfg.eta)
 
 
 class _StudyConfig:
-    """Base of the three study configs: their shared JSON constructor."""
+    """Base of the three study configs: their cells and shared JSON constructor."""
+
+    def _cells(self) -> list:  # the study's (kappa, lambda, regime) cells
+        return [(self.kappa, self.lam, self.regime)]
 
     @classmethod
     def from_json_dict(cls, data: dict):
@@ -93,18 +102,21 @@ class _StudyConfig:
         kwargs = dict(data)
         if "lambda" in kwargs:
             kwargs["lam"] = kwargs.pop("lambda")
-        for name in ("kappas", "lambdas", "regimes", "sample_sizes", "taus", "window"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        if "seeds" in kwargs:
-            seeds = kwargs["seeds"]
-            kwargs["seeds"] = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
-        if "ica" in kwargs:
-            kwargs["ica"] = IcaOptions(**kwargs["ica"])
         unknown = set(kwargs) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        try:
+            for name in ("kappas", "lambdas", "regimes", "sample_sizes", "taus", "window"):
+                if name in kwargs:
+                    kwargs[name] = tuple(kwargs[name])
+            if "seeds" in kwargs:
+                seeds = kwargs["seeds"]
+                kwargs["seeds"] = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
+            if "ica" in kwargs:
+                kwargs["ica"] = IcaOptions(**kwargs["ica"])
+            return cls(**kwargs)
+        except TypeError as exc:
+            raise ValueError(f"malformed {cls.__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -117,8 +129,8 @@ class GridConfig(_StudyConfig):
     regimes: tuple = ("stable", "unstable")
     sample_sizes: tuple = (50, 200, 1000, 5000, 20000, 100000)
     seeds: tuple = tuple(range(10))
-    tau: float = 0.1
-    eta: float = 1e-3
+    tau: float = DEFAULT_TAU
+    eta: float = DEFAULT_ETA
     ica: IcaOptions = field(default_factory=IcaOptions)
     mode: str = "enumerate-first-stable"
     weight_low: float = 0.5
@@ -127,10 +139,11 @@ class GridConfig(_StudyConfig):
     enum_floor: float = DEFAULT_ENUM_FLOOR
     enum_cap: int = DEFAULT_ENUM_CAP
 
+    def _cells(self) -> list:
+        return list(itertools.product(self.kappas, self.lambdas, self.regimes))
+
     def __post_init__(self):
-        _require(bool(self.kappas), "kappas must be nonempty")
-        _require(bool(self.lambdas), "lambdas must be nonempty")
-        _check_study(self, self.regimes, (self.tau,))
+        _check_study(self, (self.tau,))
         _require(self.mode in MODES, f"mode must be one of {MODES}")
         check_scan_knobs(self.enum_floor, self.enum_cap)
 
@@ -146,7 +159,7 @@ class ThresholdSweepConfig(_StudyConfig):
     taus: tuple = (0.001, 0.01, 0.1, 0.2, 0.5, 1.0)
     sample_sizes: tuple = (500, 5000, 50000)
     seeds: tuple = tuple(range(10))
-    eta: float = 1e-3
+    eta: float = DEFAULT_ETA
     ica: IcaOptions = field(default_factory=IcaOptions)
     mode: str = "enumerate-first-stable"
     weight_low: float = 0.5
@@ -157,7 +170,7 @@ class ThresholdSweepConfig(_StudyConfig):
 
     def __post_init__(self):
         _require(bool(self.taus), "taus must be nonempty")
-        _check_study(self, (self.regime,), self.taus)
+        _check_study(self, self.taus)
         _require(self.mode in MODES, f"mode must be one of {MODES}")
         check_scan_knobs(self.enum_floor, self.enum_cap)
 
@@ -176,7 +189,7 @@ class SampleComplexityConfig(_StudyConfig):
         int(round(10 ** (2 + k / 5))) for k in range(16)
     )  # 5 points per decade, 1e2..1e5
     window: tuple = (200, 1000)
-    eta: float = 1e-3
+    eta: float = DEFAULT_ETA
     ica: IcaOptions = field(default_factory=IcaOptions)
     weight_low: float = 0.5
     weight_high: float = 0.95
@@ -185,7 +198,7 @@ class SampleComplexityConfig(_StudyConfig):
     def __post_init__(self):
         _require(len(self.window) == 2 and self.window[0] < self.window[1],
                  "window must be (low, high) with low < high")
-        _check_study(self, (self.regime,), ())
+        _check_study(self, ())
 
 
 @dataclass(frozen=True)
@@ -314,14 +327,11 @@ def _run_unit(unit: _Unit) -> list:
         fitted = recover_condensation(x, tau=0.0, ica_opts=unit.ica, **unit.fit)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         return [replace(row, error=type(exc).__name__) for row in rows]
-    truth = scm.b.support()
-    true_partition, true_condensation = tarjan_scc(truth), condense(truth)
+    truth = condense(scm.b.support())
     records = []
     for row in rows:
         support = apply_threshold(fitted.b_hat, row.tau).support()
-        report = evaluate(
-            support, tarjan_scc(support), scm.b, true_partition, true_condensation
-        )
+        report = evaluate(support, tarjan_scc(support), scm.b, truth.partition, truth)
         records.append(replace(
             row,
             ari=report.ari,
@@ -336,15 +346,15 @@ def _run_unit(unit: _Unit) -> list:
     return records
 
 
-def _execute(cfg, cells, taus, sub_seeds, fit, out_path, workers) -> list:
+def _execute(cfg, taus, sub_seeds, fit, out_path, workers) -> list:
     """Run one unit per (cell, n, seed) whose rows are missing; merge and write.
 
-    ``cells`` are (kappa, lambda, regime) triples and ``sub_seeds(seed, cell,
-    n)`` gives the (SCM, sample, ICA) seeds. Rows already in ``out_path`` win,
-    so reruns are idempotent. Returns the wanted records sorted by key.
+    ``sub_seeds(seed, cell, n)`` gives the (SCM, sample, ICA) seeds of a unit
+    of the config's (kappa, lambda, regime) ``cell``. Rows already in
+    ``out_path`` win, so reruns are idempotent. Returns the wanted records sorted by key.
     """
     units = []
-    for kappa, lam, regime in cells:
+    for kappa, lam, regime in cfg._cells():
         cell = _cell_keys(cfg.d, kappa, lam, regime)
         for n in cfg.sample_sizes:
             for seed in cfg.seeds:
@@ -383,20 +393,14 @@ def _scan_fit(cfg) -> dict:
 
 def run_grid(cfg: GridConfig, out_path=None, workers: int = 1) -> list:
     """Run every (cell, n, seed) of the grid at ``cfg.tau``; records sorted by key."""
-    cells = itertools.product(cfg.kappas, cfg.lambdas, cfg.regimes)
-    return _execute(
-        cfg, cells, (cfg.tau,), _cell_sub_seeds, _scan_fit(cfg), out_path, workers
-    )
+    return _execute(cfg, (cfg.tau,), _cell_sub_seeds, _scan_fit(cfg), out_path, workers)
 
 
 def run_threshold_sweep(
     cfg: ThresholdSweepConfig, out_path=None, workers: int = 1
 ) -> list:
     """Sweep tau over a fixed cell, reusing one fitted pipeline per (n, seed)."""
-    cells = [(cfg.kappa, cfg.lam, cfg.regime)]
-    return _execute(
-        cfg, cells, cfg.taus, _cell_sub_seeds, _scan_fit(cfg), out_path, workers
-    )
+    return _execute(cfg, cfg.taus, _cell_sub_seeds, _scan_fit(cfg), out_path, workers)
 
 
 def run_sample_complexity(
@@ -422,10 +426,8 @@ def run_sample_complexity(
             rng_mod.derive_seed(seed, TAG_ICA, n),
         )
 
-    fit = dict(eta=cfg.eta, mode="hungarian", enum_floor=DEFAULT_ENUM_FLOOR,
-               enum_cap=DEFAULT_ENUM_CAP)
-    cells = [(cfg.kappa, cfg.lam, cfg.regime)]
-    records = _execute(cfg, cells, (tau,), sub_seeds, fit, out_path, workers)
+    fit = dict(eta=cfg.eta, mode="hungarian")
+    records = _execute(cfg, (tau,), sub_seeds, fit, out_path, workers)
     summary = summarize_sample_complexity(records, cfg.window)
     summary["tau"] = tau
     summary["betaMin"] = scm.beta_min

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .exceptions import NoAdmissiblePermutationError
-from .graphs import Condensation, DirectedGraph, Partition, condense, support_graph, tarjan_scc
+from .graphs import Condensation, DirectedGraph, Partition, condense, support_graph
 from .ica import IcaOptions, fastica
 from .scm import spectral_radius
 
@@ -30,8 +30,11 @@ MODES = ("hungarian", "enumerate-first-stable")
 ENUMERATION_MAX_D = 12
 PROHIBITIVE_COST = 1e12
 
-# enumerate-first-stable pipeline defaults: a diagonal entry only counts as a
-# rook slot when it is significant relative to its row, and the scan is capped
+# pipeline defaults: the hard threshold on |b|, the tolerance on |(PW)_ii| and,
+# for enumerate-first-stable, the floor that makes a diagonal entry a rook slot
+# only when it is significant relative to its row, and the cap on the scan
+DEFAULT_TAU = 0.1
+DEFAULT_ETA = 1e-3
 DEFAULT_ENUM_FLOOR = 0.1
 DEFAULT_ENUM_CAP = 20000
 
@@ -78,7 +81,7 @@ def _as_square(w) -> np.ndarray:
     return m
 
 
-def hungarian_admissible(w, eta: float = 1e-3) -> tuple:
+def hungarian_admissible(w, eta: float = DEFAULT_ETA) -> tuple:
     """Permutation maximizing sum_i log|(PW)_ii| over admissible assignments.
 
     Solved as a min-cost assignment with cost -log|W[r, i]| for placing row
@@ -128,7 +131,7 @@ def _iter_admissible(ok: np.ndarray):
     yield from rec(0)
 
 
-def enumerate_admissible(w, eta: float = 1e-3) -> list:
+def enumerate_admissible(w, eta: float = DEFAULT_ETA) -> list:
     """All permutations with every |(PW)_ii| > eta, in lexicographic order.
 
     Guarded at d <= 12: the admissible count is a permanent and can reach d!.
@@ -142,22 +145,30 @@ def enumerate_admissible(w, eta: float = 1e-3) -> list:
     return list(_iter_admissible(np.abs(m) > eta))
 
 
+def _build_candidates(m: np.ndarray, perms: list) -> tuple:
+    """Read-only ``(k, d, d)`` stack of ``B`` for ``k`` permutations, and their radii."""
+    diag = np.arange(m.shape[0])
+    pw = m[np.array(perms)]
+    b = -pw / pw[:, diag, diag][:, :, None]
+    b[:, diag, diag] = 0.0
+    b.setflags(write=False)
+    # batched eigvals runs the LAPACK routine of spectral_radius on each matrix
+    return b, np.max(np.abs(np.linalg.eigvals(b)), axis=1)
+
+
+def _candidate(b, radii, perms, j) -> CandidateAdjacency:
+    return CandidateAdjacency(b=b[j], permutation=perms[j], spectral_radius=float(radii[j]))
+
+
 def b_from_w(w, perm) -> CandidateAdjacency:
     """Candidate adjacency ``I - diag(PW)^{-1} PW`` with exact-zero diagonal."""
     m = _as_square(w)
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(m.shape[0])):
         raise ValueError("perm must be a permutation of 0..d-1")
-    pw = m[perm, :]
-    diag = np.diag(pw).copy()
-    if np.any(diag == 0):
+    if np.any(m[perm, range(m.shape[0])] == 0):
         raise ValueError("permuted matrix has a zero diagonal entry")
-    b = -pw / diag[:, None]
-    np.fill_diagonal(b, 0.0)
-    b.setflags(write=False)
-    return CandidateAdjacency(
-        b=b, permutation=perm, spectral_radius=spectral_radius(b)
-    )
+    return _candidate(*_build_candidates(m, [perm]), [perm], 0)
 
 
 def threshold(candidate: CandidateAdjacency, tau: float) -> CandidateAdjacency:
@@ -203,40 +214,34 @@ def _first_stable_scan(
     still built from the unpruned matrix.
 
     Candidates are scored in blocks: up to ``_SCAN_BLOCK`` permutations are
-    taken from the lexicographic enumeration, their ``B`` matrices built as
-    one stack and their spectral radii found by one batched eigenvalue call.
-    The scan returns the first candidate with radius < 1; otherwise, after
-    ``cap`` candidates (``cap >= 1`` counts candidates examined) or when the
-    enumeration ends, the earliest minimum-radius one. Each radius is
-    computed exactly as ``b_from_w`` computes it, so the result is the one a
-    candidate-by-candidate scan of the same order returns.
+    taken from the lexicographic enumeration and built and scored by
+    ``_build_candidates``, the builder behind ``b_from_w``. The scan returns
+    the first candidate with radius < 1; otherwise, after ``cap`` candidates
+    (``cap >= 1`` counts candidates examined) or when the enumeration ends,
+    the earliest minimum-radius one. The result is therefore the one a
+    candidate-by-candidate scan of the same order over ``b_from_w`` returns.
     """
-    d = m.shape[0]
     scale = np.max(np.abs(m), axis=1)
     perms = _iter_admissible(np.abs(m) > np.maximum(eta, floor * scale[:, None]))
-    diag = np.arange(d)
-    best, best_radius = None, math.inf
+    best = None
     seen = 0
     while seen < cap:
         block = list(itertools.islice(perms, min(_SCAN_BLOCK, cap - seen)))
         if not block:
             break
         seen += len(block)
-        pw = m[np.array(block)]
-        b = -pw / pw[:, diag, diag][:, :, None]
-        b[:, diag, diag] = 0.0
-        radii = np.max(np.abs(np.linalg.eigvals(b)), axis=1)
+        b, radii = _build_candidates(m, block)
         stable = np.flatnonzero(radii < 1.0)
         if stable.size:
-            return b_from_w(m, block[stable[0]])
+            return _candidate(b, radii, block, stable[0])
         j = int(np.argmin(radii))
-        if radii[j] < best_radius:
-            best, best_radius = block[j], radii[j]
+        if best is None or radii[j] < best.spectral_radius:
+            best = _candidate(b, radii, block, j)
     if best is None:
         raise NoAdmissiblePermutationError(
             "no admissible permutation among significant rook patterns"
         )
-    return b_from_w(m, best)
+    return best
 
 
 @dataclass(frozen=True)
@@ -244,13 +249,16 @@ class RecoveryResult:
     """Output of the full pipeline: thresholded candidate plus its condensation."""
 
     b_hat: CandidateAdjacency
-    partition: Partition
     condensation: Condensation
     tau: float
     eta: float
     timings_ms: dict
     ica_iterations: int
     mode: str
+
+    @property
+    def partition(self) -> Partition:
+        return self.condensation.partition
 
     def support(self) -> DirectedGraph:
         return self.b_hat.support()
@@ -270,8 +278,8 @@ class RecoveryResult:
 
 def recover_condensation(
     x,
-    tau: float = 0.1,
-    eta: float = 1e-3,
+    tau: float = DEFAULT_TAU,
+    eta: float = DEFAULT_ETA,
     ica_opts: IcaOptions | None = None,
     mode: str = "hungarian",
     enum_floor: float = DEFAULT_ENUM_FLOOR,
@@ -301,14 +309,11 @@ def recover_condensation(
         candidate = _first_stable_scan(estimate.w, eta, enum_floor, enum_cap)
     b_hat = threshold(candidate, tau)
     t2 = time.perf_counter()
-    support = b_hat.support()
-    partition = tarjan_scc(support)
-    condensation = condense(support)
+    condensation = condense(b_hat.support())
     t3 = time.perf_counter()
 
     return RecoveryResult(
         b_hat=b_hat,
-        partition=partition,
         condensation=condensation,
         tau=tau,
         eta=eta,

@@ -142,6 +142,22 @@ class ScmSpec:
         )
 
 
+def _check_model_args(d, kappa, lam, weight_low, weight_high, regime, noise_family) -> None:
+    """Raise ValueError unless ``generate_scm`` can build a model from these arguments."""
+    if kappa < 1:
+        raise ValueError("kappa must be at least 1")
+    if d < 2 * kappa:
+        raise ValueError(f"d={d} cannot host {kappa} SCCs of size >= 2")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must lie in [0, 1]")
+    if not 0 < weight_low <= weight_high < np.inf:
+        raise ValueError("need 0 < weight_low <= weight_high, both finite")
+    if regime not in REGIME_TARGETS:
+        raise ValueError(f"unknown regime {regime!r}")
+    if noise_family not in NOISE_FAMILIES:
+        raise ValueError(f"unknown noise family {noise_family!r}")
+
+
 def generate_scm(
     d: int,
     kappa: int,
@@ -162,19 +178,10 @@ def generate_scm(
     Weights are uniform in ``[weight_low, weight_high]`` with random sign,
     then the whole matrix is rescaled so the spectral radius hits the regime
     target (0.9 stable / 1.5 unstable); ``beta_min`` is recorded after the
-    rescale. Deterministic given ``seed``; draws with near-singular ``I - B``
-    are redrawn from a derived sub-stream, at most ``MAX_REDRAWS`` times.
+    rescale. Deterministic given ``seed``; draws ``WeightedAdjacency`` rejects
+    as singular are redrawn from a derived sub-stream, at most ``MAX_REDRAWS`` times.
     """
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
-    if d < 2 * kappa:
-        raise ValueError(f"d={d} cannot host {kappa} SCCs of size >= 2")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    if weight_low <= 0 or weight_high < weight_low:
-        raise ValueError("need 0 < weight_low <= weight_high")
-    if regime not in REGIME_TARGETS:
-        raise ValueError(f"unknown regime {regime!r}")
+    _check_model_args(d, kappa, lam, weight_low, weight_high, regime, noise_family)
     target = REGIME_TARGETS[regime]
     noise = NoiseSpec(noise_family, DEFAULT_SCALES[noise_family])
 
@@ -219,9 +226,10 @@ def generate_scm(
         if rho0 < 1e-9:
             continue
         matrix *= target / rho0
-        if abs(np.linalg.det(np.eye(d) - matrix)) < DET_TOLERANCE:
+        try:
+            adjacency = WeightedAdjacency(matrix)
+        except SingularModelError:
             continue
-        adjacency = WeightedAdjacency(matrix)
         return ScmSpec(
             b=adjacency,
             noise=noise,
@@ -235,12 +243,8 @@ def generate_scm(
 
 
 def sample(scm: ScmSpec, n: int, seed: int = 0) -> np.ndarray:
-    """Draw n i.i.d. observations of X = (I - B)^{-1} eps; rows are samples."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    gen = rng_mod.stream(seed, rng_mod.PURPOSE_SAMPLE)
-    eps = scm.noise.draw(gen, (n, scm.d))
-    return _solve_system(np.eye(scm.d) - scm.b.matrix, eps)
+    """Draw n i.i.d. rows of X = (I - B)^{-1} eps: a zero-shift soft intervention."""
+    return soft_cluster_intervention(scm, np.zeros(scm.d), n, seed)
 
 
 def soft_cluster_intervention(
@@ -248,8 +252,8 @@ def soft_cluster_intervention(
 ) -> np.ndarray:
     """Sample under a shift intervention: X = (I - B)^{-1} (eps + delta).
 
-    Uses the same noise stream as :func:`sample`, so a zero shift reproduces
-    the observational draw exactly and paired comparisons isolate the shift.
+    :func:`sample` is the zero-shift case and draws the same noise, so
+    paired comparisons with the observational draw isolate the shift.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (scm.d,):

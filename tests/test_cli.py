@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from lingcond import harness
 from lingcond.cli import _build_parser, main
 from lingcond.ica import IcaOptions
-from lingcond.recover import DEFAULT_ENUM_CAP, DEFAULT_ENUM_FLOOR
+from lingcond.recover import (
+    DEFAULT_ENUM_CAP, DEFAULT_ENUM_FLOOR, DEFAULT_ETA, DEFAULT_TAU, recover_condensation,
+)
 from lingcond.scm import load_samples_csv, load_scm_json
 
 
@@ -69,6 +72,7 @@ class TestGenerateSampleFit:
             ica.nonlinearity, ica.tolerance, ica.max_iterations, ica.restarts, ica.seed
         )
         assert (args.enum_floor, args.enum_cap) == (DEFAULT_ENUM_FLOOR, DEFAULT_ENUM_CAP)
+        assert (args.tau, args.eta) == (DEFAULT_TAU, DEFAULT_ETA)
 
 
 class TestLatticeCommand:
@@ -107,6 +111,38 @@ class TestExitCodes:
         cfg = workspace / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert run("grid", "--config", cfg, "--out", workspace / "out.csv") == 1
+
+    @pytest.mark.parametrize("command, config", [
+        ("grid", {"ica": {"bogus": 1}}),
+        ("grid", {"kappas": 3}),
+        ("grid", {"kappas": [2, 4]}),
+        ("grid", {"lambdas": [0.4, 1.5]}),
+        ("grid", {"sample_sizes": [6, 200]}),
+        ("sweep-threshold", {"weight_low": 0.9, "weight_high": 0.5}),
+        ("sweep-threshold", {"sample_sizes": [3, 200]}),
+        ("sample-complexity", {"lam": 1.5}),
+        ("sample-complexity", {"seeds": [0, -1]}),
+    ])
+    def test_bad_study_config_fits_and_writes_nothing(
+        self, workspace, monkeypatch, command, config
+    ):
+        fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(args)
+            return recover_condensation(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "recover_condensation", counting_fit)
+        base = {"d": 6, "seeds": 1, "sample_sizes": [200], "ica": {"restarts": 1}}
+        if command == "grid":
+            base.update(kappas=[2], lambdas=[0.4], regimes=["stable"])
+        else:
+            base.update(kappa=2, lam=0.4)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({**base, **config}))
+        out = workspace / "out.csv"
+        assert run(command, "--config", cfg, "--out", out) == 1
+        assert not out.exists() and not fits
 
     def test_numerical_failure_exit_code(self, workspace):
         # constant column makes the covariance rank deficient

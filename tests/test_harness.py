@@ -155,6 +155,30 @@ class TestConfigs:
         with pytest.raises(ValueError):
             cls(**bad)
 
+    @pytest.mark.parametrize(
+        "cls", [GridConfig, ThresholdSweepConfig, SampleComplexityConfig]
+    )
+    @pytest.mark.parametrize("bad", [
+        {"sample_sizes": (3, 4)}, {"sample_sizes": (6, 500)}, {"kappa": 4},
+        {"lam": 1.5}, {"weight_low": 0.9, "weight_high": 0.5}, {"seeds": (0, -1)},
+        {"seeds": (0, 1.5)},
+    ])
+    def test_config_that_would_fail_mid_run_rejected(self, cls, bad):
+        # rejected when built, not when run_* reaches the first unit it breaks
+        if cls is GridConfig:
+            renamed = {"kappa": "kappas", "lam": "lambdas"}
+            bad = {renamed.get(k, k): (v,) if k in renamed else v for k, v in bad.items()}
+        with pytest.raises(ValueError):
+            cls(d=6, **bad)
+
+    @pytest.mark.parametrize("cls", [GridConfig, ThresholdSweepConfig])
+    @pytest.mark.parametrize("data", [
+        {"ica": {"bogus": 1}}, {"kappas": 3}, {"seeds": 2.5}, {"d": "6"},
+    ])
+    def test_malformed_json_raises_value_error(self, cls, data):
+        with pytest.raises(ValueError):
+            cls.from_json_dict(data)
+
     def test_bad_regimes_rejected(self):
         for bad in ((), ("stable", "bogus")):
             with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from lingcond import (
     hungarian_admissible,
     recover_condensation,
     sample,
+    spectral_radius,
     threshold,
 )
 from lingcond import recover
@@ -124,6 +125,21 @@ class TestBFromW:
         w = np.eye(5) - example_b.matrix
         cand = b_from_w(w, (0, 1, 2, 3, 4))
         assert cand.spectral_radius == pytest.approx(0.6 ** (1 / 3), rel=1e-8)
+
+    def test_matches_one_matrix_formula_bitwise(self):
+        # the batched builder gives the bytes of B = -PW / diag(PW) and of
+        # spectral_radius(B) computed on the one matrix
+        rng = np.random.default_rng(4)
+        for d in range(1, 11):
+            w = rng.normal(0, 1, (d, d))
+            perm = tuple(int(p) for p in rng.permutation(d))
+            pw = w[list(perm)]
+            b = -pw / np.diag(pw)[:, None]
+            np.fill_diagonal(b, 0.0)
+            cand = b_from_w(w, perm)
+            assert cand.b.tobytes() == b.tobytes() and not cand.b.flags.writeable
+            assert cand.spectral_radius == spectral_radius(b)
+            assert cand.permutation == perm
 
 
 class TestThreshold:
@@ -249,6 +265,7 @@ class TestRecoverCondensation:
         x = sample(spec, 5000, seed=7)
         res = recover_condensation(x)
         assert res.condensation == condense(res.support())
+        assert res.partition is res.condensation.partition
 
     def test_timings_and_json_shape(self, example_b):
         spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)

@@ -110,6 +110,10 @@ class TestGenerateScm:
         with pytest.raises(ValueError):
             generate_scm(10, 4, 1.5)
 
+    def test_unknown_noise_family(self):
+        with pytest.raises(ValueError, match="noise family"):
+            generate_scm(10, 4, 0.5, noise_family="gaussian")
+
     def test_exponential_noise_family(self):
         scm = generate_scm(6, 2, 0.4, seed=1, noise_family="exponential-centered")
         x = sample(scm, 50000, seed=2)
