@@ -30,6 +30,10 @@ from .recover import (
     DEFAULT_ENUM_CAP, DEFAULT_ENUM_FLOOR, DEFAULT_ETA, DEFAULT_TAU, MODES, recover_condensation,
 )
 from .scm import (
+    DEFAULT_WEIGHT_HIGH,
+    DEFAULT_WEIGHT_LOW,
+    NOISE_FAMILIES,
+    REGIME_TARGETS,
     generate_scm,
     load_samples_csv,
     load_scm_json,
@@ -67,11 +71,10 @@ def _build_parser() -> _Parser:
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--kappa", type=int, required=True)
     gen.add_argument("--lambda", dest="lam", type=float, required=True)
-    gen.add_argument("--weight-low", type=float, default=0.5)
-    gen.add_argument("--weight-high", type=float, default=0.95)
-    gen.add_argument("--regime", choices=("stable", "unstable"), default="stable")
-    gen.add_argument("--noise", choices=("laplace", "exponential-centered"),
-                     default="laplace")
+    gen.add_argument("--weight-low", type=float, default=DEFAULT_WEIGHT_LOW)
+    gen.add_argument("--weight-high", type=float, default=DEFAULT_WEIGHT_HIGH)
+    gen.add_argument("--regime", choices=tuple(REGIME_TARGETS), default="stable")
+    gen.add_argument("--noise", choices=NOISE_FAMILIES, default="laplace")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 

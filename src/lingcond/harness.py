@@ -46,7 +46,9 @@ from .recover import (
     recover_condensation,
     threshold as apply_threshold,
 )
-from .scm import _check_model_args, generate_scm, sample
+from .scm import (
+    DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, _check_model_args, generate_scm, sample,
+)
 
 CSV_HEADER = (
     "d,kappa,lambda,regime,n,seed,tau,ari,cluster_f1,variable_f1,hamming,"
@@ -133,8 +135,8 @@ class GridConfig(_StudyConfig):
     eta: float = DEFAULT_ETA
     ica: IcaOptions = field(default_factory=IcaOptions)
     mode: str = "enumerate-first-stable"
-    weight_low: float = 0.5
-    weight_high: float = 0.95
+    weight_low: float = DEFAULT_WEIGHT_LOW
+    weight_high: float = DEFAULT_WEIGHT_HIGH
     noise_family: str = "laplace"
     enum_floor: float = DEFAULT_ENUM_FLOOR
     enum_cap: int = DEFAULT_ENUM_CAP
@@ -162,8 +164,8 @@ class ThresholdSweepConfig(_StudyConfig):
     eta: float = DEFAULT_ETA
     ica: IcaOptions = field(default_factory=IcaOptions)
     mode: str = "enumerate-first-stable"
-    weight_low: float = 0.5
-    weight_high: float = 0.95
+    weight_low: float = DEFAULT_WEIGHT_LOW
+    weight_high: float = DEFAULT_WEIGHT_HIGH
     noise_family: str = "laplace"
     enum_floor: float = DEFAULT_ENUM_FLOOR
     enum_cap: int = DEFAULT_ENUM_CAP
@@ -191,8 +193,8 @@ class SampleComplexityConfig(_StudyConfig):
     window: tuple = (200, 1000)
     eta: float = DEFAULT_ETA
     ica: IcaOptions = field(default_factory=IcaOptions)
-    weight_low: float = 0.5
-    weight_high: float = 0.95
+    weight_low: float = DEFAULT_WEIGHT_LOW
+    weight_high: float = DEFAULT_WEIGHT_HIGH
     noise_family: str = "laplace"
 
     def __post_init__(self):

@@ -2,15 +2,16 @@
 
 The estimator whitens the data by eigendecomposition of the sample
 covariance, runs parallel fixed-point iterations with symmetric
-decorrelation, and de-whitens the winner so the returned matrix acts on the
-raw (uncentered-scale) observations. Restarts are resolved by the
-non-Gaussianity objective, ties by restart index, so results are
-deterministic given the options.
+decorrelation from several random starts in lockstep, and de-whitens the
+winner so the returned matrix acts on the raw (uncentered-scale)
+observations. Restarts are resolved by the non-Gaussianity objective, ties
+by the earliest restart, so results are deterministic given the options.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,10 @@ class IcaOptions:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be finite and positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        for name, low in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,61 +92,95 @@ def center_whiten(x) -> tuple:
 
 
 def _symmetric_decorrelate(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m @ m.T)
-    if vals[0] <= 0:
+    """``(M M^T)^{-1/2} M`` for each matrix of an ``(a, d, d)`` stack, by one batched eigh."""
+    vals, vecs = np.linalg.eigh(m @ m.transpose(0, 2, 1))
+    if np.any(vals[:, 0] <= 0):
         raise WhiteningError("degenerate update in symmetric decorrelation")
-    return (vecs / np.sqrt(vals)) @ vecs.T @ m
+    return (vecs / np.sqrt(vals)[:, None, :]) @ vecs.transpose(0, 2, 1) @ m
 
 
-def _logcosh(u: np.ndarray) -> np.ndarray:
-    # overflow-safe log cosh
-    return np.logaddexp(u, -u) - np.log(2.0)
+def _logcosh_mean(s: np.ndarray) -> np.ndarray:
+    """Column means of ``log cosh``, computed in place (``s`` is overwritten).
+
+    Uses the overflow-safe form ``|u| + log1p(exp(-2|u|)) - log 2``.
+    """
+    np.abs(s, out=s)
+    mean_abs = s.mean(axis=0)
+    s *= -2.0
+    np.exp(s, out=s)
+    np.log1p(s, out=s)
+    return mean_abs + s.mean(axis=0) - math.log(2.0)
 
 
-def _objective(s: np.ndarray, nonlinearity: str) -> float:
+def _objectives(s: np.ndarray, r: int, nonlinearity: str) -> np.ndarray:
+    """Non-Gaussianity objective of each restart, from the ``(n, r*d)`` block
+    of projections (restart-major columns); ``s`` is overwritten."""
     if nonlinearity == "logcosh":
-        dev = _logcosh(s).mean(axis=0) - LOGCOSH_GAUSSIAN
+        dev = _logcosh_mean(s) - LOGCOSH_GAUSSIAN
     else:
-        dev = 0.25 * (s**4).mean(axis=0) - CUBE_GAUSSIAN
-    return float(np.sum(dev**2))
+        np.square(s, out=s)
+        np.square(s, out=s)
+        dev = 0.25 * s.mean(axis=0) - CUBE_GAUSSIAN
+    return (dev**2).reshape(r, -1).sum(axis=1)
 
 
 def fastica(x, opts: IcaOptions = IcaOptions()) -> DemixingEstimate:
     """Estimate the demixing matrix of x by symmetric FastICA.
 
-    Runs ``opts.restarts`` independent fixed-point iterations from random
-    orthonormal starts and keeps the one with the largest non-Gaussianity
-    objective. Convergence is declared when
-    ``1 - min_i |<w_i_new, w_i_old>|`` drops below the tolerance; otherwise
-    the estimate is returned with ``converged=False``.
+    Runs ``opts.restarts`` fixed-point iterations from random orthonormal
+    starts and keeps the one with the largest non-Gaussianity objective,
+    ties going to the earliest restart. Convergence of a restart is declared
+    when ``1 - min_i |<w_i_new, w_i_old>|`` drops below the tolerance;
+    otherwise it stops at ``max_iterations`` with ``converged=False``.
+
+    The restarts run in lockstep: each iteration projects every active
+    restart at once into one ``(n, a*d)`` block, and a restart that converges
+    leaves the active set with its own iteration count. Results match
+    running the restarts one after another.
     """
     z, k, _ = center_whiten(x)
     n, d = z.shape
-    best = None
-    for restart in range(opts.restarts):
-        gen = rng_mod.stream(opts.seed, rng_mod.PURPOSE_ICA, restart)
-        w = np.linalg.qr(gen.standard_normal((d, d)))[0]
-        converged = False
-        iterations = 0
-        for iterations in range(1, opts.max_iterations + 1):
-            s = z @ w.T
-            if opts.nonlinearity == "logcosh":
-                g = np.tanh(s)
-                g_prime_mean = (1.0 - g**2).mean(axis=0)
-            else:
-                g = s**3
-                g_prime_mean = 3.0 * (s**2).mean(axis=0)
-            w_new = (g.T @ z) / n - g_prime_mean[:, None] * w
-            w_new = _symmetric_decorrelate(w_new)
-            drift = 1.0 - np.min(np.abs(np.einsum("ij,ij->i", w_new, w)))
-            w = w_new
-            if drift < opts.tolerance:
-                converged = True
+    r = opts.restarts
+    w = np.stack([
+        np.linalg.qr(
+            rng_mod.stream(opts.seed, rng_mod.PURPOSE_ICA, restart).standard_normal((d, d))
+        )[0]
+        for restart in range(r)
+    ])
+    iterations = np.full(r, opts.max_iterations)
+    converged = np.zeros(r, dtype=bool)
+    active = np.arange(r)
+    buf = np.empty(n * r * d)
+    for it in range(1, opts.max_iterations + 1):
+        a = active.size
+        w_act = w[active]
+        w_rows = w_act.reshape(a * d, d)
+        # contiguous (n, a*d) view of the front of the buffer, restart-major columns
+        s = buf[: n * a * d].reshape(n, a * d)
+        np.matmul(z, w_rows.T, out=s)
+        if opts.nonlinearity == "logcosh":
+            g = np.tanh(s, out=s)
+            g_prime_mean = 1.0 - np.einsum("ij,ij->j", g, g) / n
+        else:
+            g_prime_mean = 3.0 * (np.einsum("ij,ij->j", s, s) / n)
+            g = np.power(s, 3, out=s)
+        w_new = (g.T @ z) / n - g_prime_mean[:, None] * w_rows
+        w_new = _symmetric_decorrelate(w_new.reshape(a, d, d))
+        drift = 1.0 - np.abs(np.einsum("aij,aij->ai", w_new, w_act)).min(axis=1)
+        w[active] = w_new
+        done = drift < opts.tolerance
+        if done.any():
+            iterations[active[done]] = it
+            converged[active[done]] = True
+            active = active[~done]
+            if not active.size:
                 break
-        objective = _objective(z @ w.T, opts.nonlinearity)
-        if best is None or objective > best[0]:
-            best = (objective, w, iterations, converged)
-    _, w, iterations, converged = best
+    s = buf.reshape(n, r * d)
+    np.matmul(z, w.reshape(r * d, d).T, out=s)
+    best = int(np.argmax(_objectives(s, r, opts.nonlinearity)))
     return DemixingEstimate(
-        w=w @ k, iterations=iterations, converged=converged, w_white=w
+        w=w[best] @ k,
+        iterations=int(iterations[best]),
+        converged=bool(converged[best]),
+        w_white=w[best],
     )

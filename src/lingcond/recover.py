@@ -110,25 +110,34 @@ def _iter_admissible(ok: np.ndarray):
 
     ``ok[r, i]`` marks row r as usable at slot i. DFS over slots choosing the
     smallest unused row first gives lexicographic order without materializing
-    the d! search space.
+    the d! search space. The DFS keeps an explicit stack of iterators, one
+    per filled slot, rather than recursing, so a permutation is not passed
+    up through d nested generators.
     """
     d = ok.shape[0]
+    if d == 0:
+        yield ()
+        return
     allowed = [[r for r in range(d) if ok[r, i]] for i in range(d)]
     used = [False] * d
     perm = [0] * d
-
-    def rec(slot):
-        if slot == d:
-            yield tuple(perm)
-            return
-        for r in allowed[slot]:
+    stack = [iter(allowed[0])]
+    while stack:
+        slot = len(stack) - 1
+        for r in stack[-1]:
             if not used[r]:
-                used[r] = True
-                perm[slot] = r
-                yield from rec(slot + 1)
-                used[r] = False
-
-    yield from rec(0)
+                break
+        else:
+            stack.pop()
+            if slot:
+                used[perm[slot - 1]] = False
+            continue
+        perm[slot] = r
+        if slot == d - 1:
+            yield tuple(perm)
+        else:
+            used[r] = True
+            stack.append(iter(allowed[slot + 1]))
 
 
 def enumerate_admissible(w, eta: float = DEFAULT_ETA) -> list:

@@ -26,6 +26,10 @@ DEFAULT_SCALES = {"laplace": 2.0 ** -0.5, "exponential-centered": 1.0}
 
 REGIME_TARGETS = {"stable": 0.9, "unstable": 1.5}
 
+# generate_scm draws |weight| uniformly from [DEFAULT_WEIGHT_LOW, DEFAULT_WEIGHT_HIGH]
+DEFAULT_WEIGHT_LOW = 0.5
+DEFAULT_WEIGHT_HIGH = 0.95
+
 DET_TOLERANCE = 1e-10
 MAX_REDRAWS = 100
 
@@ -162,8 +166,8 @@ def generate_scm(
     d: int,
     kappa: int,
     lam: float,
-    weight_low: float = 0.5,
-    weight_high: float = 0.95,
+    weight_low: float = DEFAULT_WEIGHT_LOW,
+    weight_high: float = DEFAULT_WEIGHT_HIGH,
     regime: str = "stable",
     seed: int = 0,
     noise_family: str = "laplace",

@@ -9,7 +9,10 @@ from lingcond.ica import IcaOptions
 from lingcond.recover import (
     DEFAULT_ENUM_CAP, DEFAULT_ENUM_FLOOR, DEFAULT_ETA, DEFAULT_TAU, recover_condensation,
 )
-from lingcond.scm import load_samples_csv, load_scm_json
+from lingcond.scm import (
+    DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, NOISE_FAMILIES, REGIME_TARGETS, load_samples_csv,
+    load_scm_json,
+)
 
 
 def run(*argv):
@@ -74,6 +77,16 @@ class TestGenerateSampleFit:
         assert (args.enum_floor, args.enum_cap) == (DEFAULT_ENUM_FLOOR, DEFAULT_ENUM_CAP)
         assert (args.tau, args.eta) == (DEFAULT_TAU, DEFAULT_ETA)
 
+    def test_generate_defaults_and_choices_come_from_the_library(self):
+        parser = _build_parser()
+        args = parser.parse_args(["generate", "--d", "6", "--kappa", "2", "--lambda", "0.4",
+                                  "--out", "scm.json"])
+        assert (args.weight_low, args.weight_high) == (DEFAULT_WEIGHT_LOW, DEFAULT_WEIGHT_HIGH)
+        gen = parser._subparsers._group_actions[0].choices["generate"]
+        choices = {action.dest: action.choices for action in gen._actions}
+        assert tuple(choices["regime"]) == tuple(REGIME_TARGETS)
+        assert tuple(choices["noise"]) == NOISE_FAMILIES
+
 
 class TestLatticeCommand:
     def test_example_graph_report(self, workspace, example_graph, capsys):
@@ -122,6 +135,9 @@ class TestExitCodes:
         ("sweep-threshold", {"sample_sizes": [3, 200]}),
         ("sample-complexity", {"lam": 1.5}),
         ("sample-complexity", {"seeds": [0, -1]}),
+        ("grid", {"ica": {"restarts": 2.5}}),
+        ("sweep-threshold", {"ica": {"max_iterations": 10.5}}),
+        ("sample-complexity", {"ica": {"seed": -1}}),
     ])
     def test_bad_study_config_fits_and_writes_nothing(
         self, workspace, monkeypatch, command, config

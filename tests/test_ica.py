@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lingcond import rng as rng_mod
 from lingcond import (
     IcaOptions,
     NoiseSpec,
@@ -14,6 +15,7 @@ from lingcond import (
     sample,
     threshold,
 )
+from lingcond.ica import CUBE_GAUSSIAN, LOGCOSH_GAUSSIAN, _logcosh_mean
 
 
 def laplace_sources(n, d, seed):
@@ -70,6 +72,18 @@ class TestIcaOptions:
             IcaOptions(max_iterations=0)
         with pytest.raises(ValueError):
             IcaOptions(restarts=0)
+
+    @pytest.mark.parametrize("bad", [
+        {"restarts": 2.5}, {"max_iterations": 10.5}, {"seed": -1}, {"seed": 1.0},
+        {"restarts": "3"},
+    ])
+    def test_non_integral_or_negative_counts_rejected(self, bad):
+        with pytest.raises(ValueError):
+            IcaOptions(**bad)
+
+    def test_numpy_integers_accepted(self):
+        opts = IcaOptions(restarts=np.int64(2), max_iterations=np.int32(7), seed=np.uint32(5))
+        assert (opts.restarts, opts.max_iterations, opts.seed) == (2, 7, 5)
 
 
 class TestFastica:
@@ -148,3 +162,107 @@ class TestFastica:
             cand = threshold(b_from_w(est.w, perm), 0.1)
             hits += cand.support() == true_support
         assert hits >= 9
+
+
+def _sequential_fastica(x, opts):
+    """Reference: the restarts run one after another, one Python loop each.
+
+    The update kernels are the package's (``g'`` as ``1 - mean(g^2)`` via
+    einsum, the stable log cosh objective), so the comparison isolates the
+    lockstep loop. With ``(1 - g**2).mean(axis=0)`` instead, a restart that
+    does not contract (no convergence within 500 iterations at n=200)
+    amplifies the last-bit difference to O(1).
+    """
+    z, _, _ = center_whiten(x)
+    n, d = z.shape
+    runs = []
+    for restart in range(opts.restarts):
+        gen = rng_mod.stream(opts.seed, rng_mod.PURPOSE_ICA, restart)
+        w = np.linalg.qr(gen.standard_normal((d, d)))[0]
+        converged = False
+        for iterations in range(1, opts.max_iterations + 1):
+            s = z @ w.T
+            if opts.nonlinearity == "logcosh":
+                g = np.tanh(s)
+                g_prime_mean = 1.0 - np.einsum("ij,ij->j", g, g) / n
+            else:
+                g = s**3
+                g_prime_mean = 3.0 * (s**2).mean(axis=0)
+            m = (g.T @ z) / n - g_prime_mean[:, None] * w
+            vals, vecs = np.linalg.eigh(m @ m.T)
+            w_new = (vecs / np.sqrt(vals)) @ vecs.T @ m
+            drift = 1.0 - np.min(np.abs(np.einsum("ij,ij->i", w_new, w)))
+            w = w_new
+            if drift < opts.tolerance:
+                converged = True
+                break
+        s = z @ w.T
+        if opts.nonlinearity == "logcosh":
+            dev = _logcosh_mean(s) - LOGCOSH_GAUSSIAN
+        else:
+            dev = 0.25 * (s**4).mean(axis=0) - CUBE_GAUSSIAN
+        runs.append((float(np.sum(dev**2)), w, iterations, converged))
+    best = None
+    for run in runs:
+        if best is None or run[0] > best[0]:
+            best = run
+    return best, runs
+
+
+def _scm_samples(n, seed, regime="stable"):
+    return sample(generate_scm(10, 4, 0.5, regime=regime, seed=seed), n, seed=100 + seed)
+
+
+def _assert_same_estimate(x, opts):
+    (_, w_ref, iterations, converged), runs = _sequential_fastica(x, opts)
+    est = fastica(x, opts)
+    assert np.abs(est.w_white - w_ref).max() <= 1e-12
+    assert (est.iterations, est.converged) == (iterations, converged)
+    return runs
+
+
+class TestLockstepMatchesSequential:
+    @pytest.mark.parametrize("x, opts", [
+        (_scm_samples(10000, 0), IcaOptions(seed=0)),
+        (_scm_samples(10000, 1, "unstable"), IcaOptions(seed=1)),
+        (_scm_samples(200, 2), IcaOptions(seed=2)),
+        (_scm_samples(200, 3, "unstable"), IcaOptions(seed=3)),
+        (_scm_samples(200, 10), IcaOptions(seed=10)),
+        (_scm_samples(5000, 4), IcaOptions(nonlinearity="cube", seed=4)),
+        (_scm_samples(10000, 5), IcaOptions(seed=5, max_iterations=4)),
+        (_scm_samples(10000, 6), IcaOptions(seed=6, restarts=1)),
+        (_scm_samples(10000, 7), IcaOptions(seed=7, restarts=5)),
+    ], ids=["n1e4-stable", "n1e4-unstable", "n200-stable", "n200-unstable",
+            "n200-no-convergence", "cube", "capped", "one-restart", "five-restarts"])
+    def test_same_estimate(self, x, opts):
+        _assert_same_estimate(x, opts)
+
+    def test_restarts_stopping_at_different_iterations(self):
+        x = _scm_samples(10000, 7)
+        runs = _assert_same_estimate(x, IcaOptions(seed=7, restarts=5))
+        counts = [run[2] for run in runs]
+        # freezing is exercised only when restarts leave the active set at different times
+        assert len(set(counts)) > 1
+        # capped at the earliest stop: that restart converges, the others do not
+        runs = _assert_same_estimate(x, IcaOptions(seed=7, restarts=5, max_iterations=min(counts)))
+        assert {run[3] for run in runs} == {True, False}
+
+    def test_tie_goes_to_earliest_restart(self, monkeypatch):
+        x = laplace_sources(2000, 3, 11)
+        # equal objectives for every restart: the first restart must win
+        monkeypatch.setattr(
+            "lingcond.ica._objectives", lambda s, r, nonlinearity: np.zeros(r)
+        )
+        est = fastica(x, IcaOptions(seed=3, restarts=4))
+        first = fastica(x, IcaOptions(seed=3, restarts=1))
+        assert np.array_equal(est.w_white, first.w_white)
+
+
+def test_stable_logcosh_matches_logaddexp():
+    u = np.linspace(-1e3, 1e3, 200001)
+    u = np.concatenate([u, np.linspace(-20.0, 20.0, 40001), [0.0, 1e-300, -1e-8, 710.0]])
+    expected = np.logaddexp(u, -u) - np.log(2.0)
+    # with one row, the column means are the elementwise values
+    got = _logcosh_mean(u[None, :].copy())
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, expected, rtol=1e-15, atol=1e-15)

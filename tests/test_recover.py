@@ -92,6 +92,20 @@ class TestEnumerateAdmissible:
         with pytest.raises(ValueError):
             enumerate_admissible(np.eye(13))
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_dfs_matches_filtered_permutations(self, d):
+        rng = np.random.default_rng(d)
+        infeasible = np.ones((d, d), dtype=bool)
+        infeasible[:, d - 1] = False  # no row may take the last slot
+        masks = [rng.random((d, d)) < p for p in (0.3, 0.6, 0.85)]
+        for ok in masks + [np.ones((d, d), dtype=bool), infeasible]:
+            brute = [
+                p for p in itertools.permutations(range(d))
+                if all(ok[p[i], i] for i in range(d))
+            ]
+            assert list(recover._iter_admissible(ok)) == brute
+        assert list(recover._iter_admissible(infeasible)) == []
+
 
 class TestBFromW:
     def test_example_inversion_is_exact(self, example_b):
