@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,19 +87,6 @@ class Partition:
                 mapping[lab] = len(mapping)
             labels.append(mapping[lab])
         return cls(tuple(labels))
-
-    @classmethod
-    def from_clusters(cls, d: int, clusters: Iterable) -> "Partition":
-        """Build from an iterable of node groups covering 0..d-1 exactly once."""
-        raw = [None] * d
-        for cid, group in enumerate(clusters):
-            for v in group:
-                if raw[v] is not None:
-                    raise ValueError(f"node {v} appears in two clusters")
-                raw[v] = cid
-        if any(x is None for x in raw):
-            raise ValueError("clusters do not cover all nodes")
-        return cls.from_labels(raw)
 
     @property
     def d(self) -> int:

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import rng as rng_mod
 from .exceptions import NumericalError
-from .graphs import condense, tarjan_scc
 from .ica import IcaOptions
 from .metrics import evaluate
 from .recover import (
@@ -79,6 +78,8 @@ def _check_study(cfg, taus) -> None:
                           regime, cfg.noise_family)
     sizes = cfg.sample_sizes
     _require(bool(sizes), "sample_sizes must be nonempty")
+    _require(all(isinstance(n, numbers.Integral) for n in sizes),
+             "sample sizes must be integers")
     _require(
         all(a < b for a, b in zip(sizes, sizes[1:])),
         "sample_sizes must be strictly increasing",
@@ -200,6 +201,8 @@ class SampleComplexityConfig(_StudyConfig):
     def __post_init__(self):
         _require(len(self.window) == 2 and self.window[0] < self.window[1],
                  "window must be (low, high) with low < high")
+        _require(isinstance(self.scm_seed, numbers.Integral) and self.scm_seed >= 0,
+                 "scm_seed must be a non-negative integer")
         _check_study(self, ())
 
 
@@ -329,11 +332,10 @@ def _run_unit(unit: _Unit) -> list:
         fitted = recover_condensation(x, tau=0.0, ica_opts=unit.ica, **unit.fit)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         return [replace(row, error=type(exc).__name__) for row in rows]
-    truth = condense(scm.b.support())
+    truth = scm.b.support()
     records = []
     for row in rows:
-        support = apply_threshold(fitted.b_hat, row.tau).support()
-        report = evaluate(support, tarjan_scc(support), scm.b, truth.partition, truth)
+        report = evaluate(apply_threshold(fitted.b_hat, row.tau).support(), truth)
         records.append(replace(
             row,
             ari=report.ari,

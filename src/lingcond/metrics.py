@@ -5,9 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
-from .graphs import Condensation, DirectedGraph, Partition, quotient, support_graph
+from .graphs import Condensation, DirectedGraph, Partition, condense, quotient, tarjan_scc
 
 
 def ari(pred: Partition, truth: Partition) -> float:
@@ -47,33 +45,21 @@ def edge_f1(pred_edges, true_edges) -> float:
     return 2 * tp / (2 * tp + fp + fn)
 
 
-def cluster_dag_f1(
-    pred_support: DirectedGraph,
-    true_partition: Partition,
-    true_condensation: Condensation,
-) -> float:
+def cluster_dag_f1(pred_support: DirectedGraph, true_condensation: Condensation) -> float:
     """F1 of predicted edges projected onto the true SCC partition.
 
     The projection is the quotient by the *true* partition (intra-cluster
     edges drop out), scored against the true condensation's cluster edges.
     """
-    if pred_support.d != true_partition.d:
-        raise ValueError("prediction and partition disagree on node count")
-    if true_partition.num_clusters != true_condensation.partition.num_clusters:
-        raise ValueError("partition and condensation disagree on cluster count")
-    projected = quotient(pred_support, true_partition)
+    projected = quotient(pred_support, true_condensation.partition)
     return edge_f1(projected.edges, true_condensation.cluster_edges)
 
 
-def hamming_support(b_hat, b_true) -> int:
-    """Number of off-diagonal positions where exactly one support has an entry."""
-    a = np.asarray(getattr(b_hat, "matrix", b_hat))
-    b = np.asarray(getattr(b_true, "matrix", b_true))
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("supports must be square matrices of equal dimension")
-    diff = (a != 0) ^ (b != 0)
-    np.fill_diagonal(diff, False)
-    return int(diff.sum())
+def hamming_support(pred_support: DirectedGraph, true_support: DirectedGraph) -> int:
+    """Number of edges present in exactly one of two supports on the same nodes."""
+    if pred_support.d != true_support.d:
+        raise ValueError("prediction and truth disagree on node count")
+    return len(pred_support.edges ^ true_support.edges)
 
 
 @dataclass(frozen=True)
@@ -97,26 +83,15 @@ class MetricsReport:
             raise ValueError("hamming_support must be non-negative")
 
 
-def evaluate(
-    pred_support: DirectedGraph,
-    pred_partition: Partition,
-    true_b,
-    true_partition: Partition,
-    true_condensation: Condensation,
-) -> MetricsReport:
-    """Score a recovered structure against the generating ground truth."""
-    if hasattr(true_b, "support"):
-        true_graph = true_b.support()
-    else:
-        true_graph = support_graph(true_b)
-    if true_graph.d != pred_support.d:
-        raise ValueError("prediction and truth disagree on node count")
+def evaluate(pred_support: DirectedGraph, true_support: DirectedGraph) -> MetricsReport:
+    """Score a recovered support against the generating one via their condensations."""
+    hamming = hamming_support(pred_support, true_support)
+    pred_partition = tarjan_scc(pred_support)
+    truth = condense(true_support)
     return MetricsReport(
-        ari=ari(pred_partition, true_partition),
-        cluster_dag_f1=cluster_dag_f1(pred_support, true_partition, true_condensation),
-        variable_f1=edge_f1(pred_support.edges, true_graph.edges),
-        # edge sets are exactly the off-diagonal supports, so the symmetric
-        # difference is the support Hamming distance
-        hamming_support=len(pred_support.edges ^ true_graph.edges),
+        ari=ari(pred_partition, truth.partition),
+        cluster_dag_f1=cluster_dag_f1(pred_support, truth),
+        variable_f1=edge_f1(pred_support.edges, true_support.edges),
+        hamming_support=hamming,
         predicted_partition_size=pred_partition.num_clusters,
     )

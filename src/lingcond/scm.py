@@ -11,6 +11,7 @@ spectral radius hits the regime target.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,9 @@ class ScmSpec:
 
 def _check_model_args(d, kappa, lam, weight_low, weight_high, regime, noise_family) -> None:
     """Raise ValueError unless ``generate_scm`` can build a model from these arguments."""
+    for name, value in (("d", d), ("kappa", kappa)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
     if d < 2 * kappa:
@@ -264,8 +268,8 @@ def soft_cluster_intervention(
         raise ValueError(f"delta must have length d={scm.d}")
     if not np.all(np.isfinite(delta)):
         raise ValueError("delta must be finite")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError("n must be an integer of at least 1")
     gen = rng_mod.stream(seed, rng_mod.PURPOSE_SAMPLE)
     eps = scm.noise.draw(gen, (n, scm.d))
     return _solve_system(np.eye(scm.d) - scm.b.matrix, eps + delta)
@@ -289,8 +293,8 @@ def hard_cluster_intervention(
     c = np.asarray(c, dtype=float)
     if c.shape != (len(pi),):
         raise ValueError("c must assign one value per node of pi")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError("n must be an integer of at least 1")
 
     partition = tarjan_scc(scm.b.support())
     pi_set = set(pi)

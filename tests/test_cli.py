@@ -138,6 +138,12 @@ class TestExitCodes:
         ("grid", {"ica": {"restarts": 2.5}}),
         ("sweep-threshold", {"ica": {"max_iterations": 10.5}}),
         ("sample-complexity", {"ica": {"seed": -1}}),
+        ("grid", {"sample_sizes": [200.5]}),
+        ("grid", {"kappas": [2.5]}),
+        ("grid", {"d": 6.0}),
+        ("sweep-threshold", {"kappa": 2.5}),
+        ("sample-complexity", {"scm_seed": 1.5}),
+        ("sample-complexity", {"scm_seed": -1}),
     ])
     def test_bad_study_config_fits_and_writes_nothing(
         self, workspace, monkeypatch, command, config

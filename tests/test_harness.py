@@ -180,6 +180,21 @@ class TestConfigs:
         with pytest.raises(ValueError):
             cls.from_json_dict(data)
 
+    @pytest.mark.parametrize("cls, data", [
+        (GridConfig, {"sample_sizes": [200.5]}),
+        (GridConfig, {"kappas": [2.5]}),
+        (GridConfig, {"d": 10.0}),
+        (ThresholdSweepConfig, {"sample_sizes": [500, 5000.5]}),
+        (ThresholdSweepConfig, {"kappa": 2.5}),
+        (SampleComplexityConfig, {"d": 10.0}),
+        (SampleComplexityConfig, {"scm_seed": 1.5}),
+        (SampleComplexityConfig, {"scm_seed": -1}),
+    ])
+    def test_non_integral_sizes_and_scm_seed_rejected(self, cls, data):
+        # before, these were accepted and the run died in rng.derive_seed or rng.stream
+        with pytest.raises(ValueError):
+            cls.from_json_dict(data)
+
     def test_bad_regimes_rejected(self):
         for bad in ((), ("stable", "bogus")):
             with pytest.raises(ValueError):

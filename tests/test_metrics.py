@@ -11,9 +11,9 @@ from lingcond import (
     edge_f1,
     evaluate,
     hamming_support,
-    tarjan_scc,
+    support_graph,
 )
-from conftest import ari_pair_counting, random_partition
+from conftest import ari_pair_counting, random_graph, random_partition, reachability_partition
 
 
 class TestAri:
@@ -82,35 +82,31 @@ class TestEdgeF1:
 
 class TestClusterDagF1:
     def test_true_support_scores_one(self, example_graph):
-        truth = tarjan_scc(example_graph)
         cond = condense(example_graph)
-        assert cluster_dag_f1(example_graph, truth, cond) == 1.0
+        assert cluster_dag_f1(example_graph, cond) == 1.0
 
     def test_empty_prediction_scores_zero(self, example_graph):
-        truth = tarjan_scc(example_graph)
         cond = condense(example_graph)
         empty = DirectedGraph(5)
-        assert cluster_dag_f1(empty, truth, cond) == 0.0
+        assert cluster_dag_f1(empty, cond) == 0.0
 
     def test_cycle_reversal_inside_scc_is_invisible(self, example_graph):
         variant = DirectedGraph(5, {(0, 3), (3, 2), (2, 1), (1, 3), (3, 4)})
-        truth = tarjan_scc(example_graph)
         cond = condense(example_graph)
-        assert cluster_dag_f1(variant, truth, cond) == 1.0
+        assert cluster_dag_f1(variant, cond) == 1.0
 
     def test_dimension_mismatch(self, example_graph):
-        truth = Partition((0, 1))
         with pytest.raises(ValueError):
-            cluster_dag_f1(example_graph, truth, condense(example_graph))
+            cluster_dag_f1(DirectedGraph(2), condense(example_graph))
 
 
 class TestHammingSupport:
     def test_equal_supports(self, example_b):
-        assert hamming_support(example_b, example_b) == 0
+        assert hamming_support(example_b.support(), example_b.support()) == 0
 
     def test_zero_vs_example(self, example_b):
-        zero = np.zeros((5, 5))
-        assert hamming_support(zero, example_b) == 5
+        zero = DirectedGraph(5)
+        assert hamming_support(zero, example_b.support()) == 5
 
     def test_xor_oracle(self):
         rng = np.random.default_rng(43)
@@ -126,11 +122,11 @@ class TestHammingSupport:
                 for j in range(d)
                 if i != j and (a[i, j] != 0) != (b[i, j] != 0)
             )
-            assert hamming_support(a, b) == expected
+            assert hamming_support(support_graph(a), support_graph(b)) == expected
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            hamming_support(np.zeros((2, 2)), np.zeros((3, 3)))
+            hamming_support(DirectedGraph(2), DirectedGraph(3))
 
 
 class TestReports:
@@ -141,11 +137,40 @@ class TestReports:
             MetricsReport(1.0, 1.0, 1.0, -1, 1)
 
     def test_evaluate_against_self(self, example_graph, example_b):
-        truth = tarjan_scc(example_graph)
-        cond = condense(example_graph)
-        report = evaluate(example_graph, truth, example_b, truth, cond)
+        report = evaluate(example_graph, example_b.support())
         assert report.ari == 1.0
         assert report.cluster_dag_f1 == 1.0
         assert report.variable_f1 == 1.0
         assert report.hamming_support == 0
         assert report.predicted_partition_size == 3
+
+    def test_evaluate_matches_independent_oracles(self):
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            d = int(rng.integers(2, 9))
+            pred = random_graph(d, rng.random() * 0.5, rng)
+            true = random_graph(d, rng.random() * 0.5, rng)
+            pred_p, true_p = reachability_partition(pred), reachability_partition(true)
+            labels = true_p.labels
+            cluster_edges = {(labels[u], labels[v]) for u, v in true.edges
+                             if labels[u] != labels[v]}
+            projected = {(labels[u], labels[v]) for u, v in pred.edges
+                         if labels[u] != labels[v]}
+            only_one = sum(
+                1
+                for u in range(d)
+                for v in range(d)
+                if ((u, v) in pred.edges) != ((u, v) in true.edges)
+            )
+            report = evaluate(pred, true)
+            assert report.ari == ari_pair_counting(pred_p, true_p)
+            assert report.cluster_dag_f1 == edge_f1(projected, cluster_edges)
+            assert report.variable_f1 == edge_f1(pred.edges, true.edges)
+            assert report.hamming_support == only_one
+            assert report.predicted_partition_size == pred_p.num_clusters
+
+    def test_evaluate_node_count_mismatch(self, example_graph):
+        with pytest.raises(ValueError):
+            evaluate(DirectedGraph(4), example_graph)
+        with pytest.raises(ValueError):
+            evaluate(example_graph, DirectedGraph(6))

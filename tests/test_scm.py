@@ -114,6 +114,11 @@ class TestGenerateScm:
         with pytest.raises(ValueError, match="noise family"):
             generate_scm(10, 4, 0.5, noise_family="gaussian")
 
+    @pytest.mark.parametrize("d, kappa", [(10.0, 4), (10, 2.5)])
+    def test_non_integral_d_or_kappa(self, d, kappa):
+        with pytest.raises(ValueError, match="must be an integer"):
+            generate_scm(d, kappa, 0.5)
+
     def test_exponential_noise_family(self):
         scm = generate_scm(6, 2, 0.4, seed=1, noise_family="exponential-centered")
         x = sample(scm, 50000, seed=2)
@@ -162,6 +167,16 @@ class TestSample:
     def test_n_validation(self, example_b):
         with pytest.raises(ValueError):
             sample(example_spec(example_b), 0)
+
+
+    def test_non_integral_n_rejected(self, example_b):
+        spec = example_spec(example_b)
+        with pytest.raises(ValueError, match="integer"):
+            sample(spec, 200.5)
+        with pytest.raises(ValueError, match="integer"):
+            soft_cluster_intervention(spec, np.zeros(5), 200.5)
+        with pytest.raises(ValueError, match="integer"):
+            hard_cluster_intervention(spec, [0], [1.0], 200.5)
 
 
 class TestHardIntervention:
