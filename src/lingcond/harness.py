@@ -199,8 +199,10 @@ class SampleComplexityConfig(_StudyConfig):
     noise_family: str = "laplace"
 
     def __post_init__(self):
-        _require(len(self.window) == 2 and self.window[0] < self.window[1],
-                 "window must be (low, high) with low < high")
+        _require(len(self.window) == 2
+                 and all(isinstance(v, numbers.Real) for v in self.window)
+                 and self.window[0] < self.window[1],
+                 "window must be (low, high), two numbers with low < high")
         _require(isinstance(self.scm_seed, numbers.Integral) and self.scm_seed >= 0,
                  "scm_seed must be a non-negative integer")
         _check_study(self, ())

@@ -40,6 +40,9 @@ DEFAULT_ENUM_CAP = 20000
 
 # candidates scored per batched eigenvalue call in the first-stable scan
 _SCAN_BLOCK = 64
+_UNIT_ROUNDOFF = 2.0**-53
+# the powers j whose traces bound the spectral radius, in the order computed
+_TRACE_POWERS = np.array([2, 4, 6, 8, 3, 5, 7])
 
 
 @dataclass(frozen=True)
@@ -154,15 +157,83 @@ def enumerate_admissible(w, eta: float = DEFAULT_ETA) -> list:
     return list(_iter_admissible(np.abs(m) > eta))
 
 
-def _build_candidates(m: np.ndarray, perms: list) -> tuple:
-    """Read-only ``(k, d, d)`` stack of ``B`` for ``k`` permutations, and their radii."""
+def _build_stack(m: np.ndarray, perms: list) -> np.ndarray:
+    """Read-only ``(k, d, d)`` stack of ``B = -PW / diag(PW)`` with zero diagonal."""
     diag = np.arange(m.shape[0])
     pw = m[np.array(perms)]
     b = -pw / pw[:, diag, diag][:, :, None]
     b[:, diag, diag] = 0.0
     b.setflags(write=False)
+    return b
+
+
+def _radii(b: np.ndarray) -> np.ndarray:
+    """Spectral radius of each matrix of a stack."""
     # batched eigvals runs the LAPACK routine of spectral_radius on each matrix
-    return b, np.max(np.abs(np.linalg.eigvals(b)), axis=1)
+    return np.max(np.abs(np.linalg.eigvals(b)), axis=1)
+
+
+def _gamma(m: int) -> float:
+    """Higham's ``gamma_m = m u / (1 - m u)``, ``u`` the float64 unit roundoff."""
+    return m * _UNIT_ROUNDOFF / (1 - m * _UNIT_ROUNDOFF)
+
+
+def _certified_above(b: np.ndarray, thr: float) -> np.ndarray:
+    """Mask of the matrices of a ``(k, d, d)`` stack whose spectral radius exceeds ``thr``.
+
+    A ``True`` entry is a proof, not an estimate. For any ``d x d`` matrix,
+    ``|tr(B^j)| = |sum_i lambda_i^j| <= d rho(B)^j``, so
+    ``|tr(B^j)| > d thr^j`` for some ``j`` implies ``rho(B) > thr``. The test
+    runs for ``j = 2..8`` (``tr B = 0`` for a zero diagonal): ``B^2``,
+    ``B^3 = B^2 B`` and ``B^4 = B^2 B^2`` take three batched matmuls, and
+    each trace is ``t_j = sum(B^a * (B^c).T)`` with ``a + c = j``,
+    ``a, c <= 4``. ``False`` means "not shown". A NaN fails the comparison,
+    and a trace can overflow only with ``||B||_F^j``, which makes the
+    allowance infinite, so no overflow or NaN certifies a matrix.
+
+    The allowance ``err_j`` for rounding (``u = 2^-53``, ``gamma_m`` as in
+    ``_gamma``), after Higham, *Accuracy and Stability of Numerical
+    Algorithms*, sec. 3.5:
+
+    * A computed product of conventional inner products of length ``d`` is
+      exact up to ``|fl(XY) - XY| <= gamma_d |X||Y|``, so by induction the
+      computed ``B^a`` is ``B^a + E_a`` with
+      ``|E_a| <= ((1 + gamma_d)^(a-1) - 1) |B|^a``. Then
+      ``|tr(B^a B^c) computed exactly from them - tr(B^j)|`` is at most
+      ``((1 + gamma_d)^(j-2) - 1) tr(|B|^j)``, and the final sum of ``d^2``
+      rounded products adds ``gamma_(d^2) (1 + gamma_d)^(j-2) tr(|B|^j)``.
+      So ``|t_j - tr(B^j)| <= e_j tr(|B|^j)`` with
+      ``e_j = (1 + gamma_d)^(j-2) (1 + gamma_(d^2)) - 1``, whatever the
+      summation order.
+    * ``tr(|B|^j) = sum(|B|^a * (|B|^c).T) <= || |B|^a ||_F || |B|^c ||_F``,
+      which is at most ``||B||_F^j`` as the Frobenius norm is submultiplicative.
+    * The computed ``s = sum(B * B)`` underestimates ``||B||_F^2`` by at most
+      a relative ``gamma_(d^2)``; ``s^(j/2)``, ``e_j`` and the products that
+      form the allowance add a relative error of a few ``u`` each. Together
+      these stay far below a factor 2 for any ``d < 10^6``.
+    * ``thr^j`` is a running product of ``j`` factors, rounded ``j - 1``
+      times; ``d thr^j`` and ``|t_j| - err_j`` round once more each, so
+      ``gamma_10 d thr^j`` bounds their error for ``j <= 8``.
+
+    Hence ``err_j = 2 (e_j s^(j/2) + gamma_10 d thr^j)``, the doubling
+    covering the rounding of the allowance itself, and a matrix is certified
+    when the computed ``|t_j| - err_j`` exceeds the computed ``d thr^j``.
+    """
+    d = b.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        b2 = b @ b
+        powers = np.stack([b, b2, b2 @ b, b2 @ b2])
+        transposed = np.ascontiguousarray(powers.transpose(0, 1, 3, 2))
+        # traces for j = 2, 4, 6, 8 (B^a with B^a), then j = 3, 5, 7 (B^a with B^(a+1))
+        t = np.concatenate([
+            np.einsum("akij,akij->ak", powers, transposed),
+            np.einsum("akij,akij->ak", powers[:3], transposed[1:]),
+        ])
+        fro2 = np.einsum("kij,kij->k", b, b)
+        e = np.expm1((_TRACE_POWERS - 2) * math.log1p(_gamma(d)) + math.log1p(_gamma(d * d)))
+        rhs = d * np.cumprod(np.full(8, float(thr)))[_TRACE_POWERS - 1, None]
+        err = 2 * (e[:, None] * fro2 ** (_TRACE_POWERS[:, None] / 2) + _gamma(10) * rhs)
+        return (np.abs(t) - err > rhs).any(axis=0)
 
 
 def _candidate(b, radii, perms, j) -> CandidateAdjacency:
@@ -177,7 +248,8 @@ def b_from_w(w, perm) -> CandidateAdjacency:
         raise ValueError("perm must be a permutation of 0..d-1")
     if np.any(m[perm, range(m.shape[0])] == 0):
         raise ValueError("permuted matrix has a zero diagonal entry")
-    return _candidate(*_build_candidates(m, [perm]), [perm], 0)
+    b = _build_stack(m, [perm])
+    return _candidate(b, _radii(b), [perm], 0)
 
 
 def threshold(candidate: CandidateAdjacency, tau: float) -> CandidateAdjacency:
@@ -223,12 +295,21 @@ def _first_stable_scan(
     still built from the unpruned matrix.
 
     Candidates are scored in blocks: up to ``_SCAN_BLOCK`` permutations are
-    taken from the lexicographic enumeration and built and scored by
-    ``_build_candidates``, the builder behind ``b_from_w``. The scan returns
-    the first candidate with radius < 1; otherwise, after ``cap`` candidates
-    (``cap >= 1`` counts candidates examined) or when the enumeration ends,
-    the earliest minimum-radius one. The result is therefore the one a
-    candidate-by-candidate scan of the same order over ``b_from_w`` returns.
+    taken from the lexicographic enumeration and built as one stack by
+    ``_build_stack``, the builder behind ``b_from_w``. From the second block
+    on, a candidate that ``_certified_above`` proves to have a radius above
+    the running best one (at least 1, since no stable candidate has been
+    seen) can be neither stable nor a new strict minimum, so it is skipped
+    without ``eigvals``; skipped candidates still count toward ``cap``. The
+    others get their radii from ``_radii`` in one batched call. The scan
+    returns the first candidate with radius < 1; otherwise, after ``cap``
+    candidates (``cap >= 1`` counts candidates examined) or when the
+    enumeration ends, the earliest minimum-radius one. The result is
+    therefore, bit for bit, the one a candidate-by-candidate scan of the
+    same order over ``b_from_w`` returns. (That needs the ``eigvals`` radius
+    of a skipped candidate to lie above the best radius too, not only its
+    exact radius: the bound's rounding allowance, a few ``d^2 u ||B||_F^j``,
+    is far wider than the error of ``eigvals``.)
     """
     scale = np.max(np.abs(m), axis=1)
     perms = _iter_admissible(np.abs(m) > np.maximum(eta, floor * scale[:, None]))
@@ -239,7 +320,13 @@ def _first_stable_scan(
         if not block:
             break
         seen += len(block)
-        b, radii = _build_candidates(m, block)
+        b = _build_stack(m, block)
+        if best is None:
+            radii = _radii(b)
+        else:
+            radii = np.full(len(block), np.inf)
+            keep = ~_certified_above(b, best.spectral_radius)
+            radii[keep] = _radii(b[keep])
         stable = np.flatnonzero(radii < 1.0)
         if stable.size:
             return _candidate(b, radii, block, stable[0])

@@ -7,6 +7,8 @@ restarts) independent even when they share a user-facing seed, so any
 (seed, context) pair maps to the same data on every platform and run.
 """
 
+import numbers
+
 import numpy as np
 
 PURPOSE_SCM = 1
@@ -15,19 +17,22 @@ PURPOSE_ICA = 3
 PURPOSE_INTERVENTION = 4
 
 
+def _check_keys(keys) -> None:
+    if not all(isinstance(k, numbers.Integral) and k >= 0 for k in keys):
+        raise ValueError(f"stream keys must be non-negative integers, got {keys}")
+
+
 def stream(*keys: int) -> np.random.Generator:
     """Return a Generator for the stream identified by the integer keys."""
     if not keys:
         raise ValueError("at least one key is required")
-    if any(k < 0 for k in keys):
-        raise ValueError("stream keys must be non-negative integers")
+    _check_keys(keys)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(keys))))
 
 
 def derive_seed(*keys: int) -> int:
     """Collapse integer keys into a single 32-bit seed (for record keeping)."""
-    if any(k < 0 for k in keys):
-        raise ValueError("stream keys must be non-negative integers")
+    _check_keys(keys)
     return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
 
 

@@ -5,8 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lingcond import DirectedGraph, Partition, WeightedAdjacency
+
+# property tests draw the same examples on every run and have no time limit,
+# so tier-1 neither flakes nor depends on how fast the host is at the moment
+settings.register_profile(
+    "lingcond", derandomize=True, deadline=None, max_examples=200, database=None
+)
+settings.load_profile("lingcond")
 
 
 @pytest.fixture

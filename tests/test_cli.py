@@ -144,6 +144,7 @@ class TestExitCodes:
         ("sweep-threshold", {"kappa": 2.5}),
         ("sample-complexity", {"scm_seed": 1.5}),
         ("sample-complexity", {"scm_seed": -1}),
+        ("sample-complexity", {"window": ["a", "b"]}),
     ])
     def test_bad_study_config_fits_and_writes_nothing(
         self, workspace, monkeypatch, command, config

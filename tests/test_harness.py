@@ -195,6 +195,16 @@ class TestConfigs:
         with pytest.raises(ValueError):
             cls.from_json_dict(data)
 
+    @pytest.mark.parametrize("window", [["a", "b"], ["a", 1000], [200, None], [1000, 200]])
+    def test_window_must_be_two_increasing_numbers(self, window):
+        # window belongs to SampleComplexityConfig alone; before, ["a", "b"] was
+        # accepted and summarize_sample_complexity raised a raw TypeError after
+        # every fit, and ["a", 1000] a raw TypeError when built
+        with pytest.raises(ValueError, match="window"):
+            SampleComplexityConfig.from_json_dict({"window": window})
+        with pytest.raises(ValueError, match="window"):
+            SampleComplexityConfig(d=6, window=tuple(window))
+
     def test_bad_regimes_rejected(self):
         for bad in ((), ("stable", "bogus")):
             with pytest.raises(ValueError):

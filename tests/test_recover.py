@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lingcond import (
     CandidateAdjacency,
@@ -337,16 +338,20 @@ def _finite_sample_w(seed, regime, n):
     return fastica(sample(scm, n, seed=seed), IcaOptions(seed=seed)).w
 
 
-def _reference_scan(w, eta, floor, cap):
-    """First-stable selection, one candidate at a time, over a brute-force
-    lexicographic enumeration of the significance-pruned rook patterns."""
+def _reference_candidates(w, eta, floor):
+    """Brute-force lexicographic enumeration of the significance-pruned rook patterns."""
     d = w.shape[0]
     mags = np.abs(w)
     ok = mags > np.maximum(eta, floor * mags.max(axis=1)[:, None])
-    perms = (
+    return (
         p for p in itertools.permutations(range(d))
         if all(ok[p[i], i] for i in range(d))
     )
+
+
+def _reference_scan(w, eta, floor, cap):
+    """First-stable selection, one candidate at a time, over ``_reference_candidates``."""
+    perms = _reference_candidates(w, eta, floor)
     return first_stable_select(b_from_w(w, p) for p in itertools.islice(perms, cap))
 
 
@@ -368,6 +373,7 @@ class TestFirstStableScan:
         (8, 113, False),      # cap stops one short of the stable candidate
         (8, 114, True),       # stable candidate is the last one examined
         (8, 5000, True),      # stable candidate mid-block
+        (0, 256, False),      # the fourth and last block is skipped whole
     ])
     def test_matches_reference(self, sample_ws, seed, cap, stable):
         w = sample_ws[seed]
@@ -403,3 +409,87 @@ class TestFirstStableScan:
         assert got.permutation == expected.permutation
         assert got.permutation.index(0) < got.permutation.index(1)
         assert np.array_equal(got.b, expected.b)
+
+    def test_one_candidate_blocks_match_reference(self, sample_ws, monkeypatch):
+        # every candidate after the first is tested against the best radius so
+        # far, which moves as the scan goes
+        monkeypatch.setattr(recover, "_SCAN_BLOCK", 1)
+        w = sample_ws[0]
+        got = recover._first_stable_scan(w, 1e-3, 0.1, 10**6)
+        expected = _reference_scan(w, 1e-3, 0.1, 10**6)
+        assert got.permutation == expected.permutation
+        assert np.array_equal(got.b, expected.b)
+        assert got.spectral_radius == expected.spectral_radius
+
+    def test_bound_spares_most_eigenvalue_calls(self, sample_ws, monkeypatch):
+        # a bound that never fires would still pass every comparison above
+        radii = recover._radii
+        scored = []
+
+        def counting_radii(b):
+            scored.append(len(b))
+            return radii(b)
+
+        monkeypatch.setattr(recover, "_radii", counting_radii)
+        recover._first_stable_scan(sample_ws[0], 1e-3, 0.1, 10**6)
+        assert sum(1 for _ in _reference_candidates(sample_ws[0], 1e-3, 0.1)) == 1244
+        assert sum(scored) < 1244 / 2
+
+
+@st.composite
+def matrix_stacks(draw):
+    """Stacks of matrices whose traces stress the bound: random, rotation
+    blocks (a dominant complex pair whose powers cancel in the trace),
+    strictly triangular (nilpotent) and scaled cyclic permutations (whose
+    power ``d`` has trace exactly ``d rho^d``)."""
+    kind = draw(st.sampled_from(["random", "rotation", "nilpotent", "cycle"]))
+    d = draw(st.integers(2 if kind == "cycle" else 1, 8 if kind == "cycle" else 12))
+    k = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        b = rng.normal(size=(k, d, d))
+        if draw(st.booleans()):
+            b[:, range(d), range(d)] = 0.0
+    elif kind == "rotation":
+        b = np.zeros((k, d, d))
+        for i in range(0, d - 1, 2):
+            theta = rng.uniform(0, 2 * np.pi, k)
+            r = rng.uniform(0.5, 1, k) if i else np.ones(k)  # the first pair dominates
+            rot = np.stack([[np.cos(theta), -np.sin(theta)],
+                            [np.sin(theta), np.cos(theta)]]).transpose(2, 0, 1)
+            b[:, i:i + 2, i:i + 2] = r[:, None, None] * rot
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        b = q @ b @ q.T
+    elif kind == "nilpotent":
+        b = np.triu(rng.normal(size=(k, d, d)), 1)
+        order = rng.permutation(d)
+        b = b[:, order][:, :, order]
+    else:
+        b = np.tile(np.roll(np.eye(d), 1, axis=0), (k, 1, 1))
+        b *= rng.choice([-1.0, 1.0], size=(k, 1, 1)) * rng.uniform(1, 10, (k, 1, 1))
+    return kind, b * scale
+
+
+class TestCertifiedAbove:
+    """The trace bound never claims rho(B) > thr for thr >= the eigvals radius."""
+
+    @given(matrix_stacks())
+    def test_never_certifies_at_or_above_the_radius(self, case):
+        kind, b = case
+        radii = np.max(np.abs(np.linalg.eigvals(b)), axis=1)
+        for i in range(len(b)):
+            assert not recover._certified_above(b[i:i + 1], radii[i])[0]
+        assert not recover._certified_above(b, radii.max()).any()
+        if kind == "cycle":
+            # the exact radius too; and half of it is shown to be exceeded
+            exact = np.abs(b[:, 1, 0])
+            for i in range(len(b)):
+                assert not recover._certified_above(b[i:i + 1], exact[i])[0]
+                assert recover._certified_above(b[i:i + 1], exact[i] / 2)[0]
+
+    def test_non_finite_is_not_certified(self):
+        b = np.full((2, 3, 3), 1e200)
+        b[1, 0, 1] = np.nan
+        assert not recover._certified_above(b, 1.0).any()
+        assert not recover._certified_above(np.ones((1, 3, 3)), np.inf).any()

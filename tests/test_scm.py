@@ -15,6 +15,7 @@ from lingcond import (
     spectral_radius,
     tarjan_scc,
 )
+from lingcond import rng
 from lingcond.scm import load_samples_csv, load_scm_json, save_samples_csv, save_scm_json
 
 
@@ -119,6 +120,11 @@ class TestGenerateScm:
         with pytest.raises(ValueError, match="must be an integer"):
             generate_scm(d, kappa, 0.5)
 
+    def test_non_integral_seed_rejected(self):
+        # before, rng.stream raised a raw TypeError
+        with pytest.raises(ValueError, match="integers"):
+            generate_scm(10, 4, 0.5, seed=1.5)
+
     def test_exponential_noise_family(self):
         scm = generate_scm(6, 2, 0.4, seed=1, noise_family="exponential-centered")
         x = sample(scm, 50000, seed=2)
@@ -177,6 +183,21 @@ class TestSample:
             soft_cluster_intervention(spec, np.zeros(5), 200.5)
         with pytest.raises(ValueError, match="integer"):
             hard_cluster_intervention(spec, [0], [1.0], 200.5)
+
+    def test_non_integral_seed_rejected(self, example_b):
+        spec = example_spec(example_b)
+        with pytest.raises(ValueError, match="integers"):
+            sample(spec, 100, seed=1.5)
+        with pytest.raises(ValueError, match="integers"):
+            soft_cluster_intervention(spec, np.zeros(5), 100, seed=1.5)
+        with pytest.raises(ValueError, match="integers"):
+            hard_cluster_intervention(spec, [0], [1.0], 100, seed=np.float64(2.0))
+        for bad in ((1.5,), (0, "1"), (0, -1)):
+            with pytest.raises(ValueError, match="integers"):
+                rng.stream(*bad)
+            with pytest.raises(ValueError, match="integers"):
+                rng.derive_seed(*bad)
+        assert rng.derive_seed(np.int64(3), 1) == rng.derive_seed(3, 1)
 
 
 class TestHardIntervention:
