@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,9 +29,15 @@ class DirectedGraph:
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.d < 1:
+        # operator.index, unlike int(), refuses 1.5 rather than reading node 1
+        try:
+            d = operator.index(self.d)
+            edges = frozenset((operator.index(u), operator.index(v)) for u, v in self.edges)
+        except TypeError as exc:
+            raise ValueError(f"node count and node ids must be integers: {exc}") from None
+        if d < 1:
             raise ValueError("node count must be positive")
-        edges = frozenset((int(u), int(v)) for u, v in self.edges)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edges)
         for u, v in edges:
             if u == v:
@@ -55,7 +62,11 @@ class DirectedGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DirectedGraph":
-        return cls(int(data["d"]), frozenset(tuple(e) for e in data["edges"]))
+        """Graph from ``{"d": d, "edges": [[src, dst], ...]}``; ValueError if malformed."""
+        try:
+            return cls(data["d"], frozenset(tuple(e) for e in data["edges"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed graph JSON: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

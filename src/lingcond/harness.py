@@ -86,7 +86,8 @@ def _check_study(cfg, taus) -> None:
     )
     _require(min(sizes) > cfg.d, f"every sample size must exceed d={cfg.d}")
     _require(bool(cfg.seeds), "seeds must be nonempty")
-    _require(all(isinstance(s, numbers.Integral) and s >= 0 for s in cfg.seeds),
+    _require(all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0
+                 for s in cfg.seeds),
              "seeds must be non-negative integers")
     for tau in taus:
         check_tau(tau)
@@ -101,7 +102,9 @@ class _StudyConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict):
-        """Build a config from JSON: ``lambda`` aliases ``lam``, an int ``seeds`` counts."""
+        """Build a config from a JSON object: ``lambda`` aliases ``lam``, an int ``seeds`` counts."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a {cls.__name__} must be a JSON object, got {type(data).__name__}")
         kwargs = dict(data)
         if "lambda" in kwargs:
             kwargs["lam"] = kwargs.pop("lambda")
@@ -114,7 +117,8 @@ class _StudyConfig:
                     kwargs[name] = tuple(kwargs[name])
             if "seeds" in kwargs:
                 seeds = kwargs["seeds"]
-                kwargs["seeds"] = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
+                count = isinstance(seeds, int) and not isinstance(seeds, bool)
+                kwargs["seeds"] = tuple(range(seeds)) if count else tuple(seeds)
             if "ica" in kwargs:
                 kwargs["ica"] = IcaOptions(**kwargs["ica"])
             return cls(**kwargs)

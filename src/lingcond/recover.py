@@ -4,9 +4,19 @@ The pipeline estimates a demixing matrix by FastICA, picks one or more row
 permutations with above-tolerance diagonals, maps each to a candidate
 adjacency ``B = I - diag(PW)^{-1} PW``, hard-thresholds, and reads the SCC
 partition and inter-cluster edges off the surviving support. Two selection
-modes are offered: a single Hungarian-optimal permutation (the default), or
-lazy lexicographic enumeration with the first-stable filter for experiments
-that also score variable-level structure.
+modes are offered:
+
+* ``hungarian`` (the default): one permutation from a min-cost assignment
+  in which below-tolerance entries cost ``inf``; scipy reports that no
+  assignment has finite cost, which is raised as
+  ``NoAdmissiblePermutationError``.
+* ``enumerate-first-stable``, for experiments that also score
+  variable-level structure: ``first_stable_select``, the one implementation
+  of the first-stable rule, reads a pruned candidate stream. The stream
+  enumerates permutations lazily in lexicographic order, builds them in
+  blocks, and on every block drops the candidates that a trace bound proves
+  to lie above the smallest radius yielded so far; the rest it yields in
+  enumeration order with their ``eigvals`` radii.
 """
 
 from __future__ import annotations
@@ -28,7 +38,6 @@ from .scm import spectral_radius
 MODES = ("hungarian", "enumerate-first-stable")
 
 ENUMERATION_MAX_D = 12
-PROHIBITIVE_COST = 1e12
 
 # pipeline defaults: the hard threshold on |b|, the tolerance on |(PW)_ii| and,
 # for enumerate-first-stable, the floor that makes a diagonal entry a rook slot
@@ -78,9 +87,11 @@ def check_scan_knobs(enum_floor, enum_cap) -> None:
 
 
 def _as_square(w) -> np.ndarray:
-    m = np.asarray(getattr(w, "w", w), dtype=float)
+    m = np.asarray(w, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square demixing matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("demixing matrix entries must be finite")
     return m
 
 
@@ -88,24 +99,24 @@ def hungarian_admissible(w, eta: float = DEFAULT_ETA) -> tuple:
     """Permutation maximizing sum_i log|(PW)_ii| over admissible assignments.
 
     Solved as a min-cost assignment with cost -log|W[r, i]| for placing row
-    r at slot i; entries with magnitude <= eta get a prohibitive cost.
-    Returns ``perm`` with ``perm[i]`` the source row for slot i, so
-    ``PW = W[perm, :]``. Raises NoAdmissiblePermutationError when every
-    perfect matching uses a below-tolerance entry.
+    r at slot i; entries with magnitude <= eta cost ``inf``, which scipy's
+    ``linear_sum_assignment`` never assigns. Returns ``perm`` with
+    ``perm[i]`` the source row for slot i, so ``PW = W[perm, :]``. Raises
+    NoAdmissiblePermutationError when every perfect matching uses a
+    below-tolerance entry, which scipy reports as an infeasible cost matrix
+    (the only ``ValueError`` it raises for a square matrix of finite or
+    ``+inf`` costs).
     """
     check_eta(eta)
-    m = _as_square(w)
-    mags = np.abs(m.T)  # cost[i, r] scores row r at slot i
-    cost = np.where(mags > eta, -np.log(np.maximum(mags, 1e-300)), PROHIBITIVE_COST)
-    slots, rows = linear_sum_assignment(cost)
-    perm = [0] * m.shape[0]
-    for i, r in zip(slots, rows):
-        if mags[i, r] <= eta:
-            raise NoAdmissiblePermutationError(
-                f"no permutation keeps all diagonal magnitudes above eta={eta}"
-            )
-        perm[i] = int(r)
-    return tuple(perm)
+    mags = np.abs(_as_square(w).T)  # cost[i, r] scores row r at slot i
+    cost = -np.log(mags, out=np.full(mags.shape, -np.inf), where=mags > eta)
+    try:
+        _, rows = linear_sum_assignment(cost)
+    except ValueError as exc:
+        raise NoAdmissiblePermutationError(
+            f"no permutation keeps all diagonal magnitudes above eta={eta}"
+        ) from exc
+    return tuple(int(r) for r in rows)
 
 
 def _iter_admissible(ok: np.ndarray):
@@ -236,10 +247,6 @@ def _certified_above(b: np.ndarray, thr: float) -> np.ndarray:
         return (np.abs(t) - err > rhs).any(axis=0)
 
 
-def _candidate(b, radii, perms, j) -> CandidateAdjacency:
-    return CandidateAdjacency(b=b[j], permutation=perms[j], spectral_radius=float(radii[j]))
-
-
 def b_from_w(w, perm) -> CandidateAdjacency:
     """Candidate adjacency ``I - diag(PW)^{-1} PW`` with exact-zero diagonal."""
     m = _as_square(w)
@@ -249,7 +256,7 @@ def b_from_w(w, perm) -> CandidateAdjacency:
     if np.any(m[perm, range(m.shape[0])] == 0):
         raise ValueError("permuted matrix has a zero diagonal entry")
     b = _build_stack(m, [perm])
-    return _candidate(b, _radii(b), [perm], 0)
+    return CandidateAdjacency(b=b[0], permutation=perm, spectral_radius=float(_radii(b)[0]))
 
 
 def threshold(candidate: CandidateAdjacency, tau: float) -> CandidateAdjacency:
@@ -269,24 +276,23 @@ def first_stable_select(candidates) -> CandidateAdjacency:
     """First candidate with spectral radius < 1; else the minimum-radius one.
 
     Ties in the fallback resolve to the earliest candidate, so selection is
-    deterministic for any fixed enumeration order.
+    deterministic for any fixed enumeration order. The candidates are read
+    lazily: nothing after the first stable one is read. Raises ValueError
+    when there are none.
     """
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("candidate list is empty")
     best = None
     for cand in candidates:
         if cand.spectral_radius < 1.0:
             return cand
         if best is None or cand.spectral_radius < best.spectral_radius:
             best = cand
+    if best is None:
+        raise ValueError("no candidates to select from")
     return best
 
 
-def _first_stable_scan(
-    m: np.ndarray, eta: float, floor: float, cap: int
-) -> CandidateAdjacency:
-    """Lazy first-stable search over significance-pruned rook patterns.
+def _scan_candidates(m: np.ndarray, eta: float, floor: float, cap: int):
+    """Yield the significance-pruned candidates the trace bound cannot rule out.
 
     On finite samples every entry of the estimated demixing matrix is
     nonzero, so admissibility at eta alone would admit all d! permutations.
@@ -294,26 +300,30 @@ def _first_stable_scan(
     at least ``floor`` times the largest magnitude in row r; candidates are
     still built from the unpruned matrix.
 
-    Candidates are scored in blocks: up to ``_SCAN_BLOCK`` permutations are
-    taken from the lexicographic enumeration and built as one stack by
-    ``_build_stack``, the builder behind ``b_from_w``. From the second block
-    on, a candidate that ``_certified_above`` proves to have a radius above
-    the running best one (at least 1, since no stable candidate has been
-    seen) can be neither stable nor a new strict minimum, so it is skipped
-    without ``eigvals``; skipped candidates still count toward ``cap``. The
-    others get their radii from ``_radii`` in one batched call. The scan
-    returns the first candidate with radius < 1; otherwise, after ``cap``
-    candidates (``cap >= 1`` counts candidates examined) or when the
-    enumeration ends, the earliest minimum-radius one. The result is
-    therefore, bit for bit, the one a candidate-by-candidate scan of the
-    same order over ``b_from_w`` returns. (That needs the ``eigvals`` radius
-    of a skipped candidate to lie above the best radius too, not only its
-    exact radius: the bound's rounding allowance, a few ``d^2 u ||B||_F^j``,
-    is far wider than the error of ``eigvals``.)
+    The first ``cap`` permutations of the lexicographic enumeration
+    (``cap >= 1``) are taken in blocks of up to ``_SCAN_BLOCK`` and built
+    as one stack by ``_build_stack``, the builder behind ``b_from_w``. In
+    each block, a candidate that ``_certified_above`` proves to have a
+    radius above the smallest radius yielded so far is dropped without
+    ``eigvals``; the others get their radii from ``_radii`` in one batched
+    call and are yielded in enumeration order. Before anything is yielded
+    the threshold is ``inf``, which the bound never certifies, so the first
+    block is yielded whole. Raises NoAdmissiblePermutationError when the
+    enumeration is empty.
+
+    Fed to ``first_stable_select``, the stream gives, bit for bit, the
+    candidate that the rule picks from every candidate of the same order
+    built by ``b_from_w``. A dropped candidate lies above a yielded radius,
+    which is at least 1 while the rule is still reading (a stable candidate
+    ends it), so it can be neither stable nor a new strict minimum. (That
+    needs the ``eigvals`` radius of a dropped candidate to lie above the
+    threshold too, not only its exact radius: the bound's rounding
+    allowance, a few ``d^2 u ||B||_F^j``, is far wider than the error of
+    ``eigvals``.)
     """
     scale = np.max(np.abs(m), axis=1)
     perms = _iter_admissible(np.abs(m) > np.maximum(eta, floor * scale[:, None]))
-    best = None
+    smallest = math.inf
     seen = 0
     while seen < cap:
         block = list(itertools.islice(perms, min(_SCAN_BLOCK, cap - seen)))
@@ -321,23 +331,21 @@ def _first_stable_scan(
             break
         seen += len(block)
         b = _build_stack(m, block)
-        if best is None:
-            radii = _radii(b)
-        else:
-            radii = np.full(len(block), np.inf)
-            keep = ~_certified_above(b, best.spectral_radius)
-            radii[keep] = _radii(b[keep])
-        stable = np.flatnonzero(radii < 1.0)
-        if stable.size:
-            return _candidate(b, radii, block, stable[0])
-        j = int(np.argmin(radii))
-        if best is None or radii[j] < best.spectral_radius:
-            best = _candidate(b, radii, block, j)
-    if best is None:
+        keep = np.flatnonzero(~_certified_above(b, smallest))
+        for j, radius in zip(keep, _radii(b[keep])):
+            smallest = min(smallest, radius)
+            yield CandidateAdjacency(b=b[j], permutation=block[j], spectral_radius=float(radius))
+    if not seen:
         raise NoAdmissiblePermutationError(
             "no admissible permutation among significant rook patterns"
         )
-    return best
+
+
+def _first_stable_scan(
+    m: np.ndarray, eta: float, floor: float, cap: int
+) -> CandidateAdjacency:
+    """First-stable selection over the pruned stream of ``_scan_candidates``."""
+    return first_stable_select(_scan_candidates(m, eta, floor, cap))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +139,17 @@ class ScmSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScmSpec":
-        return cls(
-            b=WeightedAdjacency(np.array(data["B"], dtype=float)),
-            noise=NoiseSpec(data["noise"]["family"], float(data["noise"]["scale"])),
-            regime=data["regime"],
-            beta_min=float(data["betaMin"]),
-            seed=int(data["seed"]),
-        )
+        """Model from the layout of ``to_json_dict``; ValueError if malformed."""
+        try:
+            return cls(
+                b=WeightedAdjacency(np.array(data["B"], dtype=float)),
+                noise=NoiseSpec(data["noise"]["family"], float(data["noise"]["scale"])),
+                regime=data["regime"],
+                beta_min=float(data["betaMin"]),
+                seed=int(data["seed"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed SCM JSON: {exc!r}") from exc
 
 
 def _check_model_args(d, kappa, lam, weight_low, weight_high, regime, noise_family) -> None:
@@ -285,7 +290,10 @@ def hard_cluster_intervention(
     Hard interventions on partial SCCs are rejected: severing some but not
     all equations of a cycle leaves no well-defined cyclic mechanism.
     """
-    pi = sorted({int(v) for v in pi})
+    try:
+        pi = sorted({operator.index(v) for v in pi})
+    except TypeError as exc:
+        raise ValueError(f"pi must hold integer node ids: {exc}") from None
     if not pi:
         raise ValueError("pi must be a nonempty node set")
     if any(v < 0 or v >= scm.d for v in pi):

@@ -145,6 +145,12 @@ class TestExitCodes:
         ("sample-complexity", {"scm_seed": 1.5}),
         ("sample-complexity", {"scm_seed": -1}),
         ("sample-complexity", {"window": ["a", "b"]}),
+        ("grid", [1, 2]),
+        ("sweep-threshold", None),
+        ("grid", [["d", 6], ["kappas", [2]], ["lambdas", [0.4]], ["regimes", ["stable"]],
+                  ["seeds", 1], ["sample_sizes", [200]], ["ica", {"restarts": 1}]]),
+        ("grid", {"seeds": True}),
+        ("sample-complexity", {"seeds": True}),
     ])
     def test_bad_study_config_fits_and_writes_nothing(
         self, workspace, monkeypatch, command, config
@@ -162,10 +168,32 @@ class TestExitCodes:
         else:
             base.update(kappa=2, lam=0.4)
         cfg = workspace / "cfg.json"
-        cfg.write_text(json.dumps({**base, **config}))
+        # a config that is not a JSON object is written as it stands
+        cfg.write_text(json.dumps({**base, **config} if isinstance(config, dict) else config))
         out = workspace / "out.csv"
         assert run(command, "--config", cfg, "--out", out) == 1
         assert not out.exists() and not fits
+
+    @pytest.mark.parametrize("graph", [
+        [], {"d": 3, "edges": [5]}, {"d": 3.7, "edges": [[0, 1.5], [2.9, 0]]},
+    ])
+    def test_malformed_graph_json(self, workspace, capsys, graph):
+        path = workspace / "graph.json"
+        path.write_text(json.dumps(graph))
+        assert run("lattice", "--graph", path) == 1
+        assert not capsys.readouterr().out
+
+    @pytest.mark.parametrize("corrupt", ["top-level list", "noise family only"])
+    def test_malformed_scm_json(self, workspace, corrupt):
+        scm_path = workspace / "scm.json"
+        assert run("generate", "--d", 6, "--kappa", 2, "--lambda", 0.4,
+                   "--out", scm_path) == 0
+        data = json.loads(scm_path.read_text())
+        bad = [data] if corrupt == "top-level list" else {**data, "noise": "laplace"}
+        scm_path.write_text(json.dumps(bad))
+        out = workspace / "data.csv"
+        assert run("sample", "--scm", scm_path, "--n", 100, "--out", out) == 1
+        assert not out.exists()
 
     def test_numerical_failure_exit_code(self, workspace):
         # constant column makes the covariance rank deficient

@@ -34,6 +34,24 @@ class TestDirectedGraph:
         assert data["edges"] == sorted(data["edges"])
         assert DirectedGraph.from_json_dict(data) == example_graph
 
+    def test_non_integral_node_ids_rejected(self):
+        # before, int() truncated these to d=3 with edges (0, 1) and (2, 0)
+        with pytest.raises(ValueError, match="integer"):
+            DirectedGraph.from_json_dict({"d": 3.7, "edges": [[0, 1.5], [2.9, 0]]})
+        with pytest.raises(ValueError, match="integer"):
+            DirectedGraph.from_json_dict({"d": 3, "edges": [[0, 1.5]]})
+        with pytest.raises(ValueError, match="integer"):
+            DirectedGraph(3.0)
+        assert DirectedGraph(np.int64(3), {(np.int64(0), 2)}).edges == {(0, 2)}
+
+    @pytest.mark.parametrize("data", [
+        [], None, {"d": 3}, {"d": 3, "edges": [5]}, {"d": 3, "edges": 5},
+        {"d": 3, "edges": [[0, 1, 2]]}, {"d": "3", "edges": []},
+    ])
+    def test_malformed_json_raises_value_error(self, data):
+        with pytest.raises(ValueError):
+            DirectedGraph.from_json_dict(data)
+
 
 class TestPartition:
     def test_canonical_enforced(self):

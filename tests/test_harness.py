@@ -175,6 +175,7 @@ class TestConfigs:
     @pytest.mark.parametrize("data", [
         {"ica": {"bogus": 1}}, {"kappas": 3}, {"seeds": 2.5}, {"d": "6"},
         {"ica": {"restarts": 2.5}}, {"ica": {"max_iterations": 10.5}}, {"ica": {"seed": -1}},
+        [1, 2], None, [["d", 10]], {"seeds": True}, {"seeds": [0, True]},
     ])
     def test_malformed_json_raises_value_error(self, cls, data):
         with pytest.raises(ValueError):

@@ -64,6 +64,35 @@ class TestHungarianAdmissible:
             with pytest.raises(ValueError):
                 hungarian_admissible(np.eye(2), eta=eta)
 
+    def test_infeasible_exactly_when_brute_force_finds_none(self):
+        # scipy's infeasibility report is the only check: no admissible
+        # permutation must raise, any other input must give an admissible one
+        rng = np.random.default_rng(29)
+        infeasible = 0
+        for _ in range(600):
+            d = int(rng.integers(1, 7))
+            w = rng.normal(0, 1, (d, d))
+            w[rng.random((d, d)) < rng.uniform(0.2, 0.7)] = 0.0
+            w[rng.random((d, d)) < 0.1] = 1e-3  # at eta, so not admissible
+            ok = np.abs(w) > 1e-3
+            if not any(all(ok[p[i], i] for i in range(d))
+                       for p in itertools.permutations(range(d))):
+                infeasible += 1
+                with pytest.raises(NoAdmissiblePermutationError):
+                    hungarian_admissible(w, 1e-3)
+                continue
+            perm = hungarian_admissible(w, 1e-3)
+            assert sorted(perm) == list(range(d))
+            assert all(ok[perm[i], i] for i in range(d))
+        assert 100 < infeasible < 500
+
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf):
+            w = np.eye(3)
+            w[0, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                hungarian_admissible(w)
+
 
 class TestEnumerateAdmissible:
     def test_identity_only(self):
@@ -223,6 +252,15 @@ class TestFirstStableSelect:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             first_stable_select([])
+
+    def test_reads_nothing_past_the_first_stable_candidate(self):
+        cands = [candidate(1.3), candidate(1.1), candidate(0.9)]
+
+        def stream():
+            yield from cands
+            raise AssertionError("read past the first stable candidate")
+
+        assert first_stable_select(stream()) is cands[2]
 
     def test_noiseless_stable_scm_recovers_true_b(self):
         for seed in range(20):

@@ -220,6 +220,12 @@ class TestHardIntervention:
         with pytest.raises(ValueError, match="splits the SCC"):
             hard_cluster_intervention(spec, {1}, np.array([0.0]), 10, seed=0)
 
+    def test_non_integral_nodes_rejected(self, example_b):
+        # before, int() truncated these to the nodes 0-3, a union of SCCs
+        spec = example_spec(example_b)
+        with pytest.raises(ValueError, match="integer"):
+            hard_cluster_intervention(spec, [0.5, 1.2, 2.7, 3.1], np.zeros(4), 10, seed=0)
+
     def test_union_of_sccs_accepted(self, example_b):
         spec = example_spec(example_b)
         x = hard_cluster_intervention(
@@ -270,6 +276,13 @@ class TestSerialization:
         assert loaded.regime == spec.regime
         data = json.loads(path.read_text())
         assert set(data) == {"d", "B", "noise", "regime", "betaMin", "seed"}
+
+    def test_malformed_json_raises_value_error(self, example_b):
+        data = example_spec(example_b).to_json_dict()
+        for bad in ([data], {**data, "noise": "laplace"}, {**data, "B": None},
+                    {k: v for k, v in data.items() if k != "regime"}):
+            with pytest.raises(ValueError):
+                ScmSpec.from_json_dict(bad)
 
     def test_samples_csv_round_trip(self, tmp_path, example_b):
         spec = example_spec(example_b)
