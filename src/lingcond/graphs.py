@@ -14,11 +14,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .exceptions import integer
 
 
 @dataclass(frozen=True)
@@ -29,12 +30,8 @@ class DirectedGraph:
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        # operator.index, unlike int(), refuses 1.5 rather than reading node 1
-        try:
-            d = operator.index(self.d)
-            edges = frozenset((operator.index(u), operator.index(v)) for u, v in self.edges)
-        except TypeError as exc:
-            raise ValueError(f"node count and node ids must be integers: {exc}") from None
+        d = integer(self.d, "node count")
+        edges = frozenset((integer(u, "node id"), integer(v, "node id")) for u, v in self.edges)
         if d < 1:
             raise ValueError("node count must be positive")
         object.__setattr__(self, "d", d)
@@ -54,11 +51,8 @@ class DirectedGraph:
             lst.sort()
         return adj
 
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
-
     def to_json_dict(self) -> dict:
-        return {"d": self.d, "edges": [list(e) for e in self.sorted_edges()]}
+        return {"d": self.d, "edges": [list(e) for e in sorted(self.edges)]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DirectedGraph":
@@ -76,7 +70,7 @@ class Partition:
     labels: tuple
 
     def __post_init__(self):
-        labels = tuple(int(x) for x in self.labels)
+        labels = tuple(integer(x, "partition label") for x in self.labels)
         object.__setattr__(self, "labels", labels)
         if not labels:
             raise ValueError("partition of zero nodes is not allowed")
@@ -134,10 +128,8 @@ class Condensation:
     cluster_edges: frozenset
 
     def __post_init__(self):
-        edges = frozenset((int(a), int(b)) for a, b in self.cluster_edges)
-        object.__setattr__(self, "cluster_edges", edges)
-        k = self.partition.num_clusters
-        graph = DirectedGraph(k, edges)  # validates ranges and self-loops
+        graph = DirectedGraph(self.partition.num_clusters, self.cluster_edges)  # checks the ids
+        object.__setattr__(self, "cluster_edges", graph.edges)
         if not is_dag(graph):
             raise ValueError("cluster graph of a condensation must be acyclic")
 
@@ -249,7 +241,7 @@ def reverse_cycle(g: DirectedGraph, cycle: Sequence) -> DirectedGraph:
     e.g. ``(1, 2, 3, 1)``. Raises ValueError if the cycle is not a simple
     directed cycle of g.
     """
-    cyc = [int(v) for v in cycle]
+    cyc = [integer(v, "cycle node") for v in cycle]
     if len(cyc) < 3 or cyc[0] != cyc[-1]:
         raise ValueError("cycle must repeat its first node last and have length >= 2")
     interior = cyc[:-1]
@@ -275,7 +267,5 @@ def support_graph(matrix) -> DirectedGraph:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("support_graph expects a square matrix")
     rows, cols = np.nonzero(m)
-    edges = frozenset(
-        (int(j), int(i)) for i, j in zip(rows.tolist(), cols.tolist()) if i != j
-    )
+    edges = frozenset((j, i) for i, j in zip(rows.tolist(), cols.tolist()) if i != j)
     return DirectedGraph(m.shape[0], edges)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import rng as rng_mod
-from .exceptions import NumericalError
+from .exceptions import NumericalError, finite, integer
 from .ica import IcaOptions
 from .metrics import evaluate
 from .recover import (
@@ -76,19 +75,15 @@ def _check_study(cfg, taus) -> None:
     for kappa, lam, regime in cells:
         _check_model_args(cfg.d, kappa, lam, cfg.weight_low, cfg.weight_high,
                           regime, cfg.noise_family)
-    sizes = cfg.sample_sizes
+    sizes = [integer(n, "sample size") for n in cfg.sample_sizes]
     _require(bool(sizes), "sample_sizes must be nonempty")
-    _require(all(isinstance(n, numbers.Integral) for n in sizes),
-             "sample sizes must be integers")
     _require(
         all(a < b for a, b in zip(sizes, sizes[1:])),
         "sample_sizes must be strictly increasing",
     )
     _require(min(sizes) > cfg.d, f"every sample size must exceed d={cfg.d}")
-    _require(bool(cfg.seeds), "seeds must be nonempty")
-    _require(all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0
-                 for s in cfg.seeds),
-             "seeds must be non-negative integers")
+    seeds = [integer(seed, "seed", 0) for seed in cfg.seeds]
+    _require(bool(seeds), "seeds must be nonempty")
     for tau in taus:
         check_tau(tau)
     check_eta(cfg.eta)
@@ -112,13 +107,11 @@ class _StudyConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         try:
-            for name in ("kappas", "lambdas", "regimes", "sample_sizes", "taus", "window"):
+            if not isinstance(kwargs.get("seeds", ()), (list, tuple)):  # a count of seeds
+                kwargs["seeds"] = range(integer(kwargs["seeds"], "seed count"))
+            for name in ("kappas", "lambdas", "regimes", "sample_sizes", "seeds", "taus", "window"):
                 if name in kwargs:
                     kwargs[name] = tuple(kwargs[name])
-            if "seeds" in kwargs:
-                seeds = kwargs["seeds"]
-                count = isinstance(seeds, int) and not isinstance(seeds, bool)
-                kwargs["seeds"] = tuple(range(seeds)) if count else tuple(seeds)
             if "ica" in kwargs:
                 kwargs["ica"] = IcaOptions(**kwargs["ica"])
             return cls(**kwargs)
@@ -203,12 +196,10 @@ class SampleComplexityConfig(_StudyConfig):
     noise_family: str = "laplace"
 
     def __post_init__(self):
-        _require(len(self.window) == 2
-                 and all(isinstance(v, numbers.Real) for v in self.window)
-                 and self.window[0] < self.window[1],
+        window = [finite(v, "window bound") for v in self.window]
+        _require(len(window) == 2 and window[0] < window[1],
                  "window must be (low, high), two numbers with low < high")
-        _require(isinstance(self.scm_seed, numbers.Integral) and self.scm_seed >= 0,
-                 "scm_seed must be a non-negative integer")
+        integer(self.scm_seed, "scm_seed", 0)
         _check_study(self, ())
 
 
@@ -375,7 +366,7 @@ def _execute(cfg, taus, sub_seeds, fit, out_path, workers) -> list:
                 ))
     existing = {r.key(): r for r in load_records(out_path)} if out_path else {}
     todo = [u for u in units if any(r.key() not in existing for r in u.rows())]
-    if workers <= 1 or len(todo) <= 1:
+    if integer(workers, "workers") <= 1 or len(todo) <= 1:
         produced = [_run_unit(u) for u in todo]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -447,9 +438,9 @@ def run_sample_complexity(
 
 def sufficient_n(beta_min: float, delta: float, k1: float, k2: float) -> float:
     """Sample-size bound (4 / beta_min^2) * sqrt((k1 + k2) / delta)."""
-    if beta_min <= 0 or k1 <= 0 or k2 <= 0:
+    if finite(beta_min, "beta_min") <= 0 or finite(k1, "k1") <= 0 or finite(k2, "k2") <= 0:
         raise ValueError("beta_min, k1 and k2 must be positive")
-    if not 0 < delta <= 1:
+    if not 0 < finite(delta, "delta") <= 1:
         raise ValueError("delta must lie in (0, 1]")
     return (4.0 / beta_min**2) * math.sqrt((k1 + k2) / delta)
 

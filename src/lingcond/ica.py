@@ -11,13 +11,12 @@ by the earliest restart, so results are deterministic given the options.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rng_mod
-from .exceptions import WhiteningError
+from .exceptions import WhiteningError, finite, integer
 
 NONLINEARITIES = ("logcosh", "cube")
 
@@ -39,12 +38,10 @@ class IcaOptions:
     def __post_init__(self):
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+        if finite(self.tolerance, "tolerance") <= 0:
             raise ValueError("tolerance must be finite and positive")
         for name, low in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, integer(getattr(self, name), name, low))
 
 
 @dataclass(frozen=True)

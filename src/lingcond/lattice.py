@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import Counter
 
+from .exceptions import integer
 from .graphs import DirectedGraph, Partition, is_dag, quotient, tarjan_scc
 
 MAX_NODES = 10  # Bell(10) = 115975
@@ -19,7 +20,7 @@ MAX_NODES = 10  # Bell(10) = 115975
 
 def bell_number(d: int) -> int:
     """Bell number: set partitions of d nodes, the sum of the Stirling row."""
-    if d < 0:
+    if integer(d, "d") < 0:
         raise ValueError("d must be non-negative")
     return sum(_stirling_row(d))
 
@@ -38,7 +39,7 @@ def _stirling_row(d: int) -> list:
 
 def enumerate_partitions(d: int) -> list:
     """All set partitions of 0..d-1 in restricted-growth-string order."""
-    if d < 1:
+    if integer(d, "d") < 1:
         raise ValueError("d must be positive")
     if d > MAX_NODES:
         raise ValueError(f"d={d} exceeds the enumeration guard ({MAX_NODES})")

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .exceptions import NoAdmissiblePermutationError
+from .exceptions import NoAdmissiblePermutationError, finite, integer
 from .graphs import Condensation, DirectedGraph, Partition, condense, support_graph
 from .ica import IcaOptions, fastica
 from .scm import spectral_radius
@@ -66,24 +65,25 @@ class CandidateAdjacency:
         return support_graph(self.b)
 
 
-def check_tau(tau) -> None:
-    """Raise ValueError unless ``tau`` is a finite non-negative threshold."""
-    if not (math.isfinite(tau) and tau >= 0):
+def check_tau(tau) -> float:
+    """``tau`` as a float; ValueError unless it is a finite non-negative threshold."""
+    if (tau := finite(tau, "tau")) < 0:
         raise ValueError(f"tau must be finite and non-negative, got {tau}")
+    return tau
 
 
-def check_eta(eta) -> None:
-    """Raise ValueError unless ``eta`` is a finite positive tolerance."""
-    if not (math.isfinite(eta) and eta > 0):
+def check_eta(eta) -> float:
+    """``eta`` as a float; ValueError unless it is a finite positive tolerance."""
+    if (eta := finite(eta, "eta")) <= 0:
         raise ValueError(f"eta must be finite and positive, got {eta}")
+    return eta
 
 
-def check_scan_knobs(enum_floor, enum_cap) -> None:
-    """Raise ValueError unless ``0 <= enum_floor < 1`` and ``enum_cap >= 1``."""
-    if not (math.isfinite(enum_floor) and 0 <= enum_floor < 1):
+def check_scan_knobs(enum_floor, enum_cap) -> tuple:
+    """``(enum_floor, enum_cap)``; ValueError unless ``0 <= enum_floor < 1``, ``enum_cap >= 1``."""
+    if not 0 <= (enum_floor := finite(enum_floor, "enum_floor")) < 1:
         raise ValueError(f"enum_floor must be finite and in [0, 1), got {enum_floor}")
-    if not isinstance(enum_cap, numbers.Integral) or enum_cap < 1:
-        raise ValueError(f"enum_cap must be an integer >= 1, got {enum_cap}")
+    return enum_floor, integer(enum_cap, "enum_cap", 1)
 
 
 def _as_square(w) -> np.ndarray:
@@ -250,7 +250,7 @@ def _certified_above(b: np.ndarray, thr: float) -> np.ndarray:
 def b_from_w(w, perm) -> CandidateAdjacency:
     """Candidate adjacency ``I - diag(PW)^{-1} PW`` with exact-zero diagonal."""
     m = _as_square(w)
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(integer(p, "perm entry") for p in perm)
     if sorted(perm) != list(range(m.shape[0])):
         raise ValueError("perm must be a permutation of 0..d-1")
     if np.any(m[perm, range(m.shape[0])] == 0):
@@ -398,9 +398,8 @@ def recover_condensation(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    check_tau(tau)
-    check_eta(eta)
-    check_scan_knobs(enum_floor, enum_cap)
+    tau, eta = check_tau(tau), check_eta(eta)
+    enum_floor, enum_cap = check_scan_knobs(enum_floor, enum_cap)
     opts = ica_opts if ica_opts is not None else IcaOptions()
 
     t0 = time.perf_counter()

@@ -11,14 +11,12 @@ spectral radius hits the regime target.
 from __future__ import annotations
 
 import json
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rng_mod
-from .exceptions import SingularModelError
+from .exceptions import SingularModelError, finite, integer
 from .graphs import DirectedGraph, support_graph, tarjan_scc
 
 NOISE_FAMILIES = ("laplace", "exponential-centered")
@@ -46,6 +44,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
+        object.__setattr__(self, "scale", finite(self.scale, "noise scale"))
         if self.scale <= 0:
             raise ValueError("noise scale must be positive")
 
@@ -114,6 +113,8 @@ class ScmSpec:
     def __post_init__(self):
         if self.regime not in REGIME_TARGETS:
             raise ValueError(f"unknown regime {self.regime!r}")
+        object.__setattr__(self, "beta_min", finite(self.beta_min, "beta_min"))
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
         rho = spectral_radius(self.b)
         if self.regime == "stable" and rho >= 1.0:
             raise ValueError(f"stable regime requires rho(B) < 1, got {rho:.4f}")
@@ -142,11 +143,11 @@ class ScmSpec:
         """Model from the layout of ``to_json_dict``; ValueError if malformed."""
         try:
             return cls(
-                b=WeightedAdjacency(np.array(data["B"], dtype=float)),
-                noise=NoiseSpec(data["noise"]["family"], float(data["noise"]["scale"])),
+                b=WeightedAdjacency(data["B"]),
+                noise=NoiseSpec(data["noise"]["family"], data["noise"]["scale"]),
                 regime=data["regime"],
-                beta_min=float(data["betaMin"]),
-                seed=int(data["seed"]),
+                beta_min=data["betaMin"],
+                seed=data["seed"],
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed SCM JSON: {exc!r}") from exc
@@ -154,16 +155,13 @@ class ScmSpec:
 
 def _check_model_args(d, kappa, lam, weight_low, weight_high, regime, noise_family) -> None:
     """Raise ValueError unless ``generate_scm`` can build a model from these arguments."""
-    for name, value in (("d", d), ("kappa", kappa)):
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer")
-    if kappa < 1:
+    if integer(kappa, "kappa") < 1:
         raise ValueError("kappa must be at least 1")
-    if d < 2 * kappa:
+    if integer(d, "d") < 2 * kappa:
         raise ValueError(f"d={d} cannot host {kappa} SCCs of size >= 2")
-    if not 0.0 <= lam <= 1.0:
+    if not 0.0 <= finite(lam, "lam") <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    if not 0 < weight_low <= weight_high < np.inf:
+    if not 0 < finite(weight_low, "weight_low") <= finite(weight_high, "weight_high"):
         raise ValueError("need 0 < weight_low <= weight_high, both finite")
     if regime not in REGIME_TARGETS:
         raise ValueError(f"unknown regime {regime!r}")
@@ -273,8 +271,7 @@ def soft_cluster_intervention(
         raise ValueError(f"delta must have length d={scm.d}")
     if not np.all(np.isfinite(delta)):
         raise ValueError("delta must be finite")
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError("n must be an integer of at least 1")
+    n = integer(n, "n", 1)
     gen = rng_mod.stream(seed, rng_mod.PURPOSE_SAMPLE)
     eps = scm.noise.draw(gen, (n, scm.d))
     return _solve_system(np.eye(scm.d) - scm.b.matrix, eps + delta)
@@ -290,19 +287,15 @@ def hard_cluster_intervention(
     Hard interventions on partial SCCs are rejected: severing some but not
     all equations of a cycle leaves no well-defined cyclic mechanism.
     """
-    try:
-        pi = sorted({operator.index(v) for v in pi})
-    except TypeError as exc:
-        raise ValueError(f"pi must hold integer node ids: {exc}") from None
+    pi = sorted({integer(v, "node id of pi") for v in pi})
     if not pi:
         raise ValueError("pi must be a nonempty node set")
     if any(v < 0 or v >= scm.d for v in pi):
         raise ValueError("pi contains out-of-range nodes")
     c = np.asarray(c, dtype=float)
-    if c.shape != (len(pi),):
-        raise ValueError("c must assign one value per node of pi")
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError("n must be an integer of at least 1")
+    if c.shape != (len(pi),) or not np.all(np.isfinite(c)):
+        raise ValueError("c must assign one finite value per node of pi")
+    n = integer(n, "n", 1)
 
     partition = tarjan_scc(scm.b.support())
     pi_set = set(pi)

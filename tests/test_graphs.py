@@ -42,11 +42,14 @@ class TestDirectedGraph:
             DirectedGraph.from_json_dict({"d": 3, "edges": [[0, 1.5]]})
         with pytest.raises(ValueError, match="integer"):
             DirectedGraph(3.0)
+        with pytest.raises(ValueError, match="integer"):
+            DirectedGraph(True)
         assert DirectedGraph(np.int64(3), {(np.int64(0), 2)}).edges == {(0, 2)}
 
     @pytest.mark.parametrize("data", [
         [], None, {"d": 3}, {"d": 3, "edges": [5]}, {"d": 3, "edges": 5},
         {"d": 3, "edges": [[0, 1, 2]]}, {"d": "3", "edges": []},
+        {"d": 3, "edges": [[0, True]]},
     ])
     def test_malformed_json_raises_value_error(self, data):
         with pytest.raises(ValueError):
@@ -57,6 +60,12 @@ class TestPartition:
     def test_canonical_enforced(self):
         with pytest.raises(ValueError):
             Partition((1, 0))
+
+    @pytest.mark.parametrize("labels", [(0, 0.9, 1.5), (0, 1.0), (0, True), (0, "1")])
+    def test_non_integral_labels_rejected(self, labels):
+        # before, int() read (0, 0.9, 1.5) as (0, 0, 1)
+        with pytest.raises(ValueError, match="integer"):
+            Partition(labels)
 
     def test_from_labels_canonicalizes(self):
         p = Partition.from_labels(["b", "a", "b", "c"])
@@ -144,6 +153,12 @@ class TestCondense:
             g = random_graph(int(rng.integers(2, 9)), float(rng.uniform(0.1, 0.7)), rng)
             assert is_dag(condense(g).cluster_graph())
 
+    @pytest.mark.parametrize("edges", [{(0.7, 1.2)}, {(0, 1.0)}, {(False, True)}])
+    def test_condensation_non_integral_cluster_ids_rejected(self, edges):
+        # before, int() read {(0.7, 1.2)} as the edge (0, 1)
+        with pytest.raises(ValueError, match="integer"):
+            Condensation(Partition((0, 1)), edges)
+
     def test_condensation_validates_acyclicity(self):
         with pytest.raises(ValueError):
             Condensation(Partition((0, 1)), frozenset({(0, 1), (1, 0)}))
@@ -183,6 +198,13 @@ class TestReverseCycle:
     def test_non_simple_cycle_rejected(self, example_graph):
         with pytest.raises(ValueError):
             reverse_cycle(example_graph, (1, 2, 3, 1, 2, 3, 1))
+
+    @pytest.mark.parametrize("cycle", [(0, 1.2, 2, 0), (0.0, 1, 2, 0.0), (0, True, 2, 0)])
+    def test_non_integral_cycle_nodes_rejected(self, cycle):
+        # before, int() read (0, 1.2, 2, 0) as (0, 1, 2, 0) and reversed that cycle
+        g = DirectedGraph(3, {(0, 1), (1, 2), (2, 0)})
+        with pytest.raises(ValueError, match="integer"):
+            reverse_cycle(g, cycle)
 
     def test_condensation_invariant_random(self):
         rng = np.random.default_rng(37)

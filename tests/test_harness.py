@@ -81,6 +81,15 @@ class TestSufficientN:
         with pytest.raises(ValueError):
             sufficient_n(1.0, 0.5, -1.0, 1.0)
 
+    @pytest.mark.parametrize("args", [
+        (0.5, 0.1, float("nan"), 1), (float("inf"), 0.1, 1, 1), (0.5, 0.1, 1, float("inf")),
+        (0.5, "0.1", 1, 1), (True, 0.1, 1, 1),
+    ])
+    def test_non_finite_arguments_rejected(self, args):
+        # before, a NaN k1 gave NaN and an infinite beta_min gave 0.0
+        with pytest.raises(ValueError, match="finite"):
+            sufficient_n(*args)
+
 
 class TestRecords:
     def test_csv_round_trip(self):
@@ -138,7 +147,7 @@ class TestConfigs:
     @pytest.mark.parametrize("knob", [
         {"enum_cap": 0}, {"enum_cap": 1.5}, {"enum_floor": -0.1},
         {"enum_floor": 1.0}, {"enum_floor": float("nan")},
-        {"eta": float("nan")}, {"eta": 0.0},
+        {"eta": float("nan")}, {"eta": 0.0}, {"enum_cap": True}, {"enum_floor": "0.1"},
     ])
     def test_bad_scan_knobs_rejected(self, cls, knob):
         with pytest.raises(ValueError):
@@ -161,21 +170,27 @@ class TestConfigs:
     @pytest.mark.parametrize("bad", [
         {"sample_sizes": (3, 4)}, {"sample_sizes": (6, 500)}, {"kappa": 4},
         {"lam": 1.5}, {"weight_low": 0.9, "weight_high": 0.5}, {"seeds": (0, -1)},
-        {"seeds": (0, 1.5)},
+        {"seeds": (0, 1.5)}, {"lam": True}, {"weight_low": "0.5"}, {"eta": True},
     ])
     def test_config_that_would_fail_mid_run_rejected(self, cls, bad):
-        # rejected when built, not when run_* reaches the first unit it breaks
-        if cls is GridConfig:
-            renamed = {"kappa": "kappas", "lam": "lambdas"}
-            bad = {renamed.get(k, k): (v,) if k in renamed else v for k, v in bad.items()}
+        # rejected when built, not when run_* reaches the first unit it breaks;
+        # with kappa 2 the rest of the d=6 config is valid, so only `bad` can fail
+        def build(**kwargs):
+            if cls is GridConfig:
+                renamed = {"kappa": "kappas", "lam": "lambdas"}
+                kwargs = {renamed.get(k, k): (v,) if k in renamed else v for k, v in kwargs.items()}
+            return cls(d=6, **kwargs)
+
+        build(kappa=2)
         with pytest.raises(ValueError):
-            cls(d=6, **bad)
+            build(**{"kappa": 2, **bad})
 
     @pytest.mark.parametrize("cls", [GridConfig, ThresholdSweepConfig])
     @pytest.mark.parametrize("data", [
         {"ica": {"bogus": 1}}, {"kappas": 3}, {"seeds": 2.5}, {"d": "6"},
         {"ica": {"restarts": 2.5}}, {"ica": {"max_iterations": 10.5}}, {"ica": {"seed": -1}},
         [1, 2], None, [["d", 10]], {"seeds": True}, {"seeds": [0, True]},
+        {"ica": {"restarts": True}}, {"ica": {"tolerance": True}},
     ])
     def test_malformed_json_raises_value_error(self, cls, data):
         with pytest.raises(ValueError):
@@ -190,13 +205,16 @@ class TestConfigs:
         (SampleComplexityConfig, {"d": 10.0}),
         (SampleComplexityConfig, {"scm_seed": 1.5}),
         (SampleComplexityConfig, {"scm_seed": -1}),
+        (SampleComplexityConfig, {"scm_seed": True}),
     ])
     def test_non_integral_sizes_and_scm_seed_rejected(self, cls, data):
         # before, these were accepted and the run died in rng.derive_seed or rng.stream
         with pytest.raises(ValueError):
             cls.from_json_dict(data)
 
-    @pytest.mark.parametrize("window", [["a", "b"], ["a", 1000], [200, None], [1000, 200]])
+    @pytest.mark.parametrize("window", [
+        ["a", "b"], ["a", 1000], [200, None], [1000, 200], [True, 1000], [200, float("inf")],
+    ])
     def test_window_must_be_two_increasing_numbers(self, window):
         # window belongs to SampleComplexityConfig alone; before, ["a", "b"] was
         # accepted and summarize_sample_complexity raised a raw TypeError after
@@ -281,6 +299,14 @@ class TestStudyUnit:
         serial = run(make_cfg(), out_path=None, workers=1)
         parallel = run(make_cfg(), out_path=None, workers=2)
         assert serial and without_fit_ms(serial) == without_fit_ms(parallel)
+
+    @pytest.mark.parametrize("name", list(RUNNERS))
+    @pytest.mark.parametrize("workers", [2.5, True])
+    def test_non_integral_workers_rejected(self, name, workers):
+        # checked before any fit; before, True ran serially and 2.5 failed in the pool
+        run, make_cfg = RUNNERS[name]
+        with pytest.raises(ValueError, match="integer"):
+            run(make_cfg(), out_path=None, workers=workers)
 
     @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
     def test_grid_record_is_a_one_tau_sweep(self, mode):

@@ -75,7 +75,7 @@ class TestIcaOptions:
 
     @pytest.mark.parametrize("bad", [
         {"restarts": 2.5}, {"max_iterations": 10.5}, {"seed": -1}, {"seed": 1.0},
-        {"restarts": "3"},
+        {"restarts": "3"}, {"restarts": True}, {"tolerance": True}, {"tolerance": "1e-6"},
     ])
     def test_non_integral_or_negative_counts_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -84,6 +84,7 @@ class TestIcaOptions:
     def test_numpy_integers_accepted(self):
         opts = IcaOptions(restarts=np.int64(2), max_iterations=np.int32(7), seed=np.uint32(5))
         assert (opts.restarts, opts.max_iterations, opts.seed) == (2, 7, 5)
+        assert {type(v) for v in (opts.restarts, opts.max_iterations, opts.seed)} == {int}
 
 
 class TestFastica:

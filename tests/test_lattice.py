@@ -40,6 +40,8 @@ class TestEnumeratePartitions:
     def test_guard(self):
         with pytest.raises(ValueError):
             enumerate_partitions(11)
+        with pytest.raises(ValueError, match="integer"):
+            enumerate_partitions(2.5)  # before, a raw TypeError
 
 
 class TestBellNumber:
@@ -48,6 +50,12 @@ class TestBellNumber:
 
     def test_bell_ten(self):
         assert bell_number(10) == 115975
+
+    @pytest.mark.parametrize("d", [2.5, True])
+    def test_non_integral_d_rejected(self, d):
+        # before, 2.5 raised a raw TypeError and True was read as 1
+        with pytest.raises(ValueError, match="integer"):
+            bell_number(d)
 
 
 class TestValidDagCoarsenings:

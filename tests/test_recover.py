@@ -165,6 +165,12 @@ class TestBFromW:
         with pytest.raises(ValueError):
             b_from_w(np.eye(3), (0, 0, 1))
 
+    @pytest.mark.parametrize("perm", [(0.0, 1.7), (True, False), (0, "1")])
+    def test_non_integral_permutation_rejected(self, perm):
+        # before, int() read (0.0, 1.7) as the permutation (0, 1)
+        with pytest.raises(ValueError, match="integer"):
+            b_from_w(np.eye(2), perm)
+
     def test_spectral_radius_recorded(self, example_b):
         w = np.eye(5) - example_b.matrix
         cand = b_from_w(w, (0, 1, 2, 3, 4))
@@ -343,6 +349,8 @@ class TestRecoverCondensation:
         {"eta": math.nan}, {"eta": math.inf}, {"eta": 0.0},
         {"enum_cap": 0}, {"enum_cap": -5}, {"enum_cap": 2.5},
         {"enum_floor": math.nan}, {"enum_floor": -0.1}, {"enum_floor": 1.0},
+        {"tau": "0.1"}, {"tau": True}, {"eta": True}, {"enum_cap": True},
+        {"enum_floor": "0.1"},
     ])
     def test_bad_knobs_rejected(self, example_b, mode, knob):
         spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)

@@ -110,12 +110,14 @@ class TestGenerateScm:
     def test_bad_lambda(self):
         with pytest.raises(ValueError):
             generate_scm(10, 4, 1.5)
+        with pytest.raises(ValueError, match="finite"):
+            generate_scm(10, 4, "0.5")  # before, a raw TypeError
 
     def test_unknown_noise_family(self):
         with pytest.raises(ValueError, match="noise family"):
             generate_scm(10, 4, 0.5, noise_family="gaussian")
 
-    @pytest.mark.parametrize("d, kappa", [(10.0, 4), (10, 2.5)])
+    @pytest.mark.parametrize("d, kappa", [(10.0, 4), (10, 2.5), (True, 4), (10, True)])
     def test_non_integral_d_or_kappa(self, d, kappa):
         with pytest.raises(ValueError, match="must be an integer"):
             generate_scm(d, kappa, 0.5)
@@ -143,6 +145,12 @@ class TestScmSpecValidation:
     def test_noise_family_whitelist(self):
         with pytest.raises(ValueError):
             NoiseSpec("gaussian", 1.0)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, True, "1.0"])
+    def test_noise_scale_must_be_a_finite_number(self, scale):
+        # before, NaN and inf were accepted and True was read as 1.0
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec("laplace", scale)
 
 
 class TestSample:
@@ -183,6 +191,8 @@ class TestSample:
             soft_cluster_intervention(spec, np.zeros(5), 200.5)
         with pytest.raises(ValueError, match="integer"):
             hard_cluster_intervention(spec, [0], [1.0], 200.5)
+        with pytest.raises(ValueError, match="integer"):
+            sample(spec, True)  # before, a raw TypeError
 
     def test_non_integral_seed_rejected(self, example_b):
         spec = example_spec(example_b)
@@ -192,7 +202,7 @@ class TestSample:
             soft_cluster_intervention(spec, np.zeros(5), 100, seed=1.5)
         with pytest.raises(ValueError, match="integers"):
             hard_cluster_intervention(spec, [0], [1.0], 100, seed=np.float64(2.0))
-        for bad in ((1.5,), (0, "1"), (0, -1)):
+        for bad in ((1.5,), (0, "1"), (0, -1), (True,)):
             with pytest.raises(ValueError, match="integers"):
                 rng.stream(*bad)
             with pytest.raises(ValueError, match="integers"):
@@ -225,6 +235,13 @@ class TestHardIntervention:
         spec = example_spec(example_b)
         with pytest.raises(ValueError, match="integer"):
             hard_cluster_intervention(spec, [0.5, 1.2, 2.7, 3.1], np.zeros(4), 10, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_c_rejected(self, example_b, bad):
+        # before, NaN or inf in c gave NaN samples and a RuntimeWarning
+        spec = example_spec(example_b)
+        with pytest.raises(ValueError, match="finite"):
+            hard_cluster_intervention(spec, {0}, np.array([bad]), 10, seed=0)
 
     def test_union_of_sccs_accepted(self, example_b):
         spec = example_spec(example_b)
@@ -283,6 +300,26 @@ class TestSerialization:
                     {k: v for k, v in data.items() if k != "regime"}):
             with pytest.raises(ValueError):
                 ScmSpec.from_json_dict(bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("seed", "1"), ("scale", True), ("scale", np.nan),
+    ])
+    def test_non_integral_seed_or_non_finite_scale_rejected(self, example_b, field, value):
+        # before, int() and float() read "seed": 1.5 as 1 and "scale": true as 1.0
+        data = example_spec(example_b).to_json_dict()
+        if field == "seed":
+            data["seed"] = value
+        else:
+            data["noise"] = {**data["noise"], "scale": value}
+        with pytest.raises(ValueError):
+            ScmSpec.from_json_dict(data)
+
+    def test_numpy_integer_seed_round_trips(self, tmp_path):
+        # before, the np.int64 seed made save_scm_json raise a TypeError mid-file
+        save_scm_json(tmp_path / "np.json", generate_scm(6, 2, 0.4, seed=np.int64(1)))
+        save_scm_json(tmp_path / "int.json", generate_scm(6, 2, 0.4, seed=1))
+        assert (tmp_path / "np.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+        assert type(load_scm_json(tmp_path / "np.json").seed) is int
 
     def test_samples_csv_round_trip(self, tmp_path, example_b):
         spec = example_spec(example_b)
