@@ -4,12 +4,16 @@
 (singular systems, infeasible assignments, degenerate whitening) as opposed
 to caller mistakes, which raise plain ``ValueError``. The CLI maps the two
 families to distinct exit codes. ``integer`` and ``finite`` are the one check
-of every scalar argument taken from a caller, a JSON file or a study config.
+of every scalar argument taken from a caller, a JSON file or a study config;
+``finite_array`` is the one check of every array argument (samples, ``W``,
+``B``, ``delta``, ``c``). Callers check shapes themselves.
 """
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class NumericalError(RuntimeError):
@@ -49,3 +53,20 @@ def finite(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def finite_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; ValueError unless it holds finite real numbers.
+
+    The dtype numpy infers, without a cast, decides: integer and float kinds
+    pass (a float64 array is returned, not copied); bool, string, object and
+    complex dtypes are refused. Only the dtype is seen: ``[0.5, True]`` infers
+    float64, so it passes with ``True`` read as 1.0.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold integers or floats, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite (found NaN or Inf)")
+    return arr

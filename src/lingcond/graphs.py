@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import integer
+from .exceptions import finite_array, integer
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,7 @@ def support_graph(matrix) -> DirectedGraph:
     Entry ``matrix[i, j] != 0`` becomes the edge ``j -> i`` (the global
     edge-direction convention for weighted adjacencies).
     """
-    m = np.asarray(matrix)
+    m = finite_array(matrix, "support_graph input")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("support_graph expects a square matrix")
     rows, cols = np.nonzero(m)

@@ -29,20 +29,12 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import rng as rng_mod
-from .exceptions import NumericalError, finite, integer
+from .exceptions import NumericalError, finite, finite_array, integer
 from .ica import IcaOptions
 from .metrics import evaluate
 from .recover import (
-    DEFAULT_ENUM_CAP,
-    DEFAULT_ENUM_FLOOR,
-    DEFAULT_ETA,
-    DEFAULT_TAU,
-    MODES,
-    check_eta,
-    check_scan_knobs,
-    check_tau,
-    recover_condensation,
-    threshold as apply_threshold,
+    DEFAULT_ENUM_CAP, DEFAULT_ENUM_FLOOR, DEFAULT_ETA, DEFAULT_TAU, MODES, check_eta,
+    check_scan_knobs, check_tau, recover_condensation, threshold as apply_threshold,
 )
 from .scm import (
     DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, _check_model_args, generate_scm, sample,
@@ -68,32 +60,40 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _check_study(cfg, taus) -> None:
-    """The checks all three study configs share, so no unit fails on its arguments."""
-    cells = cfg._cells()
-    _require(bool(cells), "kappas, lambdas and regimes must be nonempty")
-    for kappa, lam, regime in cells:
-        _check_model_args(cfg.d, kappa, lam, cfg.weight_low, cfg.weight_high,
-                          regime, cfg.noise_family)
-    sizes = [integer(n, "sample size") for n in cfg.sample_sizes]
-    _require(bool(sizes), "sample_sizes must be nonempty")
-    _require(
-        all(a < b for a, b in zip(sizes, sizes[1:])),
-        "sample_sizes must be strictly increasing",
-    )
-    _require(min(sizes) > cfg.d, f"every sample size must exceed d={cfg.d}")
-    seeds = [integer(seed, "seed", 0) for seed in cfg.seeds]
-    _require(bool(seeds), "seeds must be nonempty")
-    for tau in taus:
-        check_tau(tau)
-    check_eta(cfg.eta)
-
-
+@dataclass(frozen=True, kw_only=True)
 class _StudyConfig:
-    """Base of the three study configs: their cells and shared JSON constructor."""
+    """Base of the three study configs: their shared fields, checks and JSON constructor.
+
+    Fields are keyword-only, so a config is built from names, never positions.
+    """
+
+    d: int = 10
+    eta: float = DEFAULT_ETA
+    ica: IcaOptions = field(default_factory=IcaOptions)
+    weight_low: float = DEFAULT_WEIGHT_LOW
+    weight_high: float = DEFAULT_WEIGHT_HIGH
+    noise_family: str = "laplace"
+
+    def __post_init__(self):  # the checks all three share, so no unit fails on its arguments
+        cells = self._cells()
+        _require(bool(cells), "kappas, lambdas and regimes must be nonempty")
+        for kappa, lam, regime in cells:
+            _check_model_args(self.d, kappa, lam, self.weight_low, self.weight_high,
+                              regime, self.noise_family)
+        sizes = [integer(n, "sample size") for n in self.sample_sizes]
+        _require(bool(sizes), "sample_sizes must be nonempty")
+        _require(all(a < b for a, b in zip(sizes, sizes[1:])),
+                 "sample_sizes must be strictly increasing")
+        _require(min(sizes) > self.d, f"every sample size must exceed d={self.d}")
+        seeds = [integer(seed, "seed", 0) for seed in self.seeds]
+        _require(bool(seeds), "seeds must be nonempty")
+        check_eta(self.eta)
 
     def _cells(self) -> list:  # the study's (kappa, lambda, regime) cells
         return [(self.kappa, self.lam, self.regime)]
+
+    def _fit(self) -> dict:  # the recover_condensation knobs besides tau and ICA
+        return dict(eta=self.eta, mode="hungarian")
 
     @classmethod
     def from_json_dict(cls, data: dict):
@@ -119,88 +119,79 @@ class _StudyConfig:
             raise ValueError(f"malformed {cls.__name__}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class GridConfig(_StudyConfig):
+@dataclass(frozen=True, kw_only=True)
+class _ScanStudyConfig(_StudyConfig):
+    """Base of the grid and sweep configs, which choose the mode and the scan knobs."""
+
+    mode: str = "enumerate-first-stable"
+    enum_floor: float = DEFAULT_ENUM_FLOOR
+    enum_cap: int = DEFAULT_ENUM_CAP
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require(self.mode in MODES, f"mode must be one of {MODES}")
+        check_scan_knobs(self.enum_floor, self.enum_cap)
+
+    def _fit(self) -> dict:
+        return dict(eta=self.eta, mode=self.mode, enum_floor=self.enum_floor,
+                    enum_cap=self.enum_cap)
+
+
+@dataclass(frozen=True, kw_only=True)
+class GridConfig(_ScanStudyConfig):
     """Main-grid configuration (cells = kappas x lambdas x regimes x sizes)."""
 
-    d: int = 10
     kappas: tuple = (3, 4, 5)
     lambdas: tuple = (0.3, 0.5, 0.8)
     regimes: tuple = ("stable", "unstable")
     sample_sizes: tuple = (50, 200, 1000, 5000, 20000, 100000)
     seeds: tuple = tuple(range(10))
     tau: float = DEFAULT_TAU
-    eta: float = DEFAULT_ETA
-    ica: IcaOptions = field(default_factory=IcaOptions)
-    mode: str = "enumerate-first-stable"
-    weight_low: float = DEFAULT_WEIGHT_LOW
-    weight_high: float = DEFAULT_WEIGHT_HIGH
-    noise_family: str = "laplace"
-    enum_floor: float = DEFAULT_ENUM_FLOOR
-    enum_cap: int = DEFAULT_ENUM_CAP
+
+    def __post_init__(self):
+        check_tau(self.tau)
+        super().__post_init__()
 
     def _cells(self) -> list:
         return list(itertools.product(self.kappas, self.lambdas, self.regimes))
 
-    def __post_init__(self):
-        _check_study(self, (self.tau,))
-        _require(self.mode in MODES, f"mode must be one of {MODES}")
-        check_scan_knobs(self.enum_floor, self.enum_cap)
 
-
-@dataclass(frozen=True)
-class ThresholdSweepConfig(_StudyConfig):
+@dataclass(frozen=True, kw_only=True)
+class ThresholdSweepConfig(_ScanStudyConfig):
     """One grid cell swept across thresholds with a shared fit per (n, seed)."""
 
-    d: int = 10
     kappa: int = 4
     lam: float = 0.5
     regime: str = "stable"
     taus: tuple = (0.001, 0.01, 0.1, 0.2, 0.5, 1.0)
     sample_sizes: tuple = (500, 5000, 50000)
     seeds: tuple = tuple(range(10))
-    eta: float = DEFAULT_ETA
-    ica: IcaOptions = field(default_factory=IcaOptions)
-    mode: str = "enumerate-first-stable"
-    weight_low: float = DEFAULT_WEIGHT_LOW
-    weight_high: float = DEFAULT_WEIGHT_HIGH
-    noise_family: str = "laplace"
-    enum_floor: float = DEFAULT_ENUM_FLOOR
-    enum_cap: int = DEFAULT_ENUM_CAP
 
     def __post_init__(self):
         _require(bool(self.taus), "taus must be nonempty")
-        _check_study(self, self.taus)
-        _require(self.mode in MODES, f"mode must be one of {MODES}")
-        check_scan_knobs(self.enum_floor, self.enum_cap)
+        for tau in self.taus:
+            check_tau(tau)
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SampleComplexityConfig(_StudyConfig):
-    """Fixed-SCM recovery-rate study with tau pinned to beta_min / 2."""
+    """Fixed-SCM recovery-rate study: Hungarian fits, tau pinned to beta_min / 2."""
 
-    d: int = 10
     kappa: int = 4
     lam: float = 0.5
     regime: str = "stable"
     scm_seed: int = 0
     seeds: tuple = tuple(range(100))
-    sample_sizes: tuple = tuple(
-        int(round(10 ** (2 + k / 5))) for k in range(16)
-    )  # 5 points per decade, 1e2..1e5
+    sample_sizes: tuple = tuple(int(round(10 ** (2 + k / 5))) for k in range(16))  # 1e2..1e5
     window: tuple = (200, 1000)
-    eta: float = DEFAULT_ETA
-    ica: IcaOptions = field(default_factory=IcaOptions)
-    weight_low: float = DEFAULT_WEIGHT_LOW
-    weight_high: float = DEFAULT_WEIGHT_HIGH
-    noise_family: str = "laplace"
 
     def __post_init__(self):
         window = [finite(v, "window bound") for v in self.window]
         _require(len(window) == 2 and window[0] < window[1],
                  "window must be (low, high), two numbers with low < high")
         integer(self.scm_seed, "scm_seed", 0)
-        _check_study(self, ())
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -287,9 +278,9 @@ def _cell_keys(d: int, kappa: int, lam: float, regime: str) -> tuple:
 class _Unit:
     """One model at one (n, seed): fitted once, scored at every tau in ``taus``.
 
-    ``cfg`` is the study config, read for ``d``, the weight bounds and the
-    noise family; ``ica`` already carries the derived ICA seed and ``fit``
-    holds the remaining ``recover_condensation`` knobs.
+    ``cfg`` is the study config, read for ``d``, the weight bounds, the
+    noise family and the remaining ``recover_condensation`` knobs; ``ica``
+    already carries the derived ICA seed.
     """
 
     cfg: object
@@ -302,7 +293,6 @@ class _Unit:
     scm_seed: int
     sample_seed: int
     ica: IcaOptions
-    fit: dict
 
     def rows(self) -> list:
         """The unit's records before scoring, one per tau."""
@@ -326,7 +316,7 @@ def _run_unit(unit: _Unit) -> list:
             unit.regime, seed=unit.scm_seed, noise_family=cfg.noise_family,
         )
         x = sample(scm, unit.n, seed=unit.sample_seed)
-        fitted = recover_condensation(x, tau=0.0, ica_opts=unit.ica, **unit.fit)
+        fitted = recover_condensation(x, tau=0.0, ica_opts=unit.ica, **cfg._fit())
     except (NumericalError, np.linalg.LinAlgError) as exc:
         return [replace(row, error=type(exc).__name__) for row in rows]
     truth = scm.b.support()
@@ -347,7 +337,7 @@ def _run_unit(unit: _Unit) -> list:
     return records
 
 
-def _execute(cfg, taus, sub_seeds, fit, out_path, workers) -> list:
+def _execute(cfg, taus, sub_seeds, out_path, workers) -> list:
     """Run one unit per (cell, n, seed) whose rows are missing; merge and write.
 
     ``sub_seeds(seed, cell, n)`` gives the (SCM, sample, ICA) seeds of a unit
@@ -362,7 +352,7 @@ def _execute(cfg, taus, sub_seeds, fit, out_path, workers) -> list:
                 scm_seed, sample_seed, ica_seed = sub_seeds(seed, cell, n)
                 units.append(_Unit(
                     cfg, kappa, lam, regime, n, seed, taus, scm_seed, sample_seed,
-                    replace(cfg.ica, seed=ica_seed), fit,
+                    replace(cfg.ica, seed=ica_seed),
                 ))
     existing = {r.key(): r for r in load_records(out_path)} if out_path else {}
     todo = [u for u in units if any(r.key() not in existing for r in u.rows())]
@@ -388,25 +378,17 @@ def _cell_sub_seeds(seed: int, cell: tuple, n: int) -> tuple:
     )
 
 
-def _scan_fit(cfg) -> dict:
-    return dict(eta=cfg.eta, mode=cfg.mode, enum_floor=cfg.enum_floor, enum_cap=cfg.enum_cap)
-
-
 def run_grid(cfg: GridConfig, out_path=None, workers: int = 1) -> list:
     """Run every (cell, n, seed) of the grid at ``cfg.tau``; records sorted by key."""
-    return _execute(cfg, (cfg.tau,), _cell_sub_seeds, _scan_fit(cfg), out_path, workers)
+    return _execute(cfg, (cfg.tau,), _cell_sub_seeds, out_path, workers)
 
 
-def run_threshold_sweep(
-    cfg: ThresholdSweepConfig, out_path=None, workers: int = 1
-) -> list:
+def run_threshold_sweep(cfg: ThresholdSweepConfig, out_path=None, workers: int = 1) -> list:
     """Sweep tau over a fixed cell, reusing one fitted pipeline per (n, seed)."""
-    return _execute(cfg, cfg.taus, _cell_sub_seeds, _scan_fit(cfg), out_path, workers)
+    return _execute(cfg, cfg.taus, _cell_sub_seeds, out_path, workers)
 
 
-def run_sample_complexity(
-    cfg: SampleComplexityConfig, out_path=None, workers: int = 1
-) -> tuple:
+def run_sample_complexity(cfg: SampleComplexityConfig, out_path=None, workers: int = 1) -> tuple:
     """Fixed-SCM sweep over n; returns (records, summary dict).
 
     The threshold is beta_min / 2 of the generated SCM, fitted in Hungarian
@@ -427,8 +409,7 @@ def run_sample_complexity(
             rng_mod.derive_seed(seed, TAG_ICA, n),
         )
 
-    fit = dict(eta=cfg.eta, mode="hungarian")
-    records = _execute(cfg, (tau,), sub_seeds, fit, out_path, workers)
+    records = _execute(cfg, (tau,), sub_seeds, out_path, workers)
     summary = summarize_sample_complexity(records, cfg.window)
     summary["tau"] = tau
     summary["betaMin"] = scm.beta_min
@@ -460,8 +441,7 @@ def _rate_ci(hits: int, total: int) -> dict:
 
 
 def ols_slope(xs, ys) -> float:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = finite_array(xs, "xs"), finite_array(ys, "ys")
     if xs.size < 2:
         raise ValueError("need at least two points for a slope")
     xc = xs - xs.mean()

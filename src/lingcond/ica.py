@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .exceptions import WhiteningError, finite, integer
+from .exceptions import WhiteningError, finite, finite_array, integer
 
 NONLINEARITIES = ("logcosh", "cube")
 
@@ -64,14 +64,12 @@ def center_whiten(x) -> tuple:
 
     The whitening matrix ``k`` comes from the eigendecomposition of the
     (1/n-normalized) sample covariance, so ``z = (x - mean) @ k.T``.
-    Raises ValueError on non-finite samples and WhiteningError when the
-    covariance is rank deficient.
+    Raises ValueError on non-numeric or non-finite samples and
+    WhiteningError when the covariance is rank deficient.
     """
-    x = np.asarray(x, dtype=float)
+    x = finite_array(x, "samples")
     if x.ndim != 2:
         raise ValueError("expected a 2-D sample matrix")
-    if not np.isfinite(x).all():
-        raise ValueError("samples must be finite (found NaN or Inf)")
     n, d = x.shape
     if n <= d:
         raise ValueError(f"need n > d samples, got n={n}, d={d}")

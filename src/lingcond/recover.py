@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .exceptions import NoAdmissiblePermutationError, finite, integer
+from .exceptions import NoAdmissiblePermutationError, finite, finite_array, integer
 from .graphs import Condensation, DirectedGraph, Partition, condense, support_graph
 from .ica import IcaOptions, fastica
 from .scm import spectral_radius
@@ -87,11 +87,9 @@ def check_scan_knobs(enum_floor, enum_cap) -> tuple:
 
 
 def _as_square(w) -> np.ndarray:
-    m = np.asarray(w, dtype=float)
+    m = finite_array(w, "demixing matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square demixing matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("demixing matrix entries must be finite")
     return m
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .exceptions import SingularModelError, finite, integer
+from .exceptions import SingularModelError, finite, finite_array, integer
 from .graphs import DirectedGraph, support_graph, tarjan_scc
 
 NOISE_FAMILIES = ("laplace", "exponential-centered")
@@ -59,13 +59,11 @@ class WeightedAdjacency:
     """Dense weighted adjacency with zero diagonal and invertible I - B."""
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=float)
+        m = finite_array(matrix, "adjacency").copy()  # frozen below, so never the caller's array
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("adjacency must be a square matrix")
         if np.any(np.diag(m) != 0):
             raise ValueError("adjacency diagonal must be exactly zero")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("adjacency entries must be finite")
         if abs(np.linalg.det(np.eye(m.shape[0]) - m)) < DET_TOLERANCE:
             raise SingularModelError("I - B is numerically singular")
         m.setflags(write=False)
@@ -92,7 +90,7 @@ class WeightedAdjacency:
 
 def spectral_radius(b) -> float:
     """Largest eigenvalue modulus of a weighted adjacency (or raw matrix)."""
-    m = np.asarray(getattr(b, "matrix", b), dtype=float)
+    m = finite_array(getattr(b, "matrix", b), "spectral_radius input")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("spectral_radius expects a square matrix")
     if not m.any():
@@ -266,11 +264,9 @@ def soft_cluster_intervention(
     :func:`sample` is the zero-shift case and draws the same noise, so
     paired comparisons with the observational draw isolate the shift.
     """
-    delta = np.asarray(delta, dtype=float)
+    delta = finite_array(delta, "delta")
     if delta.shape != (scm.d,):
         raise ValueError(f"delta must have length d={scm.d}")
-    if not np.all(np.isfinite(delta)):
-        raise ValueError("delta must be finite")
     n = integer(n, "n", 1)
     gen = rng_mod.stream(seed, rng_mod.PURPOSE_SAMPLE)
     eps = scm.noise.draw(gen, (n, scm.d))
@@ -292,9 +288,9 @@ def hard_cluster_intervention(
         raise ValueError("pi must be a nonempty node set")
     if any(v < 0 or v >= scm.d for v in pi):
         raise ValueError("pi contains out-of-range nodes")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (len(pi),) or not np.all(np.isfinite(c)):
-        raise ValueError("c must assign one finite value per node of pi")
+    c = finite_array(c, "c")
+    if c.shape != (len(pi),):
+        raise ValueError("c must assign one value per node of pi")
     n = integer(n, "n", 1)
 
     partition = tarjan_scc(scm.b.support())
@@ -337,9 +333,14 @@ def save_samples_csv(path, x: np.ndarray) -> None:
 
 
 def load_samples_csv(path) -> np.ndarray:
-    x = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample matrix contains non-finite entries")
+    """Read a header of column names, then rows of finite numbers, one per name."""
+    with open(path) as fh:
+        columns = len(fh.readline().split(","))
+        if not any(line.strip() for line in fh):
+            raise ValueError(f"{path} holds a header but no sample rows")
+    x = finite_array(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2), "sample matrix")
+    if x.shape[1] != columns:
+        raise ValueError(f"{path}: the header names {columns} columns, the rows hold {x.shape[1]}")
     return x
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,18 @@ class TestExitCodes:
         out = workspace / "data.csv"
         assert run("sample", "--scm", scm_path, "--n", 100, "--out", out) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [2, 0])
+    def test_samples_csv_that_disagrees_with_its_header(self, workspace, capsys, rows):
+        # before, 2 values per row under 3 names fitted d=2 and exited 0, and a
+        # header-only file warned "input contained no data", then failed on n=0
+        data = workspace / "data.csv"
+        x = np.random.default_rng(0).laplace(size=(100, rows))
+        np.savetxt(data, x, fmt="%.17g", delimiter=",", header="X1,X2,X3", comments="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("fit", "--data", data) == 1
+        assert "header" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, workspace):
         # constant column makes the covariance rank deficient

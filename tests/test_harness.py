@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -249,6 +249,34 @@ class TestConfigs:
         assert cfg.sample_sizes[-1] == 100000
         ratios = [b / a for a, b in zip(cfg.sample_sizes, cfg.sample_sizes[1:])]
         assert max(ratios) / min(ratios) < 1.05
+
+
+    @pytest.mark.parametrize("cfg", [
+        GridConfig(d=6, kappas=(2,), lambdas=(0.4, 0.6), regimes=("stable",), seeds=(3, 5),
+                   sample_sizes=(200, 500), tau=0.2, eta=2e-3, mode="hungarian", enum_cap=7,
+                   ica=IcaOptions(restarts=2, seed=4), noise_family="exponential-centered"),
+        ThresholdSweepConfig(d=6, kappa=2, lam=0.4, taus=(0.05, 0.3), sample_sizes=(300,),
+                             weight_low=0.6, enum_floor=0.1),
+        SampleComplexityConfig(d=6, kappa=2, lam=0.4, scm_seed=3, seeds=(0, 2),
+                               sample_sizes=(200, 400), window=(250, 400), weight_high=0.9),
+    ], ids=["grid", "sweep", "sample-complexity"])
+    def test_json_round_trip_gives_an_equal_config(self, cfg):
+        data = json.loads(json.dumps(asdict(cfg)))
+        assert set(data) == {f.name for f in fields(cfg)}
+        assert type(cfg).from_json_dict(data) == cfg
+
+    @pytest.mark.parametrize("cls", [GridConfig, ThresholdSweepConfig, SampleComplexityConfig])
+    def test_positional_construction_rejected(self, cls):
+        # fields are keyword-only, so moving one between classes cannot reorder them
+        with pytest.raises(TypeError):
+            cls(10)
+
+    def test_sample_complexity_has_no_scan_knobs(self):
+        # the study fits in Hungarian mode only
+        names = {f.name for f in fields(SampleComplexityConfig)}
+        assert names.isdisjoint({"mode", "enum_floor", "enum_cap"})
+        with pytest.raises(ValueError, match="unknown config keys"):
+            SampleComplexityConfig.from_json_dict({"mode": "hungarian"})
 
 
 class TestRunGrid:

@@ -329,3 +329,18 @@ class TestSerialization:
         header = path.read_text().splitlines()[0]
         assert header == "X1,X2,X3,X4,X5"
         assert np.array_equal(load_samples_csv(path), x)  # %.17g round-trips exactly
+
+    @pytest.mark.parametrize("text, message", [
+        ("X1,X2,X3\n1,2\n3,4\n", "the header names 3 columns, the rows hold 2"),
+        ("X1,X2\n", "no sample rows"),
+        ("X1,X2\n\n", "no sample rows"),
+        ("", "no sample rows"),
+        ("X1,X2\n1,nan\n3,4\n", "sample matrix must be finite"),
+    ])
+    def test_samples_csv_must_match_its_header(self, tmp_path, text, message):
+        # before, a 3-name header over rows of 2 values loaded as an n x 2
+        # matrix, and a header-only file as a 0 x 1 matrix with a UserWarning
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_samples_csv(path)
