@@ -178,12 +178,13 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # first: LinAlgError subclasses ValueError, which would otherwise claim it
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, OSError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

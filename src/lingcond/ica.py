@@ -6,6 +6,12 @@ decorrelation from several random starts in lockstep, and de-whitens the
 winner so the returned matrix acts on the raw (uncentered-scale)
 observations. Restarts are resolved by the non-Gaussianity objective, ties
 by the earliest restart, so results are deterministic given the options.
+
+From ``n = 400 d`` rows on, the restarts run on an evenly spaced subsample
+of about ``200 d`` rows (``_ROWS_PER_DIM``), whitened on its own, and only
+the winner is iterated on all rows. Above n of about 1000 the restarts
+almost always reach the same fixed point, so running all of them on every
+row would repeat the first one's work.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ LOGCOSH_GAUSSIAN = 0.374567207491438
 CUBE_GAUSSIAN = 0.75
 
 RANK_TOLERANCE = 1e-10
+
+# rows per dimension of the subsample that picks the winning restart
+_ROWS_PER_DIM = 200
 
 
 @dataclass(frozen=True)
@@ -73,9 +82,14 @@ def center_whiten(x) -> tuple:
     n, d = x.shape
     if n <= d:
         raise ValueError(f"need n > d samples, got n={n}, d={d}")
+    return _whiten(x)
+
+
+def _whiten(x: np.ndarray) -> tuple:
+    """``center_whiten`` of an already checked 2-D array with more rows than columns."""
     mean = x.mean(axis=0)
     centered = x - mean
-    cov = centered.T @ centered / n
+    cov = centered.T @ centered / len(x)
     vals, vecs = np.linalg.eigh(cov)
     if vals[-1] <= 0 or vals[0] < RANK_TOLERANCE * vals[-1]:
         raise WhiteningError(
@@ -119,29 +133,26 @@ def _objectives(s: np.ndarray, r: int, nonlinearity: str) -> np.ndarray:
     return (dev**2).reshape(r, -1).sum(axis=1)
 
 
-def fastica(x, opts: IcaOptions = IcaOptions()) -> DemixingEstimate:
-    """Estimate the demixing matrix of x by symmetric FastICA.
-
-    Runs ``opts.restarts`` fixed-point iterations from random orthonormal
-    starts and keeps the one with the largest non-Gaussianity objective,
-    ties going to the earliest restart. Convergence of a restart is declared
-    when ``1 - min_i |<w_i_new, w_i_old>|`` drops below the tolerance;
-    otherwise it stops at ``max_iterations`` with ``converged=False``.
-
-    The restarts run in lockstep: each iteration projects every active
-    restart at once into one ``(n, a*d)`` block, and a restart that converges
-    leaves the active set with its own iteration count. Results match
-    running the restarts one after another.
-    """
-    z, k, _ = center_whiten(x)
-    n, d = z.shape
-    r = opts.restarts
-    w = np.stack([
+def _starts(d: int, opts: IcaOptions) -> np.ndarray:
+    """The ``(restarts, d, d)`` stack of random orthonormal starting points."""
+    return np.stack([
         np.linalg.qr(
             rng_mod.stream(opts.seed, rng_mod.PURPOSE_ICA, restart).standard_normal((d, d))
         )[0]
-        for restart in range(r)
+        for restart in range(opts.restarts)
     ])
+
+
+def _fixed_point(z: np.ndarray, w: np.ndarray, opts: IcaOptions) -> tuple:
+    """Iterate the ``(r, d, d)`` stack of starts ``w`` on the whitened rows ``z``.
+
+    Each iteration projects every active start at once into one ``(n, a*d)``
+    block, and a start that converges leaves the active set with its own
+    iteration count, so results match iterating the starts one after
+    another. Returns ``(w, iterations, converged)``, one entry per start.
+    """
+    n, d = z.shape
+    r = len(w)
     iterations = np.full(r, opts.max_iterations)
     converged = np.zeros(r, dtype=bool)
     active = np.arange(r)
@@ -170,9 +181,44 @@ def fastica(x, opts: IcaOptions = IcaOptions()) -> DemixingEstimate:
             active = active[~done]
             if not active.size:
                 break
-    s = buf.reshape(n, r * d)
-    np.matmul(z, w.reshape(r * d, d).T, out=s)
-    best = int(np.argmax(_objectives(s, r, opts.nonlinearity)))
+    return w, iterations, converged
+
+
+def fastica(x, opts: IcaOptions = IcaOptions()) -> DemixingEstimate:
+    """Estimate the demixing matrix of x by symmetric FastICA.
+
+    Runs ``opts.restarts`` fixed-point iterations from random orthonormal
+    starts and keeps the one with the largest non-Gaussianity objective,
+    ties going to the earliest restart. Convergence of a run is declared
+    when ``1 - min_i |<w_i_new, w_i_old>|`` drops below the tolerance;
+    otherwise it stops at ``max_iterations`` with ``converged=False``.
+
+    Below ``n = 400 d`` rows the restarts run on all rows. From there on
+    they run on every ``step``-th row, ``step = n // (200 d)``, whitened on
+    its own; the objective picks the winner on those rows, and the winner,
+    mapped into the whitening of all rows and decorrelated, is iterated
+    once more on all rows with the same tolerance and cap. ``iterations``
+    and ``converged`` then report that refinement. If the subsample's
+    covariance is rank deficient while that of all rows is not, the
+    restarts run on all rows. The restarts run in lockstep; each stage's
+    results match running its starts one after another.
+    """
+    z, k, _ = center_whiten(x)
+    n, d = z.shape
+    step = n // (_ROWS_PER_DIM * d)
+    zs, ks = z, k
+    if step >= 2:
+        try:
+            # x passed center_whiten's checks: a finite 2-D array of integers or floats
+            zs, ks, _ = _whiten(np.asarray(x)[::step])
+        except WhiteningError:
+            step = 1  # the subsample missed the rows that give some direction its spread
+    w, iterations, converged = _fixed_point(zs, _starts(d, opts), opts)
+    best = int(np.argmax(_objectives(zs @ w.reshape(-1, d).T, opts.restarts, opts.nonlinearity)))
+    if step >= 2:
+        start = _symmetric_decorrelate((w[best] @ ks @ np.linalg.inv(k))[None])
+        w, iterations, converged = _fixed_point(z, start, opts)
+        best = 0  # the refined winner is the only run left
     return DemixingEstimate(
         w=w[best] @ k,
         iterations=int(iterations[best]),

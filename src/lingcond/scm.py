@@ -326,8 +326,14 @@ def _solve_system(system: np.ndarray, rhs_rows: np.ndarray) -> np.ndarray:
 
 
 def save_samples_csv(path, x: np.ndarray) -> None:
-    """Write samples as CSV with header X1..Xd and full double precision."""
-    x = np.asarray(x, dtype=float)
+    """Write samples as CSV with header X1..Xd and full double precision.
+
+    Raises ValueError, before opening ``path``, unless ``x`` is a 2-D matrix
+    of finite numbers: ``load_samples_csv`` reads back only such files.
+    """
+    x = finite_array(x, "samples")
+    if x.ndim != 2:
+        raise ValueError("expected a 2-D sample matrix")
     header = ",".join(f"X{i + 1}" for i in range(x.shape[1]))
     np.savetxt(path, x, fmt="%.17g", delimiter=",", header=header, comments="")
 

@@ -217,6 +217,23 @@ class TestExitCodes:
         np.savetxt(data, x, fmt="%.17g", delimiter=",", header=header, comments="")
         assert run("fit", "--data", data) == 2
 
+    def test_raw_lin_alg_error_is_a_numerical_failure(self, workspace, monkeypatch, capsys):
+        # before, LinAlgError (a ValueError subclass) met the usage-error clause first: exit 1
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        data = workspace / "data.csv"
+        x = np.random.default_rng(0).laplace(size=(100, 3))
+        np.savetxt(data, x, fmt="%.17g", delimiter=",", header="X1,X2,X3", comments="")
+        monkeypatch.setattr("lingcond.cli.recover_condensation", fail)
+        assert run("fit", "--data", data) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_json_that_does_not_parse_is_a_usage_error(self, workspace):
+        path = workspace / "graph.json"
+        path.write_text("{not json")
+        assert run("lattice", "--graph", path) == 1
+
 
 class TestExperimentCommands:
     def test_grid_with_config_and_summary(self, workspace):

@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from lingcond.recover import (
 )
 from lingcond.scm import (
     ScmSpec, WeightedAdjacency, generate_scm, hard_cluster_intervention, sample,
-    soft_cluster_intervention, spectral_radius,
+    save_samples_csv, soft_cluster_intervention, spectral_radius,
 )
 
 
@@ -100,6 +101,7 @@ _ARRAY_ENTRY_POINTS = {
     "hard_cluster_intervention": (np.ones(6), lambda c: hard_cluster_intervention(
         _SPEC, range(6), c, 10)),
     "ols_slope": (np.arange(1.0, 4.0), lambda xs: ols_slope(xs, [1.0, 2.0, 4.0])),
+    "save_samples_csv": (_X, lambda x: save_samples_csv(io.StringIO(), x)),
 }
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from lingcond import rng as rng_mod
 from lingcond import (
+    DemixingEstimate,
     IcaOptions,
     NoiseSpec,
     ScmSpec,
@@ -12,10 +13,14 @@ from lingcond import (
     fastica,
     generate_scm,
     hungarian_admissible,
+    recover_condensation,
     sample,
     threshold,
 )
-from lingcond.ica import CUBE_GAUSSIAN, LOGCOSH_GAUSSIAN, _logcosh_mean
+from lingcond.ica import (
+    CUBE_GAUSSIAN, LOGCOSH_GAUSSIAN, _ROWS_PER_DIM, _fixed_point, _logcosh_mean, _objectives,
+    _starts,
+)
 
 
 def laplace_sources(n, d, seed):
@@ -165,6 +170,32 @@ class TestFastica:
         assert hits >= 9
 
 
+def _decorrelate(m):
+    vals, vecs = np.linalg.eigh(m @ m.T)
+    return (vecs / np.sqrt(vals)) @ vecs.T @ m
+
+
+def _sequential_run(z, w, opts):
+    """One start iterated alone on the whitened rows ``z``: ``(w, iterations, converged)``."""
+    n = len(z)
+    converged = False
+    for iterations in range(1, opts.max_iterations + 1):
+        s = z @ w.T
+        if opts.nonlinearity == "logcosh":
+            g = np.tanh(s)
+            g_prime_mean = 1.0 - np.einsum("ij,ij->j", g, g) / n
+        else:
+            g = s**3
+            g_prime_mean = 3.0 * (s**2).mean(axis=0)
+        w_new = _decorrelate((g.T @ z) / n - g_prime_mean[:, None] * w)
+        drift = 1.0 - np.min(np.abs(np.einsum("ij,ij->i", w_new, w)))
+        w = w_new
+        if drift < opts.tolerance:
+            converged = True
+            break
+    return w, iterations, converged
+
+
 def _sequential_fastica(x, opts):
     """Reference: the restarts run one after another, one Python loop each.
 
@@ -173,31 +204,24 @@ def _sequential_fastica(x, opts):
     lockstep loop. With ``(1 - g**2).mean(axis=0)`` instead, a restart that
     does not contract (no convergence within 500 iterations at n=200)
     amplifies the last-bit difference to O(1).
+
+    From ``2 * _ROWS_PER_DIM * d`` rows on, the restarts run on every
+    ``step``-th row whitened on its own, and the winner, mapped into the
+    whitening of all rows and decorrelated, runs once more on all rows.
+    Returns the chosen ``(objective, w, iterations, converged)`` and the
+    restarts' runs.
     """
-    z, _, _ = center_whiten(x)
+    z, k, _ = center_whiten(x)
     n, d = z.shape
+    step = n // (_ROWS_PER_DIM * d)
+    zs, ks = (z, k) if step < 2 else center_whiten(x[::step])[:2]
     runs = []
     for restart in range(opts.restarts):
         gen = rng_mod.stream(opts.seed, rng_mod.PURPOSE_ICA, restart)
-        w = np.linalg.qr(gen.standard_normal((d, d)))[0]
-        converged = False
-        for iterations in range(1, opts.max_iterations + 1):
-            s = z @ w.T
-            if opts.nonlinearity == "logcosh":
-                g = np.tanh(s)
-                g_prime_mean = 1.0 - np.einsum("ij,ij->j", g, g) / n
-            else:
-                g = s**3
-                g_prime_mean = 3.0 * (s**2).mean(axis=0)
-            m = (g.T @ z) / n - g_prime_mean[:, None] * w
-            vals, vecs = np.linalg.eigh(m @ m.T)
-            w_new = (vecs / np.sqrt(vals)) @ vecs.T @ m
-            drift = 1.0 - np.min(np.abs(np.einsum("ij,ij->i", w_new, w)))
-            w = w_new
-            if drift < opts.tolerance:
-                converged = True
-                break
-        s = z @ w.T
+        w, iterations, converged = _sequential_run(
+            zs, np.linalg.qr(gen.standard_normal((d, d)))[0], opts
+        )
+        s = zs @ w.T
         if opts.nonlinearity == "logcosh":
             dev = _logcosh_mean(s) - LOGCOSH_GAUSSIAN
         else:
@@ -207,7 +231,19 @@ def _sequential_fastica(x, opts):
     for run in runs:
         if best is None or run[0] > best[0]:
             best = run
+    if step >= 2:
+        start = _decorrelate(best[1] @ ks @ np.linalg.inv(k))
+        best = (best[0], *_sequential_run(z, start, opts))
     return best, runs
+
+
+def _full_rows_fastica(x, opts):
+    """Reference: every restart iterated on all rows by the lockstep helper."""
+    z, k, _ = center_whiten(x)
+    d = z.shape[1]
+    w, iterations, converged = _fixed_point(z, _starts(d, opts), opts)
+    best = int(np.argmax(_objectives(z @ w.reshape(-1, d).T, opts.restarts, opts.nonlinearity)))
+    return DemixingEstimate(w[best] @ k, int(iterations[best]), bool(converged[best]), w[best])
 
 
 def _scm_samples(n, seed, regime="stable"):
@@ -257,6 +293,46 @@ class TestLockstepMatchesSequential:
         est = fastica(x, IcaOptions(seed=3, restarts=4))
         first = fastica(x, IcaOptions(seed=3, restarts=1))
         assert np.array_equal(est.w_white, first.w_white)
+
+
+class TestSubsampleRestarts:
+    @pytest.mark.parametrize("d, opts", [
+        (3, IcaOptions(seed=0)),
+        (10, IcaOptions(seed=1)),
+        (10, IcaOptions(nonlinearity="cube", seed=2, restarts=2)),
+    ])
+    def test_below_threshold_all_rows_bit_identical(self, d, opts):
+        # one row short of step 2: the restarts run on all rows, as before the subsample stage
+        x = laplace_sources(2 * _ROWS_PER_DIM * d - 1, d, d) @ np.triu(np.ones((d, d)))
+        est, ref = fastica(x, opts), _full_rows_fastica(x, opts)
+        assert np.array_equal(est.w, ref.w)
+        assert np.array_equal(est.w_white, ref.w_white)
+        assert (est.iterations, est.converged) == (ref.iterations, ref.converged)
+
+    def test_rank_deficient_subsample_falls_back_to_all_rows(self):
+        # the third column varies only on rows the every-fifth-row subsample skips
+        x = laplace_sources(3000, 3, 12)
+        x[:, 2] = 0.0
+        x[1::5, 2] = np.random.default_rng(13).laplace(size=600)
+        assert 3000 // (_ROWS_PER_DIM * 3) == 5
+        with pytest.raises(WhiteningError):
+            center_whiten(x[::5])
+        est, ref = fastica(x, IcaOptions(seed=4)), _full_rows_fastica(x, IcaOptions(seed=4))
+        assert np.array_equal(est.w, ref.w)
+        assert (est.iterations, est.converged) == (ref.iterations, ref.converged)
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    @pytest.mark.parametrize("regime", ["stable", "unstable"])
+    def test_same_support_and_partition_as_all_rows(self, n, regime, monkeypatch):
+        for seed in range(4):
+            x = _scm_samples(n, seed, regime)
+            opts = IcaOptions(seed=seed)
+            fit = recover_condensation(x, tau=0.1, ica_opts=opts)
+            with monkeypatch.context() as patch:
+                patch.setattr("lingcond.recover.fastica", _full_rows_fastica)
+                ref = recover_condensation(x, tau=0.1, ica_opts=opts)
+            assert fit.support() == ref.support()
+            assert fit.partition == ref.partition
 
 
 def test_stable_logcosh_matches_logaddexp():

@@ -330,6 +330,19 @@ class TestSerialization:
         assert header == "X1,X2,X3,X4,X5"
         assert np.array_equal(load_samples_csv(path), x)  # %.17g round-trips exactly
 
+    @pytest.mark.parametrize("x, message", [
+        (np.array([[0.5, np.nan], [1.0, 2.0]]), "samples must be finite"),
+        (np.array([[0.5, 1.0], [1.0, 2.0]]) > 0.7, "samples must hold integers or floats"),
+        (np.arange(3.0), "2-D sample matrix"),
+    ])
+    def test_samples_csv_refuses_what_it_could_not_read_back(self, tmp_path, x, message):
+        # before, NaN was written into a file load_samples_csv refuses, a bool
+        # matrix was written as 1/0, and a 1-D array raised a raw IndexError
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match=message):
+            save_samples_csv(path, x)
+        assert not path.exists()
+
     @pytest.mark.parametrize("text, message", [
         ("X1,X2,X3\n1,2\n3,4\n", "the header names 3 columns, the rows hold 2"),
         ("X1,X2\n", "no sample rows"),
