@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lingcond import (
     CandidateAdjacency,
@@ -129,12 +130,40 @@ class TestEnumerateAdmissible:
         infeasible[:, d - 1] = False  # no row may take the last slot
         masks = [rng.random((d, d)) < p for p in (0.3, 0.6, 0.85)]
         for ok in masks + [np.ones((d, d), dtype=bool), infeasible]:
-            brute = [
-                p for p in itertools.permutations(range(d))
-                if all(ok[p[i], i] for i in range(d))
-            ]
-            assert list(recover._iter_admissible(ok)) == brute
-        assert list(recover._iter_admissible(infeasible)) == []
+            for size in (1, 3, 64):
+                assert _block_rows(ok, size) == _brute_admissible(ok)
+        assert _block_rows(infeasible, 64) == []
+
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_zero_slots_give_one_empty_permutation(self, size):
+        blocks = list(recover._admissible_blocks(np.ones((0, 0), dtype=bool), size))
+        assert [block.shape for block in blocks] == [(1, 0)]
+
+    @given(
+        st.integers(0, 7).flatmap(lambda d: arrays(bool, (d, d))),
+        st.integers(1, 200),
+    )
+    def test_blocks_match_brute_force_on_random_masks(self, ok, size):
+        assert _block_rows(ok, size) == _brute_admissible(ok)
+
+
+def _brute_admissible(ok):
+    """Every permutation with ``ok[p[i], i]`` at each slot, in lexicographic order."""
+    d = ok.shape[0]
+    return [
+        p for p in itertools.permutations(range(d))
+        if all(ok[p[i], i] for i in range(d))
+    ]
+
+
+def _block_rows(ok, size):
+    """The rows of ``_admissible_blocks(ok, size)`` as tuples, checking each block's shape."""
+    rows = []
+    for block in recover._admissible_blocks(ok, size):
+        assert block.dtype == np.intp and block.shape[1] == ok.shape[0]
+        assert 1 <= len(block) <= size
+        rows.extend(tuple(p) for p in block.tolist())
+    return rows
 
 
 class TestBFromW:
@@ -414,12 +443,12 @@ class TestFirstStableScan:
 
     @pytest.mark.parametrize("seed, cap, stable", [
         (0, 1, False),        # cap = 1
-        (0, 100, False),      # fallback, cap not a multiple of the block
+        (0, 100, False),      # fallback, cap cuts the seventh block to 37
         (0, 10**6, False),    # enumeration runs out in a partial block
         (8, 113, False),      # cap stops one short of the stable candidate
         (8, 114, True),       # stable candidate is the last one examined
         (8, 5000, True),      # stable candidate mid-block
-        (0, 256, False),      # the fourth and last block is skipped whole
+        (0, 256, False),      # the block after 1 + 2 + ... + 128 is one candidate, skipped
     ])
     def test_matches_reference(self, sample_ws, seed, cap, stable):
         w = sample_ws[seed]
@@ -430,10 +459,11 @@ class TestFirstStableScan:
         assert np.array_equal(got.b, expected.b)
         assert got.spectral_radius == expected.spectral_radius
 
-    @pytest.mark.parametrize("block", [1, 7, 113, 114])
+    @pytest.mark.parametrize("block", [1, 7, 50, 51, 113, 114])
     def test_stable_candidate_at_block_boundary(self, sample_ws, monkeypatch, block):
-        # index 113 opens the second block at size 113 and closes the first
-        # at size 114
+        # blocks double from 1 up to the ceiling ``_SCAN_BLOCK``, so with a
+        # ceiling of 50 they start at 0, 1, 3, 7, 15, 31, 63, 113, ... and
+        # index 113 opens a block; at 51 the block [63, 114) ends on it
         monkeypatch.setattr(recover, "_SCAN_BLOCK", block)
         w = sample_ws[8]
         got = recover._first_stable_scan(w, 1e-3, 0.1, 5000)
@@ -480,6 +510,32 @@ class TestFirstStableScan:
         recover._first_stable_scan(sample_ws[0], 1e-3, 0.1, 10**6)
         assert sum(1 for _ in _reference_candidates(sample_ws[0], 1e-3, 0.1)) == 1244
         assert sum(scored) < 1244 / 2
+        # the first block holds one candidate: nothing is yielded before it,
+        # so the bound cannot prune it and it gets eigvals alone
+        assert scored[0] == 1
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 100, 1244, 10**6])
+    def test_cap_counts_built_candidates(self, sample_ws, monkeypatch, cap):
+        build = recover._build_stack
+        built = []
+
+        def counting_build(m, perms):
+            built.append(len(perms))
+            return build(m, perms)
+
+        monkeypatch.setattr(recover, "_build_stack", counting_build)
+        got = recover._first_stable_scan(sample_ws[0], 1e-3, 0.1, cap)
+        assert sum(built) == min(cap, 1244)
+        assert all(type(p) is int for p in got.permutation)
+
+    def test_wide_diagonally_dominant_matrix(self):
+        # d = 70 is past any 64-bit row mask; the floor leaves only the identity
+        d = 70
+        w = np.eye(d) + 1e-3 * np.random.default_rng(0).normal(size=(d, d))
+        got = recover._first_stable_scan(w, 1e-3, 0.1, 10**6)
+        assert got.permutation == tuple(range(d))
+        assert got.spectral_radius < 1.0
+        assert np.array_equal(got.b, b_from_w(w, range(d)).b)
 
 
 @st.composite
