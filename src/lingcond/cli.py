@@ -22,7 +22,6 @@ from .harness import (
     run_sample_complexity,
     run_threshold_sweep,
     summarize_grid,
-    write_summary_json,
 )
 from .ica import IcaOptions, NONLINEARITIES
 from .lattice import valid_dag_coarsenings
@@ -164,7 +163,7 @@ def _dispatch(args) -> int:
         cfg = config_cls.from_json_dict(_load_json(args.config))
         result = run(cfg, out_path=args.out, workers=args.workers)
         if args.summary:
-            write_summary_json(args.summary, summarize(result))
+            _emit(summarize(result), args.summary)
         return 0
 
     raise _UsageError(f"unknown command {args.command!r}")

@@ -6,7 +6,8 @@ to caller mistakes, which raise plain ``ValueError``. The CLI maps the two
 families to distinct exit codes. ``integer`` and ``finite`` are the one check
 of every scalar argument taken from a caller, a JSON file or a study config;
 ``finite_array`` is the one check of every array argument (samples, ``W``,
-``B``, ``delta``, ``c``). Callers check shapes themselves.
+``B``, ``delta``, ``c``), and ``square_matrix`` adds the one shape check of
+every matrix that must be square (``W``, ``B``).
 """
 
 import math
@@ -70,3 +71,11 @@ def finite_array(value, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite (found NaN or Inf)")
     return arr
+
+
+def square_matrix(value, name: str) -> np.ndarray:
+    """``finite_array(value, name)``; ValueError unless it is a square 2-D matrix."""
+    m = finite_array(value, name)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    return m

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import finite_array, integer
+from .exceptions import integer, square_matrix
 
 
 @dataclass(frozen=True)
@@ -263,9 +263,7 @@ def support_graph(matrix) -> DirectedGraph:
     Entry ``matrix[i, j] != 0`` becomes the edge ``j -> i`` (the global
     edge-direction convention for weighted adjacencies).
     """
-    m = finite_array(matrix, "support_graph input")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("support_graph expects a square matrix")
+    m = square_matrix(matrix, "support_graph input")
     rows, cols = np.nonzero(m)
     edges = frozenset((j, i) for i, j in zip(rows.tolist(), cols.tolist()) if i != j)
     return DirectedGraph(m.shape[0], edges)

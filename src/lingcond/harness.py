@@ -6,25 +6,21 @@ thresholded and scored at each of the study's taus (the grid's one
 ``cfg.tau``, the sweep's ``cfg.taus``, or beta_min / 2 of the fixed SCM).
 A unit is pure given its derived sub-seeds, so runs are deterministic,
 resumable (a unit whose rows all exist is skipped) and safely parallelizable.
-Results go to a flat CSV with the schema
-
-    d,kappa,lambda,regime,n,seed,tau,ari,cluster_f1,variable_f1,hamming,
-    exact_recovery,pred_clusters,fit_ms,ica_iters,error
-
-ordered by key rather than completion time. Sub-seeds are derived by hashing
-the explicit record seed together with cell identifiers and a purpose tag
-through ``rng.derive_seed`` (SeedSequence); the SCM stream deliberately
-excludes the sample size so one seed sees a growing sample of the same model.
+Results go to a flat CSV, one column per ``ExperimentRecord`` field, ordered
+by key rather than completion time and read back by the rules it is written
+with. Sub-seeds are derived by hashing the explicit record seed together with
+cell identifiers and a purpose tag through ``rng.derive_seed`` (SeedSequence);
+the SCM stream deliberately excludes the sample size so one seed sees a
+growing sample of the same model.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,11 +34,6 @@ from .recover import (
 )
 from .scm import (
     DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, _check_model_args, generate_scm, sample,
-)
-
-CSV_HEADER = (
-    "d,kappa,lambda,regime,n,seed,tau,ari,cluster_f1,variable_f1,hamming,"
-    "exact_recovery,pred_clusters,fit_ms,ica_iters,error"
 )
 
 # purpose tags for harness-level sub-seed derivation
@@ -109,9 +100,9 @@ class _StudyConfig:
         try:
             if not isinstance(kwargs.get("seeds", ()), (list, tuple)):  # a count of seeds
                 kwargs["seeds"] = range(integer(kwargs["seeds"], "seed count"))
-            for name in ("kappas", "lambdas", "regimes", "sample_sizes", "seeds", "taus", "window"):
-                if name in kwargs:
-                    kwargs[name] = tuple(kwargs[name])
+            for f in fields(cls):  # the fields whose default is a tuple take a JSON list
+                if isinstance(f.default, tuple) and f.name in kwargs:
+                    kwargs[f.name] = tuple(kwargs[f.name])
             if "ica" in kwargs:
                 kwargs["ica"] = IcaOptions(**kwargs["ica"])
             return cls(**kwargs)
@@ -225,25 +216,44 @@ class ExperimentRecord:
                 return ""
             if isinstance(x, bool):
                 return "1" if x else "0"
-            if isinstance(x, float):
-                return repr(x)
-            return str(x)
+            return str(x)  # a float's shortest round-trip form, as repr gives
 
-        # the field order is the column order of CSV_HEADER
         return ",".join(fmt(getattr(self, f.name)) for f in fields(self))
 
     @classmethod
     def from_csv_row(cls, row: str) -> "ExperimentRecord":
-        parts = row.rstrip("\n").split(",")
-        if len(parts) != 16:
+        """Parse a ``to_csv_row`` row; ValueError on a cell that method does not write."""
+        columns, cells = fields(cls), row.rstrip("\n").split(",")
+        if len(cells) != len(columns):
             raise ValueError(f"malformed record row: {row!r}")
+        return cls(*(_parse_cell(f, text) for f, text in zip(columns, cells)))
 
-        key = (int(parts[0]), int(parts[1]), float(parts[2]), parts[3],
-               int(parts[4]), int(parts[5]), float(parts[6]))
-        # ari .. ica_iters are empty on an error row
-        parsers = (float, float, float, int, lambda v: v == "1", int, float, int)
-        metrics = [None if v == "" else p(v) for v, p in zip(parts[7:15], parsers)]
-        return cls(*key, *metrics, error=parts[15])
+
+def _parse_cell(f, text: str):
+    """Field ``f`` read from a cell by the rule ``to_csv_row`` writes it with; else ValueError.
+
+    Integers only as ``str(int)``, booleans only as 0 or 1, floats only if
+    finite; an empty cell only where ``f`` has a default (metrics, ``error``).
+    """
+    kind = f.type.removesuffix(" | None")  # annotations are strings (the __future__ import)
+    try:
+        if text == "" and f.default is not MISSING:
+            return f.default
+        if kind == "int" and str(value := int(text)) == text:
+            return value
+        if kind == "float" and math.isfinite(value := float(text)):
+            return value
+        if kind == "bool" and text in ("0", "1"):
+            return text == "1"
+        if kind == "str" and text:
+            return text
+    except ValueError:
+        pass
+    raise ValueError(f"results cell {text!r} is not a valid {f.name} ({kind})")
+
+
+# one column per ExperimentRecord field, in field order; lam is the one written as another name
+CSV_HEADER = ",".join({"lam": "lambda"}.get(f.name, f.name) for f in fields(ExperimentRecord))
 
 
 def load_records(path) -> list:
@@ -297,8 +307,8 @@ class _Unit:
     def rows(self) -> list:
         """The unit's records before scoring, one per tau."""
         return [
-            ExperimentRecord(self.cfg.d, self.kappa, self.lam, self.regime,
-                             self.n, self.seed, tau)
+            ExperimentRecord(self.cfg.d, self.kappa, float(self.lam), self.regime,
+                             self.n, self.seed, float(tau))
             for tau in self.taus
         ]
 
@@ -511,9 +521,3 @@ def summarize_sample_complexity(records, window) -> dict:
         "slopeCells": int(len(xs)),
         "olsSlope": slope,
     }
-
-
-def write_summary_json(path, summary: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .exceptions import NoAdmissiblePermutationError, finite, finite_array, integer
+from .exceptions import NoAdmissiblePermutationError, finite, integer, square_matrix
 from .graphs import Condensation, DirectedGraph, Partition, condense, support_graph
 from .ica import IcaOptions, fastica
 from .scm import spectral_radius
@@ -86,13 +86,6 @@ def check_scan_knobs(enum_floor, enum_cap) -> tuple:
     return enum_floor, integer(enum_cap, "enum_cap", 1)
 
 
-def _as_square(w) -> np.ndarray:
-    m = finite_array(w, "demixing matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square demixing matrix")
-    return m
-
-
 def hungarian_admissible(w, eta: float = DEFAULT_ETA) -> tuple:
     """Permutation maximizing sum_i log|(PW)_ii| over admissible assignments.
 
@@ -106,7 +99,7 @@ def hungarian_admissible(w, eta: float = DEFAULT_ETA) -> tuple:
     ``+inf`` costs).
     """
     check_eta(eta)
-    mags = np.abs(_as_square(w).T)  # cost[i, r] scores row r at slot i
+    mags = np.abs(square_matrix(w, "demixing matrix").T)  # cost[i, r] scores row r at slot i
     cost = -np.log(mags, out=np.full(mags.shape, -np.inf), where=mags > eta)
     try:
         _, rows = linear_sum_assignment(cost)
@@ -154,7 +147,7 @@ def enumerate_admissible(w, eta: float = DEFAULT_ETA) -> list:
     Guarded at d <= 12: the admissible count is a permanent and can reach d!.
     """
     check_eta(eta)
-    m = _as_square(w)
+    m = square_matrix(w, "demixing matrix")
     if m.shape[0] > ENUMERATION_MAX_D:
         raise ValueError(
             f"enumeration is guarded at d <= {ENUMERATION_MAX_D}, got d={m.shape[0]}"
@@ -252,7 +245,7 @@ def _certified_above(b: np.ndarray, thr: float) -> np.ndarray:
 
 def b_from_w(w, perm) -> CandidateAdjacency:
     """Candidate adjacency ``I - diag(PW)^{-1} PW`` with exact-zero diagonal."""
-    m = _as_square(w)
+    m = square_matrix(w, "demixing matrix")
     perm = tuple(integer(p, "perm entry") for p in perm)
     if sorted(perm) != list(range(m.shape[0])):
         raise ValueError("perm must be a permutation of 0..d-1")

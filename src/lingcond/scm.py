@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .exceptions import SingularModelError, finite, finite_array, integer
+from .exceptions import SingularModelError, finite, finite_array, integer, square_matrix
 from .graphs import DirectedGraph, support_graph, tarjan_scc
 
 NOISE_FAMILIES = ("laplace", "exponential-centered")
@@ -59,9 +59,7 @@ class WeightedAdjacency:
     """Dense weighted adjacency with zero diagonal and invertible I - B."""
 
     def __init__(self, matrix):
-        m = finite_array(matrix, "adjacency").copy()  # frozen below, so never the caller's array
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("adjacency must be a square matrix")
+        m = square_matrix(matrix, "adjacency").copy()  # frozen below, so never the caller's array
         if np.any(np.diag(m) != 0):
             raise ValueError("adjacency diagonal must be exactly zero")
         if abs(np.linalg.det(np.eye(m.shape[0]) - m)) < DET_TOLERANCE:
@@ -90,9 +88,7 @@ class WeightedAdjacency:
 
 def spectral_radius(b) -> float:
     """Largest eigenvalue modulus of a weighted adjacency (or raw matrix)."""
-    m = finite_array(getattr(b, "matrix", b), "spectral_radius input")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("spectral_radius expects a square matrix")
+    m = square_matrix(getattr(b, "matrix", b), "spectral_radius input")
     if not m.any():
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(m))))

@@ -333,14 +333,23 @@ def test_criterion_09_metric_and_assignment_oracles():
 
 
 def test_criterion_10_runtime_scaling(tmp_path):
-    # single-threaded d=10 fit, measured in a BLAS-capped subprocess
+    # every fit runs in one BLAS-capped subprocess, so the d = 10 time and the
+    # slope both measure single-threaded fits; the median of three fits per d
+    # keeps one slow fit from tilting the slope
     script = (
         "import json\n"
+        "import numpy as np\n"
         "from lingcond import generate_scm, sample, recover_condensation, IcaOptions\n"
         "scm = generate_scm(10, 4, 0.5, seed=1)\n"
         "x = sample(scm, 10000, seed=2)\n"
         "res = recover_condensation(x, tau=0.1, ica_opts=IcaOptions(seed=3))\n"
-        "print(json.dumps(res.timings_ms))\n"
+        "times = {}\n"
+        "for d in (20, 50, 100):\n"
+        "    x = sample(generate_scm(d, d // 10, 0.5, seed=1), 10000, seed=2)\n"
+        "    times[d] = float(np.median([recover_condensation(\n"
+        "        x, tau=0.1, ica_opts=IcaOptions(seed=3), mode='hungarian'\n"
+        "    ).timings_ms['total_ms'] for _ in range(3)]))\n"
+        "print(json.dumps([res.timings_ms['total_ms'], times]))\n"
     )
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -352,20 +361,8 @@ def test_criterion_10_runtime_scaling(tmp_path):
     assert proc.returncode == 0, proc.stderr
     import json as _json
 
-    single_threaded_ms = _json.loads(proc.stdout)["total_ms"]
-
-    # the median of three fits per d, so that a drift in host speed during
-    # the run does not tilt the slope
-    times = {}
-    for d in (20, 50, 100):
-        scm = generate_scm(d, d // 10, 0.5, seed=1)
-        x = sample(scm, 10000, seed=2)
-        times[d] = float(np.median([
-            recover_condensation(
-                x, tau=0.1, ica_opts=IcaOptions(seed=3), mode="hungarian"
-            ).timings_ms["total_ms"]
-            for _ in range(3)
-        ]))
+    single_threaded_ms, times = _json.loads(proc.stdout)
+    times = {int(d): ms for d, ms in times.items()}
     xs = np.log(list(times))
     ys = np.log(list(times.values()))
     xc = xs - xs.mean()

@@ -1,11 +1,12 @@
 import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lingcond.exceptions import finite, finite_array, integer
+from lingcond.exceptions import finite, finite_array, integer, square_matrix
 from lingcond.graphs import support_graph
 from lingcond.harness import ols_slope
 from lingcond.ica import center_whiten
@@ -80,6 +81,23 @@ class TestFiniteArray:
         assert np.array_equal(finite_array([0.5, True], "z"), [0.5, 1.0])
 
 
+class TestSquareMatrix:
+    def test_square_matrix_passes_as_float64(self):
+        x = np.eye(3)
+        assert square_matrix(x, "m") is x
+        assert square_matrix([[1, 2], [3, 4]], "m").dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2), ()])
+    def test_other_shapes_rejected_with_their_shape(self, shape):
+        message = f"m must be a square matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            square_matrix(np.ones(shape), "m")
+
+    def test_the_array_rule_comes_first(self):
+        with pytest.raises(ValueError, match="m must be finite"):
+            square_matrix([[math.nan, 0.0]], "m")
+
+
 # a model whose 0/1 support still has an invertible I - B, so a boolean B
 # loaded as numbers (the old behaviour) yields a valid unstable SCM
 _SPEC = generate_scm(6, 2, 0.4, seed=9)
@@ -102,6 +120,17 @@ _ARRAY_ENTRY_POINTS = {
         _SPEC, range(6), c, 10)),
     "ols_slope": (np.arange(1.0, 4.0), lambda xs: ols_slope(xs, [1.0, 2.0, 4.0])),
     "save_samples_csv": (_X, lambda x: save_samples_csv(io.StringIO(), x)),
+}
+
+
+# the entry points that take a square matrix, and the name they give it
+_SQUARE_ENTRY_POINTS = {
+    "b_from_w": "demixing matrix",
+    "hungarian_admissible": "demixing matrix",
+    "enumerate_admissible": "demixing matrix",
+    "WeightedAdjacency": "adjacency",
+    "spectral_radius": "spectral_radius input",
+    "support_graph": "support_graph input",
 }
 
 
@@ -143,6 +172,15 @@ class TestArrayEntryPoints:
         corrupt, message = _CORRUPTIONS[corruption]
         with pytest.raises(ValueError, match=message):
             call(corrupt(valid))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (6,), (2, 3, 3)])
+    @pytest.mark.parametrize("entry", _SQUARE_ENTRY_POINTS)
+    def test_non_square_matrix_rejected(self, entry, shape):
+        # the message names the argument, as every array-rule message does
+        name = _SQUARE_ENTRY_POINTS[entry]
+        _, call = _ARRAY_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"{name} must be a square matrix"):
+            call(np.ones(shape))
 
     @pytest.mark.parametrize("to_entry", [str, bool])
     def test_scm_json_b_of_strings_or_booleans_rejected(self, to_entry):

@@ -1,8 +1,10 @@
 import json
+import re
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lingcond import (
     ExperimentRecord,
@@ -91,14 +93,20 @@ class TestSufficientN:
             sufficient_n(*args)
 
 
+GOOD_RECORD = ExperimentRecord(
+    d=10, kappa=4, lam=0.5, regime="stable", n=1000, seed=3, tau=0.1,
+    ari=1.0, cluster_f1=1.0, variable_f1=0.875, hamming=2,
+    exact_recovery=False, pred_clusters=5, fit_ms=123.456, ica_iters=17,
+)
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ERROR_TAG = st.text(st.characters(min_codepoint=33, max_codepoint=126, blacklist_characters=","),
+                     min_size=1)
+
+
 class TestRecords:
     def test_csv_round_trip(self):
-        rec = ExperimentRecord(
-            d=10, kappa=4, lam=0.5, regime="stable", n=1000, seed=3, tau=0.1,
-            ari=1.0, cluster_f1=1.0, variable_f1=0.875, hamming=2,
-            exact_recovery=False, pred_clusters=5, fit_ms=123.456, ica_iters=17,
-        )
-        assert ExperimentRecord.from_csv_row(rec.to_csv_row()) == rec
+        assert ExperimentRecord.from_csv_row(GOOD_RECORD.to_csv_row()) == GOOD_RECORD
 
     def test_error_record_round_trip(self):
         rec = ExperimentRecord(
@@ -112,6 +120,35 @@ class TestRecords:
     def test_malformed_row_rejected(self):
         with pytest.raises(ValueError):
             ExperimentRecord.from_csv_row("1,2,3")
+
+    @pytest.mark.parametrize("column, cell", [
+        ("exact_recovery", "yes"), ("exact_recovery", "2"), ("hamming", "1_0"),
+        ("hamming", "2.0"), ("n", "+500"), ("ari", "nan"), ("fit_ms", "inf"),
+        ("lambda", "-inf"), ("tau", "np.float64(0.1)"), ("seed", ""), ("regime", ""),
+    ])
+    def test_cell_the_writer_never_writes_rejected(self, column, cell):
+        # before, yes loaded as False, 1_0 as 10 and nan or inf as floats
+        cells = GOOD_RECORD.to_csv_row().split(",")
+        cells[CSV_HEADER.split(",").index(column)] = cell
+        with pytest.raises(ValueError, match=re.escape(f"results cell {cell!r}")):
+            ExperimentRecord.from_csv_row(",".join(cells))
+
+    @given(st.builds(
+        ExperimentRecord,
+        d=st.integers(1, 10**6), kappa=st.integers(1, 10**3), lam=_FINITE,
+        regime=st.sampled_from(["stable", "unstable"]), n=st.integers(1, 10**9),
+        seed=st.integers(0, 2**63), tau=_FINITE,
+    ).flatmap(lambda rec: st.one_of(
+        st.builds(replace, st.just(rec), error=_ERROR_TAG),
+        st.builds(
+            replace, st.just(rec), ari=_FINITE, cluster_f1=_FINITE, variable_f1=_FINITE,
+            hamming=st.integers(0, 10**4), exact_recovery=st.booleans(),
+            pred_clusters=st.integers(1, 10**4), fit_ms=_FINITE,
+            ica_iters=st.integers(0, 10**4),
+        ),
+    )))
+    def test_every_written_row_reads_back_equal(self, rec):
+        assert ExperimentRecord.from_csv_row(rec.to_csv_row()) == rec
 
     def test_write_orders_by_key(self, tmp_path):
         recs = [
@@ -303,6 +340,29 @@ class TestRunGrid:
         b = [r for r in records if r.seed == 1][0]
         assert (a.ari, a.cluster_f1, a.hamming) == (b.ari, b.cluster_f1, b.hamming)
 
+    def test_integer_valued_config_resumes_byte_for_byte(self, tmp_path):
+        # before, the first run wrote tau 0 and lambda 1, the resume 0.0 and 1.0
+        cfg = replace(tiny_grid_cfg(), lambdas=(1,), tau=0)
+        out = tmp_path / "grid.csv"
+        records = run_grid(cfg, out_path=out)
+        first_bytes = out.read_bytes()
+        assert run_grid(cfg, out_path=out) == records
+        assert out.read_bytes() == first_bytes
+
+    def test_corrupt_row_stops_the_resume_and_keeps_the_file(self, tmp_path):
+        cfg = tiny_grid_cfg()
+        out = tmp_path / "grid.csv"
+        run_grid(cfg, out_path=out)
+        lines = out.read_text().splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[CSV_HEADER.split(",").index("exact_recovery")] = "yes"
+        lines[1] = ",".join(cells)
+        out.write_text("".join(lines))
+        corrupt = out.read_bytes()
+        with pytest.raises(ValueError, match="results cell 'yes'"):
+            run_grid(cfg, out_path=out)
+        assert out.read_bytes() == corrupt
+
     def test_metrics_deterministic_across_fresh_runs(self, tmp_path):
         cfg = tiny_grid_cfg()
         r1 = run_grid(cfg, out_path=tmp_path / "a.csv")
@@ -380,6 +440,20 @@ class TestThresholdSweep:
             # one shared pipeline per (n, seed): identical fit time and iterations
             assert len({r.fit_ms for r in recs}) == 1
             assert len({r.ica_iters for r in recs}) == 1
+
+    def test_numpy_float_config_writes_a_readable_csv(self, tmp_path):
+        # before, the cells read np.float64(...) and load_records raised
+        cfg = ThresholdSweepConfig(
+            d=6, kappa=2, lam=np.float64(0.4), taus=tuple(np.logspace(-2, 0, 3)),
+            sample_sizes=(300,), seeds=(0,), mode="hungarian", ica=IcaOptions(restarts=1),
+        )
+        out = tmp_path / "sweep.csv"
+        records = run_threshold_sweep(cfg, out_path=out)
+        first_bytes = out.read_bytes()
+        assert b"np." not in first_bytes
+        assert load_records(out) == records
+        assert run_threshold_sweep(cfg, out_path=out) == records
+        assert out.read_bytes() == first_bytes
 
     def test_monotone_support_across_taus(self, tmp_path):
         cfg = ThresholdSweepConfig(

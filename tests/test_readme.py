@@ -1,7 +1,9 @@
-"""The README's library quick start runs as written against the package."""
+"""The README's library quick start runs as written, and its results schema is the CSV header."""
 
 import re
 from pathlib import Path
+
+from lingcond.harness import CSV_HEADER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +17,9 @@ def quick_start_source() -> str:
 def test_quick_start_runs(capsys):
     exec(compile(quick_start_source(), str(README), "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_results_schema_is_the_csv_header():
+    section = README.read_text().split("### Results schema", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    assert "".join(block.split()) == CSV_HEADER
