@@ -10,9 +10,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .exceptions import NumericalError
+from .exceptions import NUMERICAL_FAILURES
 from .graphs import DirectedGraph
 from .harness import (
     GridConfig,
@@ -178,7 +176,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     # first: LinAlgError subclasses ValueError, which would otherwise claim it
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError) as exc:  # json.JSONDecodeError is a ValueError

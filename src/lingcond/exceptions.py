@@ -33,6 +33,11 @@ class NoAdmissiblePermutationError(NumericalError):
     """Every row permutation leaves a below-tolerance diagonal entry."""
 
 
+# what a fit raises when its numerics fail, not its caller (exit 2 in the CLI,
+# an error row in a study); LinAlgError subclasses ValueError, so catch these first
+NUMERICAL_FAILURES = (NumericalError, np.linalg.LinAlgError)
+
+
 def integer(value, name: str, low: int | None = None) -> int:
     """``value`` as a Python ``int``; ValueError unless it is an integer ``>= low``.
 

@@ -141,53 +141,40 @@ def tarjan_scc(g: DirectedGraph) -> Partition:
     """Strongly connected components via Tarjan's algorithm (iterative).
 
     Returns the canonical SCC partition: nodes share a label iff they are
-    mutually reachable. Linear in d + |edges|.
+    mutually reachable. Linear in d + |edges|. A visited node whose ``comp``
+    is still -1 is on Tarjan's stack: nodes leave it when their SCC is labelled.
     """
     adj = g.successors()
-    d = g.d
-    index = [-1] * d
-    low = [0] * d
-    on_stack = [False] * d
+    index = [-1] * g.d
+    low = [0] * g.d
+    comp = [-1] * g.d
     stack = []
-    comp = [-1] * d
-    counter = 0
-    n_comp = 0
-
-    for root in range(d):
+    counter = n_comp = 0
+    for root in range(g.d):
         if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        work = [(root, iter(adj[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
         while work:
-            v, i = work[-1]
-            if i < len(adj[v]):
-                work[-1] = (v, i + 1)
-                w = adj[v][i]
+            v, children = work[-1]
+            for w in children:
                 if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
+                    work.append((w, iter(adj[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
                 if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = n_comp
-                        if w == v:
-                            break
+                    while comp[v] < 0:  # pop v's SCC, v itself last
+                        comp[stack.pop()] = n_comp
                     n_comp += 1
     return Partition.from_labels(comp)
 

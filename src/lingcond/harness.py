@@ -25,7 +25,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from . import rng as rng_mod
-from .exceptions import NumericalError, finite, finite_array, integer
+from .exceptions import NUMERICAL_FAILURES, finite, finite_array, integer
 from .ica import IcaOptions
 from .metrics import evaluate
 from .recover import (
@@ -78,6 +78,9 @@ class _StudyConfig:
         _require(min(sizes) > self.d, f"every sample size must exceed d={self.d}")
         seeds = [integer(seed, "seed", 0) for seed in self.seeds]
         _require(bool(seeds), "seeds must be nonempty")
+        _require(self.ica.seed == IcaOptions.seed,
+                 "ica.seed must be left out: a study derives each unit's ICA seed "
+                 "from its record seed, cell and sample size")
         check_eta(self.eta)
 
     def _cells(self) -> list:  # the study's (kappa, lambda, regime) cells
@@ -233,7 +236,9 @@ def _parse_cell(f, text: str):
     """Field ``f`` read from a cell by the rule ``to_csv_row`` writes it with; else ValueError.
 
     Integers only as ``str(int)``, booleans only as 0 or 1, floats only if
-    finite; an empty cell only where ``f`` has a default (metrics, ``error``).
+    finite and written as ``str(float)`` (or as ``str(int)`` for an integral
+    value, which files written from an int ``tau`` or ``lambda`` hold); an
+    empty cell only where ``f`` has a default (metrics, ``error``).
     """
     kind = f.type.removesuffix(" | None")  # annotations are strings (the __future__ import)
     try:
@@ -241,7 +246,8 @@ def _parse_cell(f, text: str):
             return f.default
         if kind == "int" and str(value := int(text)) == text:
             return value
-        if kind == "float" and math.isfinite(value := float(text)):
+        if kind == "float" and math.isfinite(value := float(text)) and (
+                text == str(value) or value.is_integer() and text == str(int(value))):
             return value
         if kind == "bool" and text in ("0", "1"):
             return text == "1"
@@ -327,7 +333,7 @@ def _run_unit(unit: _Unit) -> list:
         )
         x = sample(scm, unit.n, seed=unit.sample_seed)
         fitted = recover_condensation(x, tau=0.0, ica_opts=unit.ica, **cfg._fit())
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except NUMERICAL_FAILURES as exc:
         return [replace(row, error=type(exc).__name__) for row in rows]
     truth = scm.b.support()
     records = []

@@ -156,14 +156,11 @@ def _fixed_point(z: np.ndarray, w: np.ndarray, opts: IcaOptions) -> tuple:
     iterations = np.full(r, opts.max_iterations)
     converged = np.zeros(r, dtype=bool)
     active = np.arange(r)
-    buf = np.empty(n * r * d)
     for it in range(1, opts.max_iterations + 1):
         a = active.size
         w_act = w[active]
         w_rows = w_act.reshape(a * d, d)
-        # contiguous (n, a*d) view of the front of the buffer, restart-major columns
-        s = buf[: n * a * d].reshape(n, a * d)
-        np.matmul(z, w_rows.T, out=s)
+        s = z @ w_rows.T  # restart-major columns
         if opts.nonlinearity == "logcosh":
             g = np.tanh(s, out=s)
             g_prime_mean = 1.0 - np.einsum("ij,ij->j", g, g) / n

@@ -27,12 +27,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .exceptions import NoAdmissiblePermutationError, finite, integer, square_matrix
 from .graphs import Condensation, DirectedGraph, Partition, condense, support_graph
 from .ica import IcaOptions, fastica
-from .scm import spectral_radius
+from .scm import _radii, spectral_radius
 
 MODES = ("hungarian", "enumerate-first-stable")
 
@@ -98,6 +97,9 @@ def hungarian_admissible(w, eta: float = DEFAULT_ETA) -> tuple:
     (the only ``ValueError`` it raises for a square matrix of finite or
     ``+inf`` costs).
     """
+    # not at module level: scipy.optimize would be most of the package's import time
+    from scipy.optimize import linear_sum_assignment
+
     check_eta(eta)
     mags = np.abs(square_matrix(w, "demixing matrix").T)  # cost[i, r] scores row r at slot i
     cost = -np.log(mags, out=np.full(mags.shape, -np.inf), where=mags > eta)
@@ -167,12 +169,6 @@ def _build_stack(m: np.ndarray, perms: np.ndarray) -> np.ndarray:
     b[:, diag, diag] = 0.0
     b.setflags(write=False)
     return b
-
-
-def _radii(b: np.ndarray) -> np.ndarray:
-    """Spectral radius of each matrix of a stack."""
-    # batched eigvals runs the LAPACK routine of spectral_radius on each matrix
-    return np.max(np.abs(np.linalg.eigvals(b)), axis=1)
 
 
 def _gamma(m: int) -> float:

@@ -86,12 +86,15 @@ class WeightedAdjacency:
         return f"WeightedAdjacency(d={self.d}, edges={len(self.support().edges)})"
 
 
+def _radii(b: np.ndarray) -> np.ndarray:
+    """Spectral radius of each matrix of a nonempty ``(k, d, d)`` stack, ``d >= 1``."""
+    return np.max(np.abs(np.linalg.eigvals(b)), axis=1)
+
+
 def spectral_radius(b) -> float:
     """Largest eigenvalue modulus of a weighted adjacency (or raw matrix)."""
     m = square_matrix(getattr(b, "matrix", b), "spectral_radius input")
-    if not m.any():
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    return float(_radii(m[None])[0]) if m.any() else 0.0
 
 
 @dataclass(frozen=True)

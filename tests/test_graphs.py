@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lingcond import (
     Condensation,
@@ -96,6 +97,19 @@ class TestTarjan:
             d = int(rng.integers(2, 8))
             g = random_graph(d, float(rng.uniform(0.05, 0.6)), rng)
             assert tarjan_scc(g) == reachability_partition(g)
+
+    @given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_matches_reachability_oracle_at_every_density(self, d, p, seed):
+        g = random_graph(d, p, np.random.default_rng(seed))
+        assert tarjan_scc(g) == reachability_partition(g)
+
+    def test_long_cycle_and_path_need_no_recursion(self):
+        # a DFS that recursed would pass the interpreter's limit (1000) here
+        d = 20000
+        cycle = DirectedGraph(d, {(i, (i + 1) % d) for i in range(d)})
+        assert tarjan_scc(cycle) == Partition((0,) * d)
+        path = DirectedGraph(d, {(i, i + 1) for i in range(d - 1)})
+        assert tarjan_scc(path) == Partition(tuple(range(d)))
 
 
 class TestQuotient:

@@ -125,9 +125,12 @@ class TestRecords:
         ("exact_recovery", "yes"), ("exact_recovery", "2"), ("hamming", "1_0"),
         ("hamming", "2.0"), ("n", "+500"), ("ari", "nan"), ("fit_ms", "inf"),
         ("lambda", "-inf"), ("tau", "np.float64(0.1)"), ("seed", ""), ("regime", ""),
+        ("lambda", "0_5"), ("tau", " 0.5"), ("tau", "0.5 "), ("lambda", "+0.5"),
+        ("fit_ms", "1E-05"),
     ])
     def test_cell_the_writer_never_writes_rejected(self, column, cell):
-        # before, yes loaded as False, 1_0 as 10 and nan or inf as floats
+        # before, yes loaded as False, 1_0 and 0_5 as 10 and 5.0, nan or inf as
+        # floats, and a float cell in any other text float() reads as that float
         cells = GOOD_RECORD.to_csv_row().split(",")
         cells[CSV_HEADER.split(",").index(column)] = cell
         with pytest.raises(ValueError, match=re.escape(f"results cell {cell!r}")):
@@ -277,8 +280,17 @@ class TestConfigs:
             ThresholdSweepConfig(taus=(0.1, float("nan")))
 
     def test_ica_sub_config(self):
-        cfg = GridConfig.from_json_dict({"ica": {"restarts": 1, "seed": 4}})
+        cfg = GridConfig.from_json_dict({"ica": {"restarts": 1}})
         assert cfg.ica.restarts == 1
+
+    @pytest.mark.parametrize("cls", [GridConfig, ThresholdSweepConfig, SampleComplexityConfig])
+    def test_ica_seed_refused(self, cls):
+        # each unit's ICA seed is derived from its record seed, so before, any
+        # ica.seed wrote the records of seed 0
+        with pytest.raises(ValueError, match="ica.seed"):
+            cls(ica=IcaOptions(seed=12345))
+        with pytest.raises(ValueError, match="ica.seed"):
+            cls.from_json_dict({"ica": {"seed": 1}})
 
     def test_complexity_default_grid_is_log_spaced(self):
         cfg = SampleComplexityConfig()
@@ -291,7 +303,7 @@ class TestConfigs:
     @pytest.mark.parametrize("cfg", [
         GridConfig(d=6, kappas=(2,), lambdas=(0.4, 0.6), regimes=("stable",), seeds=(3, 5),
                    sample_sizes=(200, 500), tau=0.2, eta=2e-3, mode="hungarian", enum_cap=7,
-                   ica=IcaOptions(restarts=2, seed=4), noise_family="exponential-centered"),
+                   ica=IcaOptions(restarts=2), noise_family="exponential-centered"),
         ThresholdSweepConfig(d=6, kappa=2, lam=0.4, taus=(0.05, 0.3), sample_sizes=(300,),
                              weight_low=0.6, enum_floor=0.1),
         SampleComplexityConfig(d=6, kappa=2, lam=0.4, scm_seed=3, seeds=(0, 2),
@@ -410,19 +422,21 @@ class TestStudyUnit:
 
     @pytest.mark.parametrize("name", list(RUNNERS))
     def test_failed_fit_gives_one_error_row_per_tau(self, name, monkeypatch):
-        def fail(*args, **kwargs):
-            raise NumericalError("forced failure")
+        # a raw LinAlgError is a numerical failure too, not a caller's ValueError
+        for error in (NumericalError, np.linalg.LinAlgError):
+            def fail(*args, **kwargs):
+                raise error("forced failure")
 
-        monkeypatch.setattr(harness, "recover_condensation", fail)
-        run, make_cfg = RUNNERS[name]
-        cfg = make_cfg()
-        records = run(cfg)
-        taus_per_unit = len(cfg.taus) if name == "sweep" else 1
-        assert len(records) == len(cfg.sample_sizes) * len(cfg.seeds) * taus_per_unit
-        assert len({r.key() for r in records}) == len(records)
-        for rec in records:
-            assert rec.error == "NumericalError"
-            assert rec.ari is None and rec.fit_ms is None and rec.hamming is None
+            monkeypatch.setattr(harness, "recover_condensation", fail)
+            run, make_cfg = RUNNERS[name]
+            cfg = make_cfg()
+            records = run(cfg)
+            taus_per_unit = len(cfg.taus) if name == "sweep" else 1
+            assert len(records) == len(cfg.sample_sizes) * len(cfg.seeds) * taus_per_unit
+            assert len({r.key() for r in records}) == len(records)
+            for rec in records:
+                assert rec.error == error.__name__
+                assert rec.ari is None and rec.fit_ms is None and rec.hamming is None
 
 
 class TestThresholdSweep:

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from lingcond import (
     spectral_radius,
     threshold,
 )
+import lingcond
 from lingcond import recover
 from conftest import best_assignment_brute
 
@@ -93,6 +97,25 @@ class TestHungarianAdmissible:
             w[0, 1] = bad
             with pytest.raises(ValueError, match="finite"):
                 hungarian_admissible(w)
+
+    def test_scipy_imported_only_by_a_hungarian_fit(self):
+        # scipy.optimize is most of the import time, and first-stable fits never use it
+        script = (
+            "import sys\n"
+            "import lingcond\n"
+            "x = lingcond.sample(lingcond.generate_scm(4, 1, 0.5, seed=0), 500, seed=1)\n"
+            "lingcond.recover_condensation(x, mode='enumerate-first-stable')\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "lingcond.recover_condensation(x, mode='hungarian')\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(lingcond.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
 
 class TestEnumerateAdmissible:
