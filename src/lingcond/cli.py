@@ -7,6 +7,7 @@ sample-complexity. Exit codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -60,6 +61,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # about 2 ms to build; every call parses into a fresh namespace
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lingcond", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from lingcond import harness
-from lingcond.cli import _build_parser, main
+from lingcond.cli import _UsageError, _build_parser, main
 from lingcond.ica import IcaOptions
 from lingcond.recover import (
     DEFAULT_ENUM_CAP, DEFAULT_ENUM_FLOOR, DEFAULT_ETA, DEFAULT_TAU, recover_condensation,
 )
 from lingcond.scm import (
-    DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, NOISE_FAMILIES, REGIME_TARGETS, load_samples_csv,
-    load_scm_json,
+    DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, NOISE_FAMILIES, REGIME_TARGETS, generate_scm,
+    load_samples_csv, load_scm_json,
 )
 
 
@@ -87,6 +87,54 @@ class TestGenerateSampleFit:
         choices = {action.dest: action.choices for action in gen._actions}
         assert tuple(choices["regime"]) == tuple(REGIME_TARGETS)
         assert tuple(choices["noise"]) == NOISE_FAMILIES
+
+
+class TestParserBuiltOnce:
+    """``main`` reuses one parser per process; each call must act as in a fresh process."""
+
+    ARGVS = (
+        ["fit", "--data", "x.csv", "--tau", "0.3", "--seed", "5", "--mode",
+         "enumerate-first-stable", "--max-iter", "7"],
+        ["fit", "--data", "x.csv"],
+        ["generate", "--d", "6", "--kappa", "2", "--lambda", "0.4", "--seed", "9",
+         "--regime", "unstable", "--out", "scm.json"],
+        ["generate", "--d", "6", "--kappa", "2", "--lambda", "0.4", "--out", "scm.json"],
+        ["sample", "--scm", "scm.json", "--n", "10", "--out", "x.csv"],
+    )
+
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_parses_like_a_fresh_parser(self):
+        with pytest.raises(_UsageError):
+            _build_parser().parse_args(["fit", "--data", "x.csv", "--tau", "x"])
+        for argv in self.ARGVS:
+            assert vars(_build_parser().parse_args(argv)) == vars(
+                _build_parser.__wrapped__().parse_args(argv)
+            )
+
+    def test_usage_error_then_valid_fit(self, workspace, capsys):
+        scm_path, data_path = workspace / "scm.json", workspace / "data.csv"
+        run("generate", "--d", 6, "--kappa", 2, "--lambda", 0.4, "--out", scm_path)
+        run("sample", "--scm", scm_path, "--n", 2000, "--out", data_path)
+        assert run("fit", "--data", data_path, "--tau", "x", "--seed", 4) == 1
+        assert run("fit", "--data", data_path, "--no-such-flag") == 1
+        assert run("fit", "--data", data_path) == 0
+        got = json.loads(capsys.readouterr().out)
+        want = recover_condensation(load_samples_csv(data_path)).to_json_dict()
+        for payload in (got, want):
+            del payload["timings"]
+        assert got == json.loads(json.dumps(want))
+
+    def test_fit_then_generate_keeps_the_defaults(self, workspace):
+        scm_path, data_path = workspace / "scm.json", workspace / "data.csv"
+        run("generate", "--d", 6, "--kappa", 2, "--lambda", 0.4, "--seed", 7,
+            "--regime", "unstable", "--noise", NOISE_FAMILIES[-1], "--out", scm_path)
+        run("sample", "--scm", scm_path, "--n", 2000, "--out", data_path)
+        assert run("fit", "--data", data_path, "--seed", 5, "--tau", 0.3,
+                   "--out", workspace / "fit.json") == 0
+        assert run("generate", "--d", 6, "--kappa", 2, "--lambda", 0.4, "--out", scm_path) == 0
+        assert load_scm_json(scm_path).to_json_dict() == generate_scm(6, 2, 0.4).to_json_dict()
 
 
 class TestLatticeCommand:
