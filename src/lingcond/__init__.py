@@ -24,7 +24,6 @@ from .graphs import (
     reverse_cycle,
     support_graph,
     tarjan_scc,
-    transitive_closure,
 )
 from .harness import (
     ExperimentRecord,
@@ -34,14 +33,12 @@ from .harness import (
     run_grid,
     run_sample_complexity,
     run_threshold_sweep,
-    sufficient_n,
     summarize_grid,
     summarize_sample_complexity,
 )
 from .ica import DemixingEstimate, IcaOptions, center_whiten, fastica
 from .lattice import (
     LatticeReport,
-    bell_number,
     enumerate_partitions,
     valid_dag_coarsenings,
     verify_scc_floor,
@@ -93,7 +90,6 @@ __all__ = [
     "WhiteningError",
     "ari",
     "b_from_w",
-    "bell_number",
     "center_whiten",
     "cluster_dag_f1",
     "condense",
@@ -117,13 +113,11 @@ __all__ = [
     "sample",
     "soft_cluster_intervention",
     "spectral_radius",
-    "sufficient_n",
     "summarize_grid",
     "summarize_sample_complexity",
     "support_graph",
     "tarjan_scc",
     "threshold",
-    "transitive_closure",
     "valid_dag_coarsenings",
     "verify_scc_floor",
 ]

@@ -133,9 +133,6 @@ class Condensation:
         if not is_dag(graph):
             raise ValueError("cluster graph of a condensation must be acyclic")
 
-    def cluster_graph(self) -> DirectedGraph:
-        return DirectedGraph(self.partition.num_clusters, self.cluster_edges)
-
 
 def tarjan_scc(g: DirectedGraph) -> Partition:
     """Strongly connected components via Tarjan's algorithm (iterative).
@@ -202,23 +199,6 @@ def condense(g: DirectedGraph) -> Condensation:
     p = tarjan_scc(g)
     q = quotient(g, p)
     return Condensation(p, q.edges)
-
-
-def transitive_closure(g: DirectedGraph) -> DirectedGraph:
-    """Graph with an edge (u, v) iff g has a directed path from u to v.
-
-    Reflexive pairs are excluded: DirectedGraph forbids self-loops, and
-    dropping them does not affect mutual reachability or SCCs.
-    """
-    d = g.d
-    reach = np.zeros((d, d), dtype=bool)
-    for u, v in g.edges:
-        reach[u, v] = True
-    for k in range(d):
-        reach |= np.outer(reach[:, k], reach[k, :])
-    np.fill_diagonal(reach, False)
-    src, dst = np.nonzero(reach)
-    return DirectedGraph(d, frozenset(zip(src.tolist(), dst.tolist())))
 
 
 def reverse_cycle(g: DirectedGraph, cycle: Sequence) -> DirectedGraph:

@@ -210,8 +210,7 @@ class ExperimentRecord:
     error: str = ""
 
     def key(self) -> tuple:
-        return (self.d, self.kappa, rng_mod.quantize(self.lam), self.regime,
-                self.n, self.seed, rng_mod.quantize(self.tau))
+        return (self.d, self.kappa, self.lam, self.regime, self.n, self.seed, self.tau)
 
     def to_csv_row(self) -> str:
         def fmt(x):
@@ -431,15 +430,6 @@ def run_sample_complexity(cfg: SampleComplexityConfig, out_path=None, workers: i
     summary["betaMin"] = scm.beta_min
     summary["scmSeed"] = cfg.scm_seed
     return records, summary
-
-
-def sufficient_n(beta_min: float, delta: float, k1: float, k2: float) -> float:
-    """Sample-size bound (4 / beta_min^2) * sqrt((k1 + k2) / delta)."""
-    if finite(beta_min, "beta_min") <= 0 or finite(k1, "k1") <= 0 or finite(k2, "k2") <= 0:
-        raise ValueError("beta_min, k1 and k2 must be positive")
-    if not 0 < finite(delta, "delta") <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    return (4.0 / beta_min**2) * math.sqrt((k1 + k2) / delta)
 
 
 def _mean_ci(values) -> dict:

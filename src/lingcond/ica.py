@@ -83,6 +83,10 @@ class DemixingEstimate:
     ``w`` acts on raw observations (rows are estimated sources up to
     permutation, sign and scale). ``w_white`` is the orthonormal-row matrix
     in whitened coordinates, kept for the unit-norm invariant.
+    ``converged`` marks a fixed point of whichever step ran last, plain or
+    stabilised: the stabilised step rescales each row before the symmetric
+    decorrelation, so where it stops one more plain step may still move
+    ``w_white``.
     """
 
     w: np.ndarray
@@ -123,12 +127,17 @@ def _whiten(x: np.ndarray) -> tuple:
     return centered @ k.T, k, mean
 
 
-def _symmetric_decorrelate(m: np.ndarray) -> np.ndarray:
-    """``(M M^T)^{-1/2} M`` for each matrix of an ``(a, d, d)`` stack, by one batched eigh."""
+def _symmetric_decorrelate(m: np.ndarray) -> tuple:
+    """``(M M^T)^{-1/2} M`` for the matrices of an ``(a, d, d)`` stack, by one batched eigh.
+
+    Returns those results and the ``(a,)`` mask of the matrices they are for:
+    the ones whose ``M M^T`` is positive definite. The others are left out.
+    """
     vals, vecs = np.linalg.eigh(m @ m.transpose(0, 2, 1))
-    if np.any(vals[:, 0] <= 0):
-        raise WhiteningError("degenerate update in symmetric decorrelation")
-    return (vecs / np.sqrt(vals)[:, None, :]) @ vecs.transpose(0, 2, 1) @ m
+    ok = vals[:, 0] > 0
+    if not ok.all():
+        m, vals, vecs = m[ok], vals[ok], vecs[ok]
+    return (vecs / np.sqrt(vals)[:, None, :]) @ vecs.transpose(0, 2, 1) @ m, ok
 
 
 def _logcosh_mean(s: np.ndarray) -> np.ndarray:
@@ -175,12 +184,16 @@ def _fixed_point(z: np.ndarray, w: np.ndarray, opts: IcaOptions) -> tuple:
     another. The first ``_PLAIN_ITERATIONS`` iterations take the plain
     fixed-point step; every start still active after them takes the
     stabilised step with its own step size ``mu`` (see the module
-    docstring). Returns ``(w, iterations, converged)``, one entry per start.
+    docstring). A start whose update has no positive definite ``M M^T``
+    fails: it leaves the active set with its last decorrelated ``w``.
+    Returns ``(w, iterations, converged, failed)``, one entry per start;
+    raises WhiteningError when every start fails.
     """
     n, d = z.shape
     r = len(w)
     iterations = np.full(r, opts.max_iterations)
     converged = np.zeros(r, dtype=bool)
+    failed = np.zeros(r, dtype=bool)
     active = np.arange(r)
     mu = np.ones(r)
     last_drift = np.full(r, np.inf)
@@ -203,7 +216,10 @@ def _fixed_point(z: np.ndarray, w: np.ndarray, opts: IcaOptions) -> tuple:
             w_new = w_rows - step[:, None] * ((g.T @ z) / n - beta[:, None] * w_rows)
         else:
             w_new = (g.T @ z) / n - g_prime_mean[:, None] * w_rows
-        w_new = _symmetric_decorrelate(w_new.reshape(a, d, d))
+        w_new, ok = _symmetric_decorrelate(w_new.reshape(a, d, d))
+        if not ok.all():
+            failed[active[~ok]] = True
+            active, w_act = active[ok], w_act[ok]
         drift = 1.0 - np.abs(np.einsum("aij,aij->ai", w_new, w_act)).min(axis=1)
         w[active] = w_new
         if it >= _PLAIN_ITERATIONS:  # from the last plain step on, a rise in drift halves mu
@@ -215,9 +231,11 @@ def _fixed_point(z: np.ndarray, w: np.ndarray, opts: IcaOptions) -> tuple:
             iterations[active[done]] = it
             converged[active[done]] = True
             active = active[~done]
-            if not active.size:
-                break
-    return w, iterations, converged
+        if not active.size:
+            break
+    if failed.all():
+        raise WhiteningError("degenerate update in symmetric decorrelation")
+    return w, iterations, converged, failed
 
 
 def fastica(x, opts: IcaOptions = IcaOptions()) -> DemixingEstimate:
@@ -225,12 +243,14 @@ def fastica(x, opts: IcaOptions = IcaOptions()) -> DemixingEstimate:
 
     Runs ``opts.restarts`` fixed-point iterations from random orthonormal
     starts and keeps the one with the largest non-Gaussianity objective,
-    ties going to the earliest restart. Convergence of a run is declared
-    when ``1 - min_i |<w_i_new, w_i_old>|`` drops below the tolerance;
-    otherwise it stops at ``max_iterations`` with ``converged=False``. A run
-    still active after ``_PLAIN_ITERATIONS`` plain fixed-point iterations
-    continues with Hyvarinen's stabilised step (module docstring);
-    ``iterations`` counts both phases.
+    ties going to the earliest restart; a restart whose update degenerates
+    (``_fixed_point``) is not a candidate. WhiteningError is raised when
+    every restart degenerates, or the refinement below does. Convergence of
+    a run is declared when ``1 - min_i |<w_i_new, w_i_old>|`` drops below
+    the tolerance; otherwise it stops at ``max_iterations`` with
+    ``converged=False``. A run still active after ``_PLAIN_ITERATIONS``
+    plain fixed-point iterations continues with Hyvarinen's stabilised step
+    (module docstring); ``iterations`` counts both phases.
 
     Below ``n = 400 d`` rows the restarts run on all rows. From there on
     they run on every ``step``-th row, ``step = n // (200 d)``, whitened on
@@ -252,11 +272,14 @@ def fastica(x, opts: IcaOptions = IcaOptions()) -> DemixingEstimate:
             zs, ks, _ = _whiten(np.asarray(x)[::step])
         except WhiteningError:
             step = 1  # the subsample missed the rows that give some direction its spread
-    w, iterations, converged = _fixed_point(zs, _starts(d, opts), opts)
-    best = int(np.argmax(_objectives(zs @ w.reshape(-1, d).T, opts.restarts, opts.nonlinearity)))
+    w, iterations, converged, failed = _fixed_point(zs, _starts(d, opts), opts)
+    objectives = _objectives(zs @ w.reshape(-1, d).T, opts.restarts, opts.nonlinearity)
+    best = int(np.argmax(np.where(failed, -np.inf, objectives)))
     if step >= 2:
-        start = _symmetric_decorrelate((w[best] @ ks @ np.linalg.inv(k))[None])
-        w, iterations, converged = _fixed_point(z, start, opts)
+        start, ok = _symmetric_decorrelate((w[best] @ ks @ np.linalg.inv(k))[None])
+        if not ok[0]:
+            raise WhiteningError("degenerate refinement start in symmetric decorrelation")
+        w, iterations, converged, _ = _fixed_point(z, start, opts)
         best = 0  # the refined winner is the only run left
     return DemixingEstimate(
         w=w[best] @ k,

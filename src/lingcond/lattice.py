@@ -18,13 +18,6 @@ from .graphs import DirectedGraph, Partition, is_dag, quotient, tarjan_scc
 MAX_NODES = 10  # Bell(10) = 115975
 
 
-def bell_number(d: int) -> int:
-    """Bell number: set partitions of d nodes, the sum of the Stirling row."""
-    if integer(d, "d") < 0:
-        raise ValueError("d must be non-negative")
-    return sum(_stirling_row(d))
-
-
 def _stirling_row(d: int) -> list:
     """[S(d, 0), ..., S(d, d)]: set partitions of d nodes by cluster count.
 

@@ -1,13 +1,14 @@
 """Condensation recovery: admissible permutations, candidates, thresholding.
 
 The pipeline estimates a demixing matrix by FastICA, picks one or more row
-permutations with above-tolerance diagonals, maps each to a candidate
+permutations made of rook slots, entries above a fixed fraction of their
+row's largest magnitude (``_rook_slots``), maps each to a candidate
 adjacency ``B = I - diag(PW)^{-1} PW``, hard-thresholds, and reads the SCC
 partition and inter-cluster edges off the surviving support. Two selection
 modes are offered:
 
 * ``hungarian`` (the default): one permutation from a min-cost assignment
-  in which below-tolerance entries cost ``inf``; scipy reports that no
+  in which entries that are not rook slots cost ``inf``; scipy reports that no
   assignment has finite cost, which is raised as
   ``NoAdmissiblePermutationError``.
 * ``enumerate-first-stable``, for experiments that also score
@@ -37,9 +38,10 @@ MODES = ("hungarian", "enumerate-first-stable")
 
 ENUMERATION_MAX_D = 12
 
-# pipeline defaults: the hard threshold on |b|, the tolerance on |(PW)_ii| and,
-# for enumerate-first-stable, the floor that makes a diagonal entry a rook slot
-# only when it is significant relative to its row, and the cap on the scan
+# pipeline defaults: the hard threshold on |b|; eta, the fraction of row r's
+# largest magnitude that |W[r, i]| must exceed for (r, i) to be a rook slot
+# (``_rook_slots``); enum_floor, which raises that cut to max(eta, enum_floor)
+# in the first-stable scan; and the cap on the candidates that scan builds
 DEFAULT_TAU = 0.1
 DEFAULT_ETA = 1e-3
 DEFAULT_ENUM_FLOOR = 0.1
@@ -72,9 +74,9 @@ def check_tau(tau) -> float:
 
 
 def check_eta(eta) -> float:
-    """``eta`` as a float; ValueError unless it is a finite positive tolerance."""
-    if (eta := finite(eta, "eta")) <= 0:
-        raise ValueError(f"eta must be finite and positive, got {eta}")
+    """``eta`` as a float; ValueError unless ``0 < eta < 1`` (at 1 no slot is admissible)."""
+    if not 0 < (eta := finite(eta, "eta")) < 1:
+        raise ValueError(f"eta must be finite and in (0, 1), got {eta}")
     return eta
 
 
@@ -85,15 +87,28 @@ def check_scan_knobs(enum_floor, enum_cap) -> tuple:
     return enum_floor, integer(enum_cap, "enum_cap", 1)
 
 
+def _rook_slots(m: np.ndarray, cut: float) -> np.ndarray:
+    """The admissibility rule: ``(r, i)`` is a rook slot iff ``|W[r, i]| > cut max_j |W[r, j]|``.
+
+    ICA leaves the scale of each row of ``W`` free, and ``b_from_w`` cancels
+    it, so a cut relative to the row's largest magnitude makes the admissible
+    permutations, like the candidates, independent of the units of the data.
+    """
+    mags = np.abs(m)
+    return mags > cut * mags.max(axis=1, keepdims=True)
+
+
 def hungarian_admissible(w, eta: float = DEFAULT_ETA) -> tuple:
     """Permutation maximizing sum_i log|(PW)_ii| over admissible assignments.
 
     Solved as a min-cost assignment with cost -log|W[r, i]| for placing row
-    r at slot i; entries with magnitude <= eta cost ``inf``, which scipy's
-    ``linear_sum_assignment`` never assigns. Returns ``perm`` with
+    r at slot i; slots that are not rook slots at ``cut = eta``
+    (``_rook_slots``) cost ``inf``, which scipy's ``linear_sum_assignment``
+    never assigns. Scaling a row shifts all its costs by one constant, so the
+    assignment does not depend on row scale either. Returns ``perm`` with
     ``perm[i]`` the source row for slot i, so ``PW = W[perm, :]``. Raises
-    NoAdmissiblePermutationError when every perfect matching uses a
-    below-tolerance entry, which scipy reports as an infeasible cost matrix
+    NoAdmissiblePermutationError when every perfect matching uses a slot
+    that is not a rook slot, which scipy reports as an infeasible cost matrix
     (the only ``ValueError`` it raises for a square matrix of finite or
     ``+inf`` costs).
     """
@@ -101,13 +116,14 @@ def hungarian_admissible(w, eta: float = DEFAULT_ETA) -> tuple:
     from scipy.optimize import linear_sum_assignment
 
     check_eta(eta)
-    mags = np.abs(square_matrix(w, "demixing matrix").T)  # cost[i, r] scores row r at slot i
-    cost = -np.log(mags, out=np.full(mags.shape, -np.inf), where=mags > eta)
+    m = square_matrix(w, "demixing matrix")
+    mags = np.abs(m.T)  # cost[i, r] scores row r at slot i
+    cost = -np.log(mags, out=np.full(mags.shape, -np.inf), where=_rook_slots(m, eta).T)
     try:
         _, rows = linear_sum_assignment(cost)
     except ValueError as exc:
         raise NoAdmissiblePermutationError(
-            f"no permutation keeps all diagonal magnitudes above eta={eta}"
+            f"no permutation keeps every diagonal magnitude above eta={eta} of its row's largest"
         ) from exc
     return tuple(int(r) for r in rows)
 
@@ -144,8 +160,9 @@ def _admissible_blocks(ok: np.ndarray, size: int):
 
 
 def enumerate_admissible(w, eta: float = DEFAULT_ETA) -> list:
-    """All permutations with every |(PW)_ii| > eta, in lexicographic order.
+    """All permutations made of rook slots at ``cut = eta``, in lexicographic order.
 
+    That is, every ``|(PW)_ii| > eta max_j |(PW)_ij|`` (``_rook_slots``).
     Guarded at d <= 12: the admissible count is a permanent and can reach d!.
     """
     check_eta(eta)
@@ -154,8 +171,10 @@ def enumerate_admissible(w, eta: float = DEFAULT_ETA) -> list:
         raise ValueError(
             f"enumeration is guarded at d <= {ENUMERATION_MAX_D}, got d={m.shape[0]}"
         )
-    ok = np.abs(m) > eta
-    return [tuple(p) for block in _admissible_blocks(ok, _SCAN_BLOCK) for p in block.tolist()]
+    return [
+        tuple(p) for block in _admissible_blocks(_rook_slots(m, eta), _SCAN_BLOCK)
+        for p in block.tolist()
+    ]
 
 
 def _build_stack(m: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -288,9 +307,9 @@ def _scan_candidates(m: np.ndarray, eta: float, floor: float, cap: int):
 
     On finite samples every entry of the estimated demixing matrix is
     nonzero, so admissibility at eta alone would admit all d! permutations.
-    A rook slot (r, i) is therefore only considered when |W[r, i]| is also
-    at least ``floor`` times the largest magnitude in row r; candidates are
-    still built from the unpruned matrix.
+    The rook slots are therefore those of ``_rook_slots`` at
+    ``cut = max(eta, floor)``; candidates are still built from the unpruned
+    matrix.
 
     The first ``cap`` permutations of the lexicographic enumeration
     (``cap >= 1``), read from ``_admissible_blocks``, are taken in blocks of
@@ -315,9 +334,7 @@ def _scan_candidates(m: np.ndarray, eta: float, floor: float, cap: int):
     allowance, a few ``d^2 u ||B||_F^j``, is far wider than the error of
     ``eigvals``.)
     """
-    scale = np.max(np.abs(m), axis=1)
-    ok = np.abs(m) > np.maximum(eta, floor * scale[:, None])
-    blocks = _admissible_blocks(ok, _SCAN_BLOCK)
+    blocks = _admissible_blocks(_rook_slots(m, max(eta, floor)), _SCAN_BLOCK)
     pending = np.empty((0, m.shape[0]), np.intp)
     smallest, seen, size = math.inf, 0, 1
     while seen < cap:

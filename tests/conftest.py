@@ -126,12 +126,15 @@ def random_partition(d, rng):
 
 
 def best_assignment_brute(w, eta):
-    """Brute-force argmax of sum_i log|W[p_i, i]| over admissible permutations."""
+    """Brute-force argmax of sum_i log|W[p_i, i]| over admissible permutations.
+
+    Slot i admits row r when |W[r, i]| > eta * max_j |W[r, j]|.
+    """
     d = w.shape[0]
     best_perm, best_score = None, -math.inf
     for perm in itertools.permutations(range(d)):
         mags = [abs(w[perm[i], i]) for i in range(d)]
-        if any(m <= eta for m in mags):
+        if any(m <= eta * max(abs(v) for v in w[perm[i]]) for i, m in enumerate(mags)):
             continue
         score = sum(math.log(m) for m in mags)
         if score > best_score:

@@ -12,7 +12,6 @@ from lingcond import (
     reverse_cycle,
     support_graph,
     tarjan_scc,
-    transitive_closure,
 )
 from conftest import random_graph, reachability_partition, simple_cycles
 
@@ -165,7 +164,8 @@ class TestCondense:
         rng = np.random.default_rng(5)
         for _ in range(200):
             g = random_graph(int(rng.integers(2, 9)), float(rng.uniform(0.1, 0.7)), rng)
-            assert is_dag(condense(g).cluster_graph())
+            c = condense(g)
+            assert is_dag(DirectedGraph(c.partition.num_clusters, c.cluster_edges))
 
     @pytest.mark.parametrize("edges", [{(0.7, 1.2)}, {(0, 1.0)}, {(False, True)}])
     def test_condensation_non_integral_cluster_ids_rejected(self, edges):
@@ -176,24 +176,6 @@ class TestCondense:
     def test_condensation_validates_acyclicity(self):
         with pytest.raises(ValueError):
             Condensation(Partition((0, 1)), frozenset({(0, 1), (1, 0)}))
-
-
-class TestTransitiveClosure:
-    def test_chain(self):
-        g = DirectedGraph(3, {(0, 1), (1, 2)})
-        assert transitive_closure(g).edges == frozenset({(0, 1), (1, 2), (0, 2)})
-
-    def test_empty(self):
-        assert transitive_closure(DirectedGraph(4)).edges == frozenset()
-
-    def test_preserves_sccs(self, example_graph):
-        assert tarjan_scc(transitive_closure(example_graph)) == tarjan_scc(example_graph)
-
-    def test_preserves_sccs_random(self):
-        rng = np.random.default_rng(23)
-        for _ in range(200):
-            g = random_graph(int(rng.integers(2, 9)), float(rng.uniform(0.05, 0.6)), rng)
-            assert tarjan_scc(transitive_closure(g)) == tarjan_scc(g)
 
 
 class TestReverseCycle:

@@ -15,7 +15,6 @@ from lingcond import (
     run_grid,
     run_sample_complexity,
     run_threshold_sweep,
-    sufficient_n,
     summarize_grid,
     summarize_sample_complexity,
 )
@@ -61,36 +60,6 @@ RUNNERS = {
 
 def without_fit_ms(records):
     return [replace(r, fit_ms=None) for r in records]
-
-
-class TestSufficientN:
-    def test_plug_in(self):
-        assert sufficient_n(1.0, 1.0, 0.5, 0.5) == pytest.approx(4.0)
-
-    def test_beta_min_scaling(self):
-        base = sufficient_n(1.0, 0.5, 1.0, 1.0)
-        assert sufficient_n(0.5, 0.5, 1.0, 1.0) == pytest.approx(4 * base)
-
-    def test_delta_scaling(self):
-        base = sufficient_n(1.0, 0.4, 1.0, 1.0)
-        assert sufficient_n(1.0, 0.1, 1.0, 1.0) == pytest.approx(2 * base)
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            sufficient_n(0.0, 0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            sufficient_n(1.0, 1.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            sufficient_n(1.0, 0.5, -1.0, 1.0)
-
-    @pytest.mark.parametrize("args", [
-        (0.5, 0.1, float("nan"), 1), (float("inf"), 0.1, 1, 1), (0.5, 0.1, 1, float("inf")),
-        (0.5, "0.1", 1, 1), (True, 0.1, 1, 1),
-    ])
-    def test_non_finite_arguments_rejected(self, args):
-        # before, a NaN k1 gave NaN and an infinite beta_min gave 0.0
-        with pytest.raises(ValueError, match="finite"):
-            sufficient_n(*args)
 
 
 GOOD_RECORD = ExperimentRecord(
@@ -164,6 +133,21 @@ class TestRecords:
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert [ExperimentRecord.from_csv_row(l).seed for l in lines[1:]] == [0, 1, 2]
+
+    def test_close_config_values_keep_their_own_rows(self, tmp_path):
+        # before, keys quantized lambda and tau to 1e-6, so these configs gave 1 and 2 rows
+        common = dict(d=6, sample_sizes=(300,), seeds=(0,), mode="hungarian",
+                      ica=IcaOptions(restarts=1))
+        grid = GridConfig(kappas=(2,), lambdas=(0.5, 0.5000001), regimes=("stable",), **common)
+        sweep = ThresholdSweepConfig(kappa=2, lam=0.4, taus=(0.1, 0.1000004, 0.2), **common)
+        for run, cfg, column, values in ((run_grid, grid, "lam", grid.lambdas),
+                                         (run_threshold_sweep, sweep, "tau", sweep.taus)):
+            out = tmp_path / f"{column}.csv"
+            records = run(cfg, out_path=out)
+            assert [getattr(r, column) for r in records] == list(values)
+            first_bytes = out.read_bytes()
+            assert run(cfg, out_path=out) == records
+            assert out.read_bytes() == first_bytes
 
 
 class TestConfigs:

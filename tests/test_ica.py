@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lingcond import rng as rng_mod
+from lingcond import harness, rng as rng_mod
 from lingcond import (
     DemixingEstimate,
     IcaOptions,
@@ -258,7 +258,7 @@ def _full_rows_fastica(x, opts):
     """Reference: every restart iterated on all rows by the lockstep helper."""
     z, k, _ = center_whiten(x)
     d = z.shape[1]
-    w, iterations, converged = _fixed_point(z, _starts(d, opts), opts)
+    w, iterations, converged, _ = _fixed_point(z, _starts(d, opts), opts)
     best = int(np.argmax(_objectives(z @ w.reshape(-1, d).T, opts.restarts, opts.nonlinearity)))
     return DemixingEstimate(w[best] @ k, int(iterations[best]), bool(converged[best]), w[best])
 
@@ -338,8 +338,32 @@ class TestStabilisedTail:
         est = fastica(x, opts)
         assert est.converged and est.iterations < opts.max_iterations
         # every restart, not only the winner, reaches a fixed point within the cap
-        _, iterations, converged = _fixed_point(center_whiten(x)[0], _starts(10, opts), opts)
+        _, iterations, converged, _ = _fixed_point(center_whiten(x)[0], _starts(10, opts), opts)
         assert converged.all() and iterations.max() < opts.max_iterations
+
+
+class TestDegenerateRestart:
+    def test_one_degenerate_restart_leaves_the_others(self):
+        # a grid record (kappa 5, unstable, seed 1900063, n=200) whose restart 1
+        # has an update with a singular M M^T at its first step; it used to
+        # fail the whole fit with WhiteningError
+        cell = harness._cell_keys(10, 5, 0.5, "unstable")
+        scm_seed, sample_seed, ica_seed = harness._cell_sub_seeds(1900063, cell, 200)
+        x = sample(generate_scm(10, 5, 0.5, regime="unstable", seed=scm_seed), 200,
+                   seed=sample_seed)
+        opts = IcaOptions(seed=ica_seed)
+        _, _, converged, failed = _fixed_point(center_whiten(x)[0], _starts(10, opts), opts)
+        assert failed.tolist() == [False, True, False]
+        assert converged.tolist() == [True, False, True]
+        est = fastica(x, opts)
+        assert est.converged and est.iterations < opts.max_iterations
+        assert np.allclose(est.w_white @ est.w_white.T, np.eye(10), atol=1e-6)
+
+    def test_every_restart_degenerate_raises(self):
+        # with the cube nonlinearity, rows of zeros make every update zero
+        opts = IcaOptions(nonlinearity="cube")
+        with pytest.raises(WhiteningError, match="degenerate"):
+            _fixed_point(np.zeros((50, 3)), _starts(3, opts), opts)
 
 
 class TestSubsampleRestarts:

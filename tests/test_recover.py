@@ -65,7 +65,7 @@ class TestHungarianAdmissible:
             assert score == pytest.approx(brute_score, abs=1e-9)
 
     def test_eta_validation(self):
-        for eta in (0, -1e-3, math.nan, math.inf):
+        for eta in (0, -1e-3, 1, 1.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 hungarian_admissible(np.eye(2), eta=eta)
 
@@ -78,8 +78,10 @@ class TestHungarianAdmissible:
             d = int(rng.integers(1, 7))
             w = rng.normal(0, 1, (d, d))
             w[rng.random((d, d)) < rng.uniform(0.2, 0.7)] = 0.0
-            w[rng.random((d, d)) < 0.1] = 1e-3  # at eta, so not admissible
-            ok = np.abs(w) > 1e-3
+            # at eta times the row's largest magnitude (kept), so not admissible
+            top = np.abs(w).max(axis=1, keepdims=True)
+            w = np.where((rng.random((d, d)) < 0.1) & (np.abs(w) < top), 1e-3 * top, w)
+            ok = np.abs(w) > 1e-3 * top
             if not any(all(ok[p[i], i] for i in range(d))
                        for p in itertools.permutations(range(d))):
                 infeasible += 1
@@ -132,7 +134,7 @@ class TestEnumerateAdmissible:
         brute = [
             p
             for p in itertools.permutations(range(5))
-            if all(abs(w[p[i], i]) > 1e-3 for i in range(5))
+            if all(abs(w[p[i], i]) > 1e-3 * np.abs(w[p[i]]).max() for i in range(5))
         ]
         assert perms == brute
 
@@ -371,6 +373,15 @@ class TestRecoverCondensation:
         huge = recover_condensation(x, tau=1.0, ica_opts=IcaOptions(seed=3))
         assert huge.partition.num_clusters == 10
 
+    @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
+    def test_condensation_does_not_depend_on_units(self, mode):
+        # W scales as 1 / c, and the rook-slot cut is relative to each row of W;
+        # before, the absolute cut on |W| admitted no permutation at c = 1e3 and 1e6
+        x = sample(generate_scm(10, 4, 0.5, seed=0), 10000, seed=0)
+        expected = recover_condensation(x, mode=mode).condensation
+        for c in (1e-6, 1e-3, 1e3, 1e6):
+            assert recover_condensation(x * c, mode=mode).condensation == expected
+
     def test_condensation_matches_recomputation(self, example_b):
         spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
         x = sample(spec, 5000, seed=7)
@@ -398,7 +409,7 @@ class TestRecoverCondensation:
     @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
     @pytest.mark.parametrize("knob", [
         {"tau": math.nan}, {"tau": math.inf}, {"tau": -0.1},
-        {"eta": math.nan}, {"eta": math.inf}, {"eta": 0.0},
+        {"eta": math.nan}, {"eta": math.inf}, {"eta": 0.0}, {"eta": 1.0},
         {"enum_cap": 0}, {"enum_cap": -5}, {"enum_cap": 2.5},
         {"enum_floor": math.nan}, {"enum_floor": -0.1}, {"enum_floor": 1.0},
         {"tau": "0.1"}, {"tau": True}, {"eta": True}, {"enum_cap": True},
@@ -440,7 +451,7 @@ def _reference_candidates(w, eta, floor):
     """Brute-force lexicographic enumeration of the significance-pruned rook patterns."""
     d = w.shape[0]
     mags = np.abs(w)
-    ok = mags > np.maximum(eta, floor * mags.max(axis=1)[:, None])
+    ok = mags > max(eta, floor) * mags.max(axis=1)[:, None]
     return (
         p for p in itertools.permutations(range(d))
         if all(ok[p[i], i] for i in range(d))
