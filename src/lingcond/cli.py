@@ -32,12 +32,11 @@ from .scm import (
     DEFAULT_WEIGHT_LOW,
     NOISE_FAMILIES,
     REGIME_TARGETS,
+    ScmSpec,
     generate_scm,
     load_samples_csv,
-    load_scm_json,
     sample,
     save_samples_csv,
-    save_scm_json,
 )
 
 
@@ -132,11 +131,11 @@ def _dispatch(args) -> int:
             args.d, args.kappa, args.lam, args.weight_low, args.weight_high,
             args.regime, seed=args.seed, noise_family=args.noise,
         )
-        save_scm_json(args.out, scm)
+        _emit(scm.to_json_dict(), args.out)
         return 0
 
     if args.command == "sample":
-        scm = load_scm_json(args.scm)
+        scm = ScmSpec.from_json_dict(_load_json(args.scm))
         save_samples_csv(args.out, sample(scm, args.n, seed=args.seed))
         return 0
 

@@ -6,8 +6,9 @@ to caller mistakes, which raise plain ``ValueError``. The CLI maps the two
 families to distinct exit codes. ``integer`` and ``finite`` are the one check
 of every scalar argument taken from a caller, a JSON file or a study config;
 ``finite_array`` is the one check of every array argument (samples, ``W``,
-``B``, ``delta``, ``c``), and ``square_matrix`` adds the one shape check of
-every matrix that must be square (``W``, ``B``).
+``B``, ``delta``, ``c``); ``square_matrix`` adds the one shape check of
+every matrix that must be square (``W``, ``B``), and ``sample_matrix`` that
+of every sample matrix.
 """
 
 import math
@@ -84,3 +85,11 @@ def square_matrix(value, name: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     return m
+
+
+def sample_matrix(value, name: str) -> np.ndarray:
+    """``finite_array(value, name)``; ValueError unless it is 2-D with a row and a column."""
+    if (x := finite_array(value, name)).ndim != 2 or 0 in x.shape:
+        raise ValueError(f"{name}: expected a 2-D sample matrix with a row and a column, "
+                         f"got shape {x.shape}")
+    return x

@@ -1,9 +1,9 @@
 """Experiment harness: grid runs, threshold sweeps, sample-complexity study.
 
 All three studies run one unit of work: a model, one sample of size n and
-one record seed, fitted once with ``recover_condensation`` at tau = 0, then
-thresholded and scored at each of the study's taus (the grid's one
-``cfg.tau``, the sweep's ``cfg.taus``, or beta_min / 2 of the fixed SCM).
+one record seed, fitted once with ``recover_condensation`` at the smallest of
+the study's taus (the grid's one ``cfg.tau``, the sweep's ``cfg.taus``, or
+beta_min / 2 of the fixed SCM), then cut and scored at each of them.
 A unit is pure given its derived sub-seeds, so runs are deterministic,
 resumable (a unit whose rows all exist is skipped) and safely parallelizable.
 Results go to a flat CSV, one column per ``ExperimentRecord`` field, ordered
@@ -26,6 +26,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .exceptions import NUMERICAL_FAILURES, finite, finite_array, integer
+from .graphs import support_graph
 from .ica import IcaOptions
 from .metrics import evaluate
 from .recover import (
@@ -319,10 +320,10 @@ class _Unit:
 
 
 def _run_unit(unit: _Unit) -> list:
-    """Fit at tau = 0, then threshold that candidate at each tau and score it.
+    """Fit once at the smallest tau, then cut the selected candidate at each tau and score it.
 
-    Thresholding at 0 keeps every entry, so each support equals the one a
-    fit at that tau gives. A failed fit yields one error row per tau.
+    A cut depends on the candidate and tau alone, so each support equals the
+    one a fit at that tau gives. A failed fit yields one error row per tau.
     """
     cfg, rows = unit.cfg, unit.rows()
     try:
@@ -331,13 +332,13 @@ def _run_unit(unit: _Unit) -> list:
             unit.regime, seed=unit.scm_seed, noise_family=cfg.noise_family,
         )
         x = sample(scm, unit.n, seed=unit.sample_seed)
-        fitted = recover_condensation(x, tau=0.0, ica_opts=unit.ica, **cfg._fit())
+        fitted = recover_condensation(x, tau=min(unit.taus), ica_opts=unit.ica, **cfg._fit())
     except NUMERICAL_FAILURES as exc:
         return [replace(row, error=type(exc).__name__) for row in rows]
     truth = scm.b.support()
     records = []
     for row in rows:
-        report = evaluate(apply_threshold(fitted.b_hat, row.tau).support(), truth)
+        report = evaluate(support_graph(apply_threshold(fitted.candidate, row.tau)), truth)
         records.append(replace(
             row,
             ari=report.ari,

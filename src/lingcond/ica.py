@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .exceptions import WhiteningError, finite, finite_array, integer
+from .exceptions import WhiteningError, finite, integer, sample_matrix
 
 NONLINEARITIES = ("logcosh", "cube")
 
@@ -103,9 +103,7 @@ def center_whiten(x) -> tuple:
     Raises ValueError on non-numeric or non-finite samples and
     WhiteningError when the covariance is rank deficient.
     """
-    x = finite_array(x, "samples")
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D sample matrix")
+    x = sample_matrix(x, "samples")
     n, d = x.shape
     if n <= d:
         raise ValueError(f"need n > d samples, got n={n}, d={d}")

@@ -32,7 +32,7 @@ import numpy as np
 from .exceptions import NoAdmissiblePermutationError, finite, integer, square_matrix
 from .graphs import Condensation, DirectedGraph, Partition, condense, support_graph
 from .ica import IcaOptions, fastica
-from .scm import _radii, spectral_radius
+from .scm import _radii
 
 MODES = ("hungarian", "enumerate-first-stable")
 
@@ -270,17 +270,12 @@ def b_from_w(w, perm) -> CandidateAdjacency:
     return CandidateAdjacency(b=b[0], permutation=perm, spectral_radius=float(_radii(b)[0]))
 
 
-def threshold(candidate: CandidateAdjacency, tau: float) -> CandidateAdjacency:
-    """Hard-threshold: zero entries with |b_ij| < tau (strict, so ties survive).
-
-    The spectral radius is recomputed from the surviving entries.
-    """
+def threshold(candidate: CandidateAdjacency, tau: float) -> np.ndarray:
+    """The read-only cut of ``candidate.b``: entries with |b_ij| < tau zeroed (ties survive)."""
     check_tau(tau)
     b = np.where(np.abs(candidate.b) < tau, 0.0, candidate.b)
     b.setflags(write=False)
-    return CandidateAdjacency(
-        b=b, permutation=candidate.permutation, spectral_radius=spectral_radius(b)
-    )
+    return b
 
 
 def first_stable_select(candidates) -> CandidateAdjacency:
@@ -359,18 +354,12 @@ def _scan_candidates(m: np.ndarray, eta: float, floor: float, cap: int):
         )
 
 
-def _first_stable_scan(
-    m: np.ndarray, eta: float, floor: float, cap: int
-) -> CandidateAdjacency:
-    """First-stable selection over the pruned stream of ``_scan_candidates``."""
-    return first_stable_select(_scan_candidates(m, eta, floor, cap))
-
-
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Output of the full pipeline: thresholded candidate plus its condensation."""
+    """Output of the full pipeline: the selected candidate, its cut and their condensation."""
 
-    b_hat: CandidateAdjacency
+    candidate: CandidateAdjacency  # uncut: its spectral_radius is the radius the selection judged
+    b_hat: np.ndarray  # threshold(candidate, tau)
     condensation: Condensation
     tau: float
     eta: float
@@ -383,13 +372,13 @@ class RecoveryResult:
         return self.condensation.partition
 
     def support(self) -> DirectedGraph:
-        return self.b_hat.support()
+        return support_graph(self.b_hat)
 
     def to_json_dict(self) -> dict:
         return {
             "partition": list(self.partition.labels),
             "clusterEdges": [list(e) for e in sorted(self.condensation.cluster_edges)],
-            "bHat": [[float(x) for x in row] for row in self.b_hat.b],
+            "bHat": [[float(x) for x in row] for row in self.b_hat],
             "tau": self.tau,
             "eta": self.eta,
             "timings": {k: float(v) for k, v in self.timings_ms.items()},
@@ -427,13 +416,14 @@ def recover_condensation(
         perm = hungarian_admissible(estimate.w, eta)
         candidate = b_from_w(estimate.w, perm)
     else:
-        candidate = _first_stable_scan(estimate.w, eta, enum_floor, enum_cap)
+        candidate = first_stable_select(_scan_candidates(estimate.w, eta, enum_floor, enum_cap))
     b_hat = threshold(candidate, tau)
     t2 = time.perf_counter()
-    condensation = condense(b_hat.support())
+    condensation = condense(support_graph(b_hat))
     t3 = time.perf_counter()
 
     return RecoveryResult(
+        candidate=candidate,
         b_hat=b_hat,
         condensation=condensation,
         tau=tau,

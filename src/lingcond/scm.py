@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .exceptions import SingularModelError, finite, finite_array, integer, square_matrix
+from .exceptions import (
+    SingularModelError, finite, finite_array, integer, sample_matrix, square_matrix,
+)
 from .graphs import DirectedGraph, support_graph, tarjan_scc
 
 NOISE_FAMILIES = ("laplace", "exponential-centered")
@@ -328,11 +330,10 @@ def save_samples_csv(path, x: np.ndarray) -> None:
     """Write samples as CSV with header X1..Xd and full double precision.
 
     Raises ValueError, before opening ``path``, unless ``x`` is a 2-D matrix
-    of finite numbers: ``load_samples_csv`` reads back only such files.
+    of finite numbers with at least one row and one column: ``load_samples_csv``
+    reads back only such files.
     """
-    x = finite_array(x, "samples")
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D sample matrix")
+    x = sample_matrix(x, "samples")
     header = ",".join(f"X{i + 1}" for i in range(x.shape[1]))
     np.savetxt(path, x, fmt="%.17g", delimiter=",", header=header, comments="")
 
@@ -343,7 +344,7 @@ def load_samples_csv(path) -> np.ndarray:
         columns = len(fh.readline().split(","))
         if not any(line.strip() for line in fh):
             raise ValueError(f"{path} holds a header but no sample rows")
-    x = finite_array(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2), "sample matrix")
+    x = sample_matrix(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2), "sample matrix")
     if x.shape[1] != columns:
         raise ValueError(f"{path}: the header names {columns} columns, the rows hold {x.shape[1]}")
     return x

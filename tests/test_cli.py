@@ -12,7 +12,7 @@ from lingcond.recover import (
 )
 from lingcond.scm import (
     DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, NOISE_FAMILIES, REGIME_TARGETS, generate_scm,
-    load_samples_csv, load_scm_json,
+    load_samples_csv, load_scm_json, save_scm_json,
 )
 
 
@@ -135,6 +135,13 @@ class TestParserBuiltOnce:
                    "--out", workspace / "fit.json") == 0
         assert run("generate", "--d", 6, "--kappa", 2, "--lambda", 0.4, "--out", scm_path) == 0
         assert load_scm_json(scm_path).to_json_dict() == generate_scm(6, 2, 0.4).to_json_dict()
+
+    def test_generate_writes_the_bytes_of_save_scm_json(self, workspace):
+        scm_path, saved = workspace / "scm.json", workspace / "saved.json"
+        assert run("generate", "--d", 6, "--kappa", 2, "--lambda", 0.4, "--seed", 3,
+                   "--regime", "unstable", "--out", scm_path) == 0
+        save_scm_json(saved, generate_scm(6, 2, 0.4, regime="unstable", seed=3))
+        assert scm_path.read_bytes() == saved.read_bytes()
 
 
 class TestLatticeCommand:

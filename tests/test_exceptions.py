@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lingcond.exceptions import finite, finite_array, integer, square_matrix
+from lingcond.exceptions import finite, finite_array, integer, sample_matrix, square_matrix
 from lingcond.graphs import support_graph
 from lingcond.harness import ols_slope
 from lingcond.ica import center_whiten
@@ -98,6 +98,23 @@ class TestSquareMatrix:
             square_matrix([[math.nan, 0.0]], "m")
 
 
+class TestSampleMatrix:
+    def test_sample_matrix_passes_as_float64(self):
+        x = np.ones((5, 3))
+        assert sample_matrix(x, "x") is x
+        assert sample_matrix([[1, 2]], "x").dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(0, 3), (5, 0), (0, 0), (4,), (2, 2, 2), ()])
+    def test_other_shapes_rejected_with_their_shape(self, shape):
+        message = f"x: expected a 2-D sample matrix with a row and a column, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_matrix(np.ones(shape), "x")
+
+    def test_the_array_rule_comes_first(self):
+        with pytest.raises(ValueError, match="x must be finite"):
+            sample_matrix([[math.nan, 0.0]], "x")
+
+
 # a model whose 0/1 support still has an invertible I - B, so a boolean B
 # loaded as numbers (the old behaviour) yields a valid unstable SCM
 _SPEC = generate_scm(6, 2, 0.4, seed=9)
@@ -132,6 +149,10 @@ _SQUARE_ENTRY_POINTS = {
     "spectral_radius": "spectral_radius input",
     "support_graph": "support_graph input",
 }
+
+
+# the entry points that take a sample matrix
+_SAMPLE_ENTRY_POINTS = ("center_whiten", "recover_condensation", "save_samples_csv")
 
 
 def _with_entry(value):
@@ -180,6 +201,15 @@ class TestArrayEntryPoints:
         name = _SQUARE_ENTRY_POINTS[entry]
         _, call = _ARRAY_ENTRY_POINTS[entry]
         with pytest.raises(ValueError, match=f"{name} must be a square matrix"):
+            call(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 6), (200, 0), (6,), (2, 3, 3)])
+    @pytest.mark.parametrize("entry", _SAMPLE_ENTRY_POINTS)
+    def test_empty_or_non_2d_samples_rejected(self, entry, shape):
+        # before, a (200, 0) fit raised a raw IndexError while whitening, and
+        # save_samples_csv wrote (0, 6) and (200, 0) to files the loader refuses
+        _, call = _ARRAY_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match="samples: expected a 2-D sample matrix"):
             call(np.ones(shape))
 
     @pytest.mark.parametrize("to_entry", [str, bool])

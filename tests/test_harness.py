@@ -12,13 +12,17 @@ from lingcond import (
     IcaOptions,
     SampleComplexityConfig,
     ThresholdSweepConfig,
+    evaluate,
+    generate_scm,
+    recover_condensation,
     run_grid,
     run_sample_complexity,
     run_threshold_sweep,
+    sample,
     summarize_grid,
     summarize_sample_complexity,
 )
-from lingcond import harness
+from lingcond import harness, rng as rng_mod
 from lingcond.exceptions import NumericalError
 from lingcond.harness import CSV_HEADER, load_records, ols_slope, write_records
 
@@ -403,6 +407,46 @@ class TestStudyUnit:
         records = run_grid(grid)
         assert len(records) == 4 and not any(r.error for r in records)
         assert without_fit_ms(records) == without_fit_ms(run_threshold_sweep(sweep))
+
+    @pytest.mark.parametrize("name, mode", [
+        ("sweep", "hungarian"), ("sweep", "enumerate-first-stable"), ("complexity", "hungarian"),
+    ])
+    def test_one_fit_per_unit_scores_like_a_fit_at_each_tau(self, name, mode, monkeypatch):
+        # each unit is fitted once, at its smallest tau, and that fit's candidate
+        # is cut at every tau; a fit of the same sample at each tau scores the same
+        fit_taus = []
+
+        def counting_fit(*args, **kwargs):
+            fit_taus.append(kwargs["tau"])
+            return recover_condensation(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "recover_condensation", counting_fit)
+        run, make_cfg = RUNNERS[name]
+        cfg = tiny_sweep_cfg(mode=mode) if name == "sweep" else make_cfg()
+        records = run(cfg)
+        units = len(cfg.sample_sizes) * len(cfg.seeds)
+        assert len(records) == units * (len(cfg.taus) if name == "sweep" else 1)
+        assert fit_taus == [min(r.tau for r in records)] * units
+        for rec in records:
+            if name == "sweep":
+                cell = harness._cell_keys(cfg.d, rec.kappa, rec.lam, rec.regime)
+                scm_seed, sample_seed, ica_seed = harness._cell_sub_seeds(rec.seed, cell, rec.n)
+            else:
+                scm_seed = cfg.scm_seed
+                sample_seed = rng_mod.derive_seed(rec.seed, harness.TAG_SAMPLE, rec.n)
+                ica_seed = rng_mod.derive_seed(rec.seed, harness.TAG_ICA, rec.n)
+            scm = generate_scm(cfg.d, rec.kappa, rec.lam, regime=rec.regime, seed=scm_seed)
+            fit = recover_condensation(
+                sample(scm, rec.n, seed=sample_seed), tau=rec.tau, eta=cfg.eta,
+                ica_opts=replace(cfg.ica, seed=ica_seed), mode=mode,
+            )
+            report = evaluate(fit.support(), scm.b.support())
+            assert not rec.error
+            assert (rec.ari, rec.cluster_f1, rec.variable_f1, rec.hamming, rec.exact_recovery,
+                    rec.pred_clusters, rec.ica_iters) == (
+                report.ari, report.cluster_dag_f1, report.variable_f1, report.hamming_support,
+                report.hamming_support == 0, report.predicted_partition_size,
+                fit.ica_iterations)
 
     @pytest.mark.parametrize("name", list(RUNNERS))
     def test_failed_fit_gives_one_error_row_per_tau(self, name, monkeypatch):

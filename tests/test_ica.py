@@ -15,6 +15,7 @@ from lingcond import (
     hungarian_admissible,
     recover_condensation,
     sample,
+    support_graph,
     threshold,
 )
 from lingcond.ica import (
@@ -153,8 +154,7 @@ class TestFastica:
         for scale in (1.0, 256.0):
             est = fastica(x * scale, IcaOptions(seed=5))
             perm = hungarian_admissible(est.w)
-            cand = threshold(b_from_w(est.w, perm), 0.1)
-            supports.append(cand.support())
+            supports.append(support_graph(threshold(b_from_w(est.w, perm), 0.1)))
         assert supports[0] == supports[1]
 
     def test_example_support_recovery_across_seeds(self, example_b):
@@ -165,8 +165,7 @@ class TestFastica:
             x = sample(spec, 10000, seed=seed)
             est = fastica(x, IcaOptions(seed=seed))
             perm = hungarian_admissible(est.w)
-            cand = threshold(b_from_w(est.w, perm), 0.1)
-            hits += cand.support() == true_support
+            hits += support_graph(threshold(b_from_w(est.w, perm), 0.1)) == true_support
         assert hits >= 9
 
 

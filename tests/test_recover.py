@@ -25,6 +25,7 @@ from lingcond import (
     recover_condensation,
     sample,
     spectral_radius,
+    support_graph,
     threshold,
 )
 import lingcond
@@ -251,19 +252,21 @@ class TestThreshold:
         b = np.array([[0.0, 0.05], [0.2, 0.0]])
         cand = CandidateAdjacency(b, (0, 1), 0.0)
         out = threshold(cand, 0.1)
-        assert np.array_equal(out.b, np.array([[0.0, 0.0], [0.2, 0.0]]))
+        assert type(out) is np.ndarray and not out.flags.writeable
+        assert np.array_equal(out, np.array([[0.0, 0.0], [0.2, 0.0]]))
+        assert np.array_equal(cand.b, [[0.0, 0.05], [0.2, 0.0]])  # the candidate stays uncut
 
     def test_zero_tau_is_identity(self):
         rng = np.random.default_rng(10)
         b = rng.normal(0, 1, (3, 3))
         np.fill_diagonal(b, 0)
         cand = CandidateAdjacency(b, (0, 1, 2), 0.0)
-        assert np.array_equal(threshold(cand, 0.0).b, b)
+        assert np.array_equal(threshold(cand, 0.0), b)
 
     def test_tie_survives(self):
         b = np.array([[0.0, 0.1], [0.0, 0.0]])
         cand = CandidateAdjacency(b, (0, 1), 0.0)
-        assert threshold(cand, 0.1).b[0, 1] == 0.1
+        assert threshold(cand, 0.1)[0, 1] == 0.1
 
     def test_idempotent(self):
         rng = np.random.default_rng(12)
@@ -271,8 +274,8 @@ class TestThreshold:
         np.fill_diagonal(b, 0)
         cand = CandidateAdjacency(b, (0, 1, 2, 3), 0.0)
         once = threshold(cand, 0.3)
-        twice = threshold(once, 0.3)
-        assert np.array_equal(once.b, twice.b)
+        twice = threshold(CandidateAdjacency(once, cand.permutation, 0.0), 0.3)
+        assert np.array_equal(once, twice)
 
     def test_monotone_supports(self):
         rng = np.random.default_rng(14)
@@ -280,9 +283,18 @@ class TestThreshold:
         np.fill_diagonal(b, 0)
         cand = CandidateAdjacency(b, tuple(range(5)), 0.0)
         taus = [0.0, 0.2, 0.5, 1.0, 2.0]
-        supports = [threshold(cand, t).support().edges for t in taus]
+        supports = [support_graph(threshold(cand, t)).edges for t in taus]
         for finer, coarser in zip(supports[1:], supports):
             assert finer <= coarser
+
+    def test_computes_no_eigenvalues(self, monkeypatch):
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("threshold called eigvals")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        b = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.7], [0.9, 0.0, 0.0]])
+        assert np.array_equal(threshold(CandidateAdjacency(b, (0, 1, 2), 0.0), 0.6),
+                              [[0.0, 0.0, 0.0], [0.0, 0.0, 0.7], [0.9, 0.0, 0.0]])
 
     def test_negative_tau_rejected(self):
         cand = CandidateAdjacency(np.zeros((2, 2)), (0, 1), 0.0)
@@ -343,7 +355,7 @@ class TestNoiselessPermutationInvariance:
             w = np.eye(d) - scm.b.matrix
             perms = enumerate_admissible(w, 1e-9)
             conds = {
-                condense(threshold(b_from_w(w, p), 0.0).support()) for p in perms
+                condense(support_graph(threshold(b_from_w(w, p), 0.0))) for p in perms
             }
             assert len(conds) == 1
 
@@ -389,6 +401,31 @@ class TestRecoverCondensation:
         assert res.condensation == condense(res.support())
         assert res.partition is res.condensation.partition
 
+    @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
+    def test_result_keeps_the_selected_candidate_uncut(self, example_b, mode):
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        res = recover_condensation(sample(spec, 3000, seed=9), tau=0.3, mode=mode)
+        cand = res.candidate
+        assert cand.spectral_radius == spectral_radius(cand.b)
+        assert np.count_nonzero(cand.b) == 20  # every off-diagonal entry of a finite-sample fit
+        assert type(res.b_hat) is np.ndarray and not res.b_hat.flags.writeable
+        assert np.array_equal(res.b_hat, threshold(cand, 0.3))
+        assert res.support() == support_graph(res.b_hat)
+
+    def test_hungarian_fit_computes_eigenvalues_once(self, example_b, monkeypatch):
+        # the selected candidate's radius only; before, the cut took its own
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        x = sample(spec, 3000, seed=9)
+        eigvals, calls = np.linalg.eigvals, []
+
+        def counting_eigvals(a):
+            calls.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        recover_condensation(x)
+        assert calls == [(1, 5, 5)]
+
     def test_timings_and_json_shape(self, example_b):
         spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
         x = sample(spec, 3000, seed=9)
@@ -431,14 +468,12 @@ class TestRecoverCondensation:
     def test_scan_matches_first_stable_select_on_population(self):
         # the lazy pruned scan and the list-based selector agree when the
         # demixing matrix has exact zeros
-        from lingcond.recover import _first_stable_scan
-
         for seed in (1, 4):
             scm = generate_scm(8, 3, 0.5, seed=seed, regime="unstable")
             w = np.eye(8) - scm.b.matrix
             cands = [b_from_w(w, p) for p in enumerate_admissible(w, 1e-9)]
             expected = first_stable_select(cands)
-            got = _first_stable_scan(w, 1e-9, 0.0, 10**6)
+            got = first_stable_select(recover._scan_candidates(w, 1e-9, 0.0, 10**6))
             assert got.permutation == expected.permutation
 
 
@@ -486,7 +521,7 @@ class TestFirstStableScan:
     ])
     def test_matches_reference(self, sample_ws, seed, cap, stable):
         w = sample_ws[seed]
-        got = recover._first_stable_scan(w, 1e-3, 0.1, cap)
+        got = first_stable_select(recover._scan_candidates(w, 1e-3, 0.1, cap))
         expected = _reference_scan(w, 1e-3, 0.1, cap)
         assert (expected.spectral_radius < 1.0) == stable
         assert got.permutation == expected.permutation
@@ -500,7 +535,7 @@ class TestFirstStableScan:
         # index 113 opens a block; at 51 the block [63, 114) ends on it
         monkeypatch.setattr(recover, "_SCAN_BLOCK", block)
         w = sample_ws[8]
-        got = recover._first_stable_scan(w, 1e-3, 0.1, 5000)
+        got = first_stable_select(recover._scan_candidates(w, 1e-3, 0.1, 5000))
         expected = _reference_scan(w, 1e-3, 0.1, 5000)
         assert got.permutation == expected.permutation
         assert np.array_equal(got.b, expected.b)
@@ -513,7 +548,7 @@ class TestFirstStableScan:
         monkeypatch.setattr(recover, "_SCAN_BLOCK", block)
         w = sample_ws[0].copy()
         w[1] = w[0]
-        got = recover._first_stable_scan(w, 1e-3, 0.1, 10**6)
+        got = first_stable_select(recover._scan_candidates(w, 1e-3, 0.1, 10**6))
         expected = _reference_scan(w, 1e-3, 0.1, 10**6)
         assert got.spectral_radius >= 1.0
         assert got.permutation == expected.permutation
@@ -525,7 +560,7 @@ class TestFirstStableScan:
         # far, which moves as the scan goes
         monkeypatch.setattr(recover, "_SCAN_BLOCK", 1)
         w = sample_ws[0]
-        got = recover._first_stable_scan(w, 1e-3, 0.1, 10**6)
+        got = first_stable_select(recover._scan_candidates(w, 1e-3, 0.1, 10**6))
         expected = _reference_scan(w, 1e-3, 0.1, 10**6)
         assert got.permutation == expected.permutation
         assert np.array_equal(got.b, expected.b)
@@ -541,7 +576,7 @@ class TestFirstStableScan:
             return radii(b)
 
         monkeypatch.setattr(recover, "_radii", counting_radii)
-        recover._first_stable_scan(sample_ws[0], 1e-3, 0.1, 10**6)
+        first_stable_select(recover._scan_candidates(sample_ws[0], 1e-3, 0.1, 10**6))
         assert sum(1 for _ in _reference_candidates(sample_ws[0], 1e-3, 0.1)) == 1244
         assert sum(scored) < 1244 / 2
         # the first block holds one candidate: nothing is yielded before it,
@@ -558,7 +593,7 @@ class TestFirstStableScan:
             return build(m, perms)
 
         monkeypatch.setattr(recover, "_build_stack", counting_build)
-        got = recover._first_stable_scan(sample_ws[0], 1e-3, 0.1, cap)
+        got = first_stable_select(recover._scan_candidates(sample_ws[0], 1e-3, 0.1, cap))
         assert sum(built) == min(cap, 1244)
         assert all(type(p) is int for p in got.permutation)
 
@@ -566,7 +601,7 @@ class TestFirstStableScan:
         # d = 70 is past any 64-bit row mask; the floor leaves only the identity
         d = 70
         w = np.eye(d) + 1e-3 * np.random.default_rng(0).normal(size=(d, d))
-        got = recover._first_stable_scan(w, 1e-3, 0.1, 10**6)
+        got = first_stable_select(recover._scan_candidates(w, 1e-3, 0.1, 10**6))
         assert got.permutation == tuple(range(d))
         assert got.spectral_radius < 1.0
         assert np.array_equal(got.b, b_from_w(w, range(d)).b)

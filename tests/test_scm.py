@@ -334,10 +334,14 @@ class TestSerialization:
         (np.array([[0.5, np.nan], [1.0, 2.0]]), "samples must be finite"),
         (np.array([[0.5, 1.0], [1.0, 2.0]]) > 0.7, "samples must hold integers or floats"),
         (np.arange(3.0), "2-D sample matrix"),
+        (np.empty((0, 3)), "2-D sample matrix"),
+        (np.empty((5, 0)), "2-D sample matrix"),
     ])
     def test_samples_csv_refuses_what_it_could_not_read_back(self, tmp_path, x, message):
         # before, NaN was written into a file load_samples_csv refuses, a bool
-        # matrix was written as 1/0, and a 1-D array raised a raw IndexError
+        # matrix was written as 1/0, a 1-D array raised a raw IndexError, and
+        # (0, 3) and (5, 0) arrays were written as a bare header and as five
+        # blank lines
         path = tmp_path / "data.csv"
         with pytest.raises(ValueError, match=message):
             save_samples_csv(path, x)
