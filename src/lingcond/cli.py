@@ -24,9 +24,7 @@ from .harness import (
 )
 from .ica import IcaOptions, NONLINEARITIES
 from .lattice import valid_dag_coarsenings
-from .recover import (
-    DEFAULT_ENUM_CAP, DEFAULT_ENUM_FLOOR, DEFAULT_ETA, DEFAULT_TAU, MODES, recover_condensation,
-)
+from .recover import DEFAULT_ENUM_CAP, DEFAULT_ETA, DEFAULT_TAU, MODES, recover_condensation
 from .scm import (
     DEFAULT_WEIGHT_HIGH,
     DEFAULT_WEIGHT_LOW,
@@ -93,7 +91,6 @@ def _build_parser() -> _Parser:
     fit.add_argument("--max-iter", type=int, default=ica.max_iterations)
     fit.add_argument("--restarts", type=int, default=ica.restarts)
     fit.add_argument("--seed", type=int, default=ica.seed)
-    fit.add_argument("--enum-floor", type=float, default=DEFAULT_ENUM_FLOOR)
     fit.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     fit.add_argument("--out")
 
@@ -146,8 +143,7 @@ def _dispatch(args) -> int:
             max_iterations=args.max_iter, restarts=args.restarts, seed=args.seed,
         )
         result = recover_condensation(
-            x, tau=args.tau, eta=args.eta, ica_opts=opts, mode=args.mode,
-            enum_floor=args.enum_floor, enum_cap=args.enum_cap,
+            x, tau=args.tau, eta=args.eta, ica_opts=opts, mode=args.mode, enum_cap=args.enum_cap,
         )
         _emit(result.to_json_dict(), args.out)
         return 0

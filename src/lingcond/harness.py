@@ -30,8 +30,8 @@ from .graphs import support_graph
 from .ica import IcaOptions
 from .metrics import evaluate
 from .recover import (
-    DEFAULT_ENUM_CAP, DEFAULT_ENUM_FLOOR, DEFAULT_ETA, DEFAULT_TAU, MODES, check_eta,
-    check_scan_knobs, check_tau, recover_condensation, threshold as apply_threshold,
+    DEFAULT_ENUM_CAP, DEFAULT_ETA, DEFAULT_TAU, MODES, check_eta, check_tau,
+    recover_condensation, threshold as apply_threshold,
 )
 from .scm import (
     DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, _check_model_args, generate_scm, sample,
@@ -116,20 +116,18 @@ class _StudyConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class _ScanStudyConfig(_StudyConfig):
-    """Base of the grid and sweep configs, which choose the mode and the scan knobs."""
+    """Base of the grid and sweep configs, which choose the mode and the scan's cap."""
 
     mode: str = "enumerate-first-stable"
-    enum_floor: float = DEFAULT_ENUM_FLOOR
     enum_cap: int = DEFAULT_ENUM_CAP
 
     def __post_init__(self):
         super().__post_init__()
         _require(self.mode in MODES, f"mode must be one of {MODES}")
-        check_scan_knobs(self.enum_floor, self.enum_cap)
+        integer(self.enum_cap, "enum_cap", 1)
 
     def _fit(self) -> dict:
-        return dict(eta=self.eta, mode=self.mode, enum_floor=self.enum_floor,
-                    enum_cap=self.enum_cap)
+        return dict(eta=self.eta, mode=self.mode, enum_cap=self.enum_cap)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -40,12 +40,13 @@ ENUMERATION_MAX_D = 12
 
 # pipeline defaults: the hard threshold on |b|; eta, the fraction of row r's
 # largest magnitude that |W[r, i]| must exceed for (r, i) to be a rook slot
-# (``_rook_slots``); enum_floor, which raises that cut to max(eta, enum_floor)
-# in the first-stable scan; and the cap on the candidates that scan builds
+# (``_rook_slots``); and the cap on the candidates the first-stable scan builds
 DEFAULT_TAU = 0.1
 DEFAULT_ETA = 1e-3
-DEFAULT_ENUM_FLOOR = 0.1
 DEFAULT_ENUM_CAP = 20000
+
+# the first-stable scan's significance floor: its rook slots are cut at max(eta, _SCAN_FLOOR)
+_SCAN_FLOOR = 0.1
 
 # the most candidates scored per batched eigenvalue call in the first-stable scan
 _SCAN_BLOCK = 128
@@ -78,13 +79,6 @@ def check_eta(eta) -> float:
     if not 0 < (eta := finite(eta, "eta")) < 1:
         raise ValueError(f"eta must be finite and in (0, 1), got {eta}")
     return eta
-
-
-def check_scan_knobs(enum_floor, enum_cap) -> tuple:
-    """``(enum_floor, enum_cap)``; ValueError unless ``0 <= enum_floor < 1``, ``enum_cap >= 1``."""
-    if not 0 <= (enum_floor := finite(enum_floor, "enum_floor")) < 1:
-        raise ValueError(f"enum_floor must be finite and in [0, 1), got {enum_floor}")
-    return enum_floor, integer(enum_cap, "enum_cap", 1)
 
 
 def _rook_slots(m: np.ndarray, cut: float) -> np.ndarray:
@@ -297,14 +291,14 @@ def first_stable_select(candidates) -> CandidateAdjacency:
     return best
 
 
-def _scan_candidates(m: np.ndarray, eta: float, floor: float, cap: int):
+def _scan_candidates(m: np.ndarray, eta: float, cap: int):
     """Yield the significance-pruned candidates the trace bound cannot rule out.
 
     On finite samples every entry of the estimated demixing matrix is
     nonzero, so admissibility at eta alone would admit all d! permutations.
     The rook slots are therefore those of ``_rook_slots`` at
-    ``cut = max(eta, floor)``; candidates are still built from the unpruned
-    matrix.
+    ``cut = max(eta, _SCAN_FLOOR)``; candidates are still built from the
+    unpruned matrix.
 
     The first ``cap`` permutations of the lexicographic enumeration
     (``cap >= 1``), read from ``_admissible_blocks``, are taken in blocks of
@@ -329,7 +323,7 @@ def _scan_candidates(m: np.ndarray, eta: float, floor: float, cap: int):
     allowance, a few ``d^2 u ||B||_F^j``, is far wider than the error of
     ``eigvals``.)
     """
-    blocks = _admissible_blocks(_rook_slots(m, max(eta, floor)), _SCAN_BLOCK)
+    blocks = _admissible_blocks(_rook_slots(m, max(eta, _SCAN_FLOOR)), _SCAN_BLOCK)
     pending = np.empty((0, m.shape[0]), np.intp)
     smallest, seen, size = math.inf, 0, 1
     while seen < cap:
@@ -393,7 +387,6 @@ def recover_condensation(
     eta: float = DEFAULT_ETA,
     ica_opts: IcaOptions | None = None,
     mode: str = "hungarian",
-    enum_floor: float = DEFAULT_ENUM_FLOOR,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> RecoveryResult:
     """Run the full pipeline on a sample matrix.
@@ -406,8 +399,10 @@ def recover_condensation(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     tau, eta = check_tau(tau), check_eta(eta)
-    enum_floor, enum_cap = check_scan_knobs(enum_floor, enum_cap)
+    enum_cap = integer(enum_cap, "enum_cap", 1)
     opts = ica_opts if ica_opts is not None else IcaOptions()
+    if mode == "hungarian":  # its first import (~0.4 s) is no part of the fit's timings
+        import scipy.optimize  # noqa: F401
 
     t0 = time.perf_counter()
     estimate = fastica(x, opts)
@@ -416,7 +411,7 @@ def recover_condensation(
         perm = hungarian_admissible(estimate.w, eta)
         candidate = b_from_w(estimate.w, perm)
     else:
-        candidate = first_stable_select(_scan_candidates(estimate.w, eta, enum_floor, enum_cap))
+        candidate = first_stable_select(_scan_candidates(estimate.w, eta, enum_cap))
     b_hat = threshold(candidate, tau)
     t2 = time.perf_counter()
     condensation = condense(support_graph(b_hat))

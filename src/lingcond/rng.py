@@ -16,6 +16,9 @@ PURPOSE_SAMPLE = 2
 PURPOSE_ICA = 3
 PURPOSE_INTERVENTION = 4
 
+# ``quantize`` counts a float stream key in steps of one millionth
+_RESOLUTION = 1e-6
+
 
 def _seed_sequence(keys) -> np.random.SeedSequence:
     keys = [integer(k, "stream key") for k in keys]
@@ -36,8 +39,8 @@ def derive_seed(*keys: int) -> int:
     return int(_seed_sequence(keys).generate_state(1)[0])
 
 
-def quantize(value: float, resolution: float = 1e-6) -> int:
+def quantize(value: float) -> int:
     """Map a non-negative float (e.g. an edge density) to a stable integer key."""
     if value < 0:
         raise ValueError("only non-negative values can be used as stream keys")
-    return int(round(value / resolution))
+    return int(round(value / _RESOLUTION))

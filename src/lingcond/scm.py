@@ -106,26 +106,26 @@ class ScmSpec:
     b: WeightedAdjacency
     noise: NoiseSpec
     regime: str
-    beta_min: float
     seed: int
 
     def __post_init__(self):
         if self.regime not in REGIME_TARGETS:
             raise ValueError(f"unknown regime {self.regime!r}")
-        object.__setattr__(self, "beta_min", finite(self.beta_min, "beta_min"))
         object.__setattr__(self, "seed", integer(self.seed, "seed"))
         rho = spectral_radius(self.b)
         if self.regime == "stable" and rho >= 1.0:
             raise ValueError(f"stable regime requires rho(B) < 1, got {rho:.4f}")
         if self.regime == "unstable" and rho < 1.0:
             raise ValueError(f"unstable regime requires rho(B) >= 1, got {rho:.4f}")
-        recomputed = self.b.beta_min()
-        if abs(recomputed - self.beta_min) > 1e-12:
-            raise ValueError("beta_min does not match the adjacency entries")
 
     @property
     def d(self) -> int:
         return self.b.d
+
+    @property
+    def beta_min(self) -> float:
+        """The smallest nonzero |B_ij|, read off ``b``."""
+        return self.b.beta_min()
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,17 +139,23 @@ class ScmSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScmSpec":
-        """Model from the layout of ``to_json_dict``; ValueError if malformed."""
+        """Model from the layout of ``to_json_dict``; ValueError if malformed.
+
+        The file's ``betaMin`` must match the one ``B`` gives, within 1e-12.
+        """
         try:
-            return cls(
+            beta_min = finite(data["betaMin"], "betaMin")
+            scm = cls(
                 b=WeightedAdjacency(data["B"]),
                 noise=NoiseSpec(data["noise"]["family"], data["noise"]["scale"]),
                 regime=data["regime"],
-                beta_min=data["betaMin"],
                 seed=data["seed"],
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed SCM JSON: {exc!r}") from exc
+        if abs(scm.beta_min - beta_min) > 1e-12:
+            raise ValueError("betaMin does not match the adjacency entries")
+        return scm
 
 
 def _check_model_args(d, kappa, lam, weight_low, weight_high, regime, noise_family) -> None:
@@ -187,9 +193,10 @@ def generate_scm(
     topological order over the blocks-and-singletons at the same density.
     Weights are uniform in ``[weight_low, weight_high]`` with random sign,
     then the whole matrix is rescaled so the spectral radius hits the regime
-    target (0.9 stable / 1.5 unstable); ``beta_min`` is recorded after the
-    rescale. Deterministic given ``seed``; draws ``WeightedAdjacency`` rejects
-    as singular are redrawn from a derived sub-stream, at most ``MAX_REDRAWS`` times.
+    target (0.9 stable / 1.5 unstable), so ``beta_min``, read off ``B``, is
+    that of the rescaled weights. Deterministic given ``seed``; draws
+    ``WeightedAdjacency`` rejects as singular are redrawn from a derived
+    sub-stream, at most ``MAX_REDRAWS`` times.
     """
     _check_model_args(d, kappa, lam, weight_low, weight_high, regime, noise_family)
     target = REGIME_TARGETS[regime]
@@ -240,13 +247,7 @@ def generate_scm(
             adjacency = WeightedAdjacency(matrix)
         except SingularModelError:
             continue
-        return ScmSpec(
-            b=adjacency,
-            noise=noise,
-            regime=regime,
-            beta_min=adjacency.beta_min(),
-            seed=seed,
-        )
+        return ScmSpec(b=adjacency, noise=noise, regime=regime, seed=seed)
     raise SingularModelError(
         f"no usable draw after {MAX_REDRAWS} attempts (d={d}, kappa={kappa})"
     )

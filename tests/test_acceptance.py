@@ -135,7 +135,7 @@ def test_criterion_04_noiseless_permutation_invariance():
 
 
 def test_criterion_05_example_pipeline_recovery(example_b):
-    spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+    spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
     t0 = time.perf_counter()
     hits = 0
     for seed in range(10):

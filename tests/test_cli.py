@@ -8,7 +8,7 @@ from lingcond import harness
 from lingcond.cli import _UsageError, _build_parser, main
 from lingcond.ica import IcaOptions
 from lingcond.recover import (
-    DEFAULT_ENUM_CAP, DEFAULT_ENUM_FLOOR, DEFAULT_ETA, DEFAULT_TAU, recover_condensation,
+    DEFAULT_ENUM_CAP, DEFAULT_ETA, DEFAULT_TAU, recover_condensation,
 )
 from lingcond.scm import (
     DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, NOISE_FAMILIES, REGIME_TARGETS, generate_scm,
@@ -75,7 +75,7 @@ class TestGenerateSampleFit:
         assert (args.nonlinearity, args.tol, args.max_iter, args.restarts, args.seed) == (
             ica.nonlinearity, ica.tolerance, ica.max_iterations, ica.restarts, ica.seed
         )
-        assert (args.enum_floor, args.enum_cap) == (DEFAULT_ENUM_FLOOR, DEFAULT_ENUM_CAP)
+        assert args.enum_cap == DEFAULT_ENUM_CAP
         assert (args.tau, args.eta) == (DEFAULT_TAU, DEFAULT_ETA)
 
     def test_generate_defaults_and_choices_come_from_the_library(self):
@@ -176,6 +176,14 @@ class TestExitCodes:
         assert run("fit", "--data", data, "--mode", "enumerate-first-stable",
                    "--enum-cap", 0) == 1
 
+    def test_usage_error_removed_enum_floor(self, workspace, capsys):
+        # the scan's floor is a constant, so the flag that set it is refused
+        data = workspace / "data.csv"
+        x = np.random.default_rng(0).laplace(size=(100, 3))
+        np.savetxt(data, x, fmt="%.17g", delimiter=",", header="X1,X2,X3", comments="")
+        assert run("fit", "--data", data, "--enum-floor", 0.2) == 1
+        assert "--enum-floor" in capsys.readouterr().err
+
     def test_usage_error_bad_config_key(self, workspace):
         cfg = workspace / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -239,13 +247,21 @@ class TestExitCodes:
         assert run("lattice", "--graph", path) == 1
         assert not capsys.readouterr().out
 
-    @pytest.mark.parametrize("corrupt", ["top-level list", "noise family only"])
+    @pytest.mark.parametrize("corrupt", [
+        "top-level list", "noise family only", "betaMin off B", "betaMin string", "betaMin bool",
+    ])
     def test_malformed_scm_json(self, workspace, corrupt):
         scm_path = workspace / "scm.json"
         assert run("generate", "--d", 6, "--kappa", 2, "--lambda", 0.4,
                    "--out", scm_path) == 0
         data = json.loads(scm_path.read_text())
-        bad = [data] if corrupt == "top-level list" else {**data, "noise": "laplace"}
+        bad = {
+            "top-level list": [data],
+            "noise family only": {**data, "noise": "laplace"},
+            "betaMin off B": {**data, "betaMin": data["betaMin"] + 1e-9},
+            "betaMin string": {**data, "betaMin": str(data["betaMin"])},
+            "betaMin bool": {**data, "betaMin": True},
+        }[corrupt]
         scm_path.write_text(json.dumps(bad))
         out = workspace / "data.csv"
         assert run("sample", "--scm", scm_path, "--n", 100, "--out", out) == 1

@@ -173,13 +173,18 @@ class TestConfigs:
 
     @pytest.mark.parametrize("cls", [GridConfig, ThresholdSweepConfig])
     @pytest.mark.parametrize("knob", [
-        {"enum_cap": 0}, {"enum_cap": 1.5}, {"enum_floor": -0.1},
-        {"enum_floor": 1.0}, {"enum_floor": float("nan")},
-        {"eta": float("nan")}, {"eta": 0.0}, {"enum_cap": True}, {"enum_floor": "0.1"},
+        {"enum_cap": 0}, {"enum_cap": 1.5},
+        {"eta": float("nan")}, {"eta": 0.0}, {"enum_cap": True},
     ])
     def test_bad_scan_knobs_rejected(self, cls, knob):
         with pytest.raises(ValueError):
             cls(**knob)
+
+    @pytest.mark.parametrize("cls", [GridConfig, ThresholdSweepConfig])
+    def test_scan_floor_is_not_a_config_key(self, cls):
+        # the scan's significance floor is a constant of the pipeline, not a setting
+        with pytest.raises(ValueError, match="unknown config keys"):
+            cls.from_json_dict({"enum_floor": 0.1})
 
     @pytest.mark.parametrize(
         "cls", [GridConfig, ThresholdSweepConfig, SampleComplexityConfig]
@@ -293,7 +298,7 @@ class TestConfigs:
                    sample_sizes=(200, 500), tau=0.2, eta=2e-3, mode="hungarian", enum_cap=7,
                    ica=IcaOptions(restarts=2), noise_family="exponential-centered"),
         ThresholdSweepConfig(d=6, kappa=2, lam=0.4, taus=(0.05, 0.3), sample_sizes=(300,),
-                             weight_low=0.6, enum_floor=0.1),
+                             weight_low=0.6),
         SampleComplexityConfig(d=6, kappa=2, lam=0.4, scm_seed=3, seeds=(0, 2),
                                sample_sizes=(200, 400), window=(250, 400), weight_high=0.9),
     ], ids=["grid", "sweep", "sample-complexity"])
@@ -311,7 +316,7 @@ class TestConfigs:
     def test_sample_complexity_has_no_scan_knobs(self):
         # the study fits in Hungarian mode only
         names = {f.name for f in fields(SampleComplexityConfig)}
-        assert names.isdisjoint({"mode", "enum_floor", "enum_cap"})
+        assert names.isdisjoint({"mode", "enum_cap"})
         with pytest.raises(ValueError, match="unknown config keys"):
             SampleComplexityConfig.from_json_dict({"mode": "hungarian"})
 

@@ -148,7 +148,7 @@ class TestFastica:
         assert np.abs(off).max() < 0.05
 
     def test_scale_equivariant_support(self, example_b):
-        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
         x = sample(spec, 20000, seed=13)
         supports = []
         for scale in (1.0, 256.0):
@@ -158,7 +158,7 @@ class TestFastica:
         assert supports[0] == supports[1]
 
     def test_example_support_recovery_across_seeds(self, example_b):
-        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
         true_support = example_b.support()
         hits = 0
         for seed in range(10):

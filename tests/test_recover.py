@@ -37,6 +37,17 @@ def candidate(radius):
     return CandidateAdjacency(np.zeros((2, 2)), (0, 1), radius)
 
 
+def _run_python(script: str) -> str:
+    """Stdout of ``script`` run in a fresh interpreter that imports this ``lingcond``."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(lingcond.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestHungarianAdmissible:
     def test_identity_matrix(self):
         assert hungarian_admissible(np.eye(3)) == (0, 1, 2)
@@ -112,13 +123,26 @@ class TestHungarianAdmissible:
             "lingcond.recover_condensation(x, mode='hungarian')\n"
             "print('scipy.optimize' in sys.modules)\n"
         )
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(lingcond.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
+        assert _run_python(script).split() == ["False", "True"]
+
+    def test_hungarian_fit_imports_scipy_before_its_clock_starts(self):
+        # the first import of scipy.optimize takes about 0.4 s; inside the fit it
+        # would land in assign_ms and total_ms of the first Hungarian fit only
+        script = (
+            "import sys\n"
+            "import lingcond\n"
+            "from lingcond import recover\n"
+            "seen, fastica = [], recover.fastica\n"
+            "def probe(*args, **kwargs):\n"
+            "    seen.append('scipy.optimize' in sys.modules)\n"
+            "    return fastica(*args, **kwargs)\n"
+            "recover.fastica = probe\n"
+            "x = lingcond.sample(lingcond.generate_scm(4, 1, 0.5, seed=0), 500, seed=1)\n"
+            "lingcond.recover_condensation(x, mode='enumerate-first-stable')\n"
+            "lingcond.recover_condensation(x, mode='hungarian')\n"
+            "print(*seen)\n"
+        )
+        assert _run_python(script).split() == ["False", "True"]
 
 
 class TestEnumerateAdmissible:
@@ -362,7 +386,7 @@ class TestNoiselessPermutationInvariance:
 
 class TestRecoverCondensation:
     def test_example_pipeline(self, example_b):
-        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
         for seed in range(3):
             x = sample(spec, 10000, seed=seed)
             res = recover_condensation(x, tau=0.1, ica_opts=IcaOptions(seed=seed))
@@ -370,7 +394,7 @@ class TestRecoverCondensation:
             assert res.condensation.cluster_edges == frozenset({(0, 1), (1, 2)})
 
     def test_modes_agree_on_easy_case(self, example_b):
-        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
         x = sample(spec, 10000, seed=5)
         res_h = recover_condensation(x, mode="hungarian")
         res_e = recover_condensation(x, mode="enumerate-first-stable")
@@ -395,7 +419,7 @@ class TestRecoverCondensation:
             assert recover_condensation(x * c, mode=mode).condensation == expected
 
     def test_condensation_matches_recomputation(self, example_b):
-        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
         x = sample(spec, 5000, seed=7)
         res = recover_condensation(x)
         assert res.condensation == condense(res.support())
@@ -403,7 +427,7 @@ class TestRecoverCondensation:
 
     @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
     def test_result_keeps_the_selected_candidate_uncut(self, example_b, mode):
-        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
         res = recover_condensation(sample(spec, 3000, seed=9), tau=0.3, mode=mode)
         cand = res.candidate
         assert cand.spectral_radius == spectral_radius(cand.b)
@@ -414,7 +438,7 @@ class TestRecoverCondensation:
 
     def test_hungarian_fit_computes_eigenvalues_once(self, example_b, monkeypatch):
         # the selected candidate's radius only; before, the cut took its own
-        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
         x = sample(spec, 3000, seed=9)
         eigvals, calls = np.linalg.eigvals, []
 
@@ -427,7 +451,7 @@ class TestRecoverCondensation:
         assert calls == [(1, 5, 5)]
 
     def test_timings_and_json_shape(self, example_b):
-        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
         x = sample(spec, 3000, seed=9)
         res = recover_condensation(x)
         data = res.to_json_dict()
@@ -438,7 +462,7 @@ class TestRecoverCondensation:
         assert len(data["bHat"]) == 5
 
     def test_mode_validated(self, example_b):
-        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
         x = sample(spec, 2000, seed=1)
         with pytest.raises(ValueError):
             recover_condensation(x, mode="magic")
@@ -448,32 +472,37 @@ class TestRecoverCondensation:
         {"tau": math.nan}, {"tau": math.inf}, {"tau": -0.1},
         {"eta": math.nan}, {"eta": math.inf}, {"eta": 0.0}, {"eta": 1.0},
         {"enum_cap": 0}, {"enum_cap": -5}, {"enum_cap": 2.5},
-        {"enum_floor": math.nan}, {"enum_floor": -0.1}, {"enum_floor": 1.0},
         {"tau": "0.1"}, {"tau": True}, {"eta": True}, {"enum_cap": True},
-        {"enum_floor": "0.1"},
     ])
     def test_bad_knobs_rejected(self, example_b, mode, knob):
-        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
         x = sample(spec, 2000, seed=1)
         with pytest.raises(ValueError):
             recover_condensation(x, mode=mode, **knob)
 
+    def test_scan_floor_is_not_an_argument(self):
+        # the scan's significance floor is a constant of the pipeline, not a setting
+        with pytest.raises(TypeError):
+            recover_condensation(np.ones((20, 3)), enum_floor=0.1)
+
     def test_non_finite_samples_rejected(self, example_b):
-        spec = ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+        spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
         x = sample(spec, 2000, seed=1)
         x[17, 2] = math.nan
         with pytest.raises(ValueError, match="finite"):
             recover_condensation(x)
 
-    def test_scan_matches_first_stable_select_on_population(self):
+    def test_scan_matches_first_stable_select_on_population(self, monkeypatch):
         # the lazy pruned scan and the list-based selector agree when the
-        # demixing matrix has exact zeros
+        # demixing matrix has exact zeros; with no floor the scan admits
+        # every rook slot at eta, as enumerate_admissible does
+        monkeypatch.setattr(recover, "_SCAN_FLOOR", 0.0)
         for seed in (1, 4):
             scm = generate_scm(8, 3, 0.5, seed=seed, regime="unstable")
             w = np.eye(8) - scm.b.matrix
             cands = [b_from_w(w, p) for p in enumerate_admissible(w, 1e-9)]
             expected = first_stable_select(cands)
-            got = first_stable_select(recover._scan_candidates(w, 1e-9, 0.0, 10**6))
+            got = first_stable_select(recover._scan_candidates(w, 1e-9, 10**6))
             assert got.permutation == expected.permutation
 
 
@@ -521,7 +550,7 @@ class TestFirstStableScan:
     ])
     def test_matches_reference(self, sample_ws, seed, cap, stable):
         w = sample_ws[seed]
-        got = first_stable_select(recover._scan_candidates(w, 1e-3, 0.1, cap))
+        got = first_stable_select(recover._scan_candidates(w, 1e-3, cap))
         expected = _reference_scan(w, 1e-3, 0.1, cap)
         assert (expected.spectral_radius < 1.0) == stable
         assert got.permutation == expected.permutation
@@ -535,7 +564,7 @@ class TestFirstStableScan:
         # index 113 opens a block; at 51 the block [63, 114) ends on it
         monkeypatch.setattr(recover, "_SCAN_BLOCK", block)
         w = sample_ws[8]
-        got = first_stable_select(recover._scan_candidates(w, 1e-3, 0.1, 5000))
+        got = first_stable_select(recover._scan_candidates(w, 1e-3, 5000))
         expected = _reference_scan(w, 1e-3, 0.1, 5000)
         assert got.permutation == expected.permutation
         assert np.array_equal(got.b, expected.b)
@@ -548,7 +577,7 @@ class TestFirstStableScan:
         monkeypatch.setattr(recover, "_SCAN_BLOCK", block)
         w = sample_ws[0].copy()
         w[1] = w[0]
-        got = first_stable_select(recover._scan_candidates(w, 1e-3, 0.1, 10**6))
+        got = first_stable_select(recover._scan_candidates(w, 1e-3, 10**6))
         expected = _reference_scan(w, 1e-3, 0.1, 10**6)
         assert got.spectral_radius >= 1.0
         assert got.permutation == expected.permutation
@@ -560,7 +589,7 @@ class TestFirstStableScan:
         # far, which moves as the scan goes
         monkeypatch.setattr(recover, "_SCAN_BLOCK", 1)
         w = sample_ws[0]
-        got = first_stable_select(recover._scan_candidates(w, 1e-3, 0.1, 10**6))
+        got = first_stable_select(recover._scan_candidates(w, 1e-3, 10**6))
         expected = _reference_scan(w, 1e-3, 0.1, 10**6)
         assert got.permutation == expected.permutation
         assert np.array_equal(got.b, expected.b)
@@ -576,7 +605,7 @@ class TestFirstStableScan:
             return radii(b)
 
         monkeypatch.setattr(recover, "_radii", counting_radii)
-        first_stable_select(recover._scan_candidates(sample_ws[0], 1e-3, 0.1, 10**6))
+        first_stable_select(recover._scan_candidates(sample_ws[0], 1e-3, 10**6))
         assert sum(1 for _ in _reference_candidates(sample_ws[0], 1e-3, 0.1)) == 1244
         assert sum(scored) < 1244 / 2
         # the first block holds one candidate: nothing is yielded before it,
@@ -593,7 +622,7 @@ class TestFirstStableScan:
             return build(m, perms)
 
         monkeypatch.setattr(recover, "_build_stack", counting_build)
-        got = first_stable_select(recover._scan_candidates(sample_ws[0], 1e-3, 0.1, cap))
+        got = first_stable_select(recover._scan_candidates(sample_ws[0], 1e-3, cap))
         assert sum(built) == min(cap, 1244)
         assert all(type(p) is int for p in got.permutation)
 
@@ -601,7 +630,7 @@ class TestFirstStableScan:
         # d = 70 is past any 64-bit row mask; the floor leaves only the identity
         d = 70
         w = np.eye(d) + 1e-3 * np.random.default_rng(0).normal(size=(d, d))
-        got = first_stable_select(recover._scan_candidates(w, 1e-3, 0.1, 10**6))
+        got = first_stable_select(recover._scan_candidates(w, 1e-3, 10**6))
         assert got.permutation == tuple(range(d))
         assert got.spectral_radius < 1.0
         assert np.array_equal(got.b, b_from_w(w, range(d)).b)

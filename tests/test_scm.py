@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -20,7 +21,7 @@ from lingcond.scm import load_samples_csv, load_scm_json, save_samples_csv, save
 
 
 def example_spec(example_b):
-    return ScmSpec(example_b, NoiseSpec(), "stable", example_b.beta_min(), 0)
+    return ScmSpec(example_b, NoiseSpec(), "stable", 0)
 
 
 class TestWeightedAdjacency:
@@ -136,11 +137,26 @@ class TestGenerateScm:
 class TestScmSpecValidation:
     def test_regime_consistency(self, example_b):
         with pytest.raises(ValueError):
-            ScmSpec(example_b, NoiseSpec(), "unstable", example_b.beta_min(), 0)
+            ScmSpec(example_b, NoiseSpec(), "unstable", 0)
 
-    def test_beta_min_checked(self, example_b):
+    def test_beta_min_is_read_off_b(self, example_b):
+        spec = example_spec(example_b)
+        assert "beta_min" not in {f.name for f in dataclasses.fields(ScmSpec)}
+        assert spec.beta_min == example_b.beta_min() == pytest.approx(0.3)
+        assert spec.to_json_dict()["betaMin"] == example_b.beta_min()
+
+    @pytest.mark.parametrize("beta_min", [0.3 + 2e-12, 0.123, "0.3", True, None],
+                             ids=["off-by-2e-12", "far-off", "string", "bool", "null"])
+    def test_beta_min_checked(self, example_b, beta_min):
+        # a file's betaMin must be a number within 1e-12 of the one B gives
+        data = example_spec(example_b).to_json_dict()
         with pytest.raises(ValueError):
-            ScmSpec(example_b, NoiseSpec(), "stable", 0.123, 0)
+            ScmSpec.from_json_dict({**data, "betaMin": beta_min})
+
+    def test_beta_min_within_tolerance_accepted(self, example_b):
+        data = example_spec(example_b).to_json_dict()
+        spec = ScmSpec.from_json_dict({**data, "betaMin": data["betaMin"] + 5e-13})
+        assert spec.to_json_dict() == data
 
     def test_noise_family_whitelist(self):
         with pytest.raises(ValueError):
@@ -156,7 +172,7 @@ class TestScmSpecValidation:
 class TestSample:
     def test_zero_b_returns_raw_noise(self):
         spec = ScmSpec(
-            WeightedAdjacency(np.zeros((3, 3))), NoiseSpec(), "stable", 0.0, 0
+            WeightedAdjacency(np.zeros((3, 3))), NoiseSpec(), "stable", 0
         )
         x = sample(spec, 100, seed=4)
         from lingcond.rng import PURPOSE_SAMPLE, stream
@@ -261,7 +277,7 @@ class TestSoftIntervention:
 
     def test_unit_shift_on_independent_nodes(self):
         spec = ScmSpec(
-            WeightedAdjacency(np.zeros((3, 3))), NoiseSpec(), "stable", 0.0, 0
+            WeightedAdjacency(np.zeros((3, 3))), NoiseSpec(), "stable", 0
         )
         shifted = soft_cluster_intervention(spec, np.ones(3), 400, seed=5)
         baseline = sample(spec, 400, seed=5)
