@@ -181,10 +181,14 @@ class TestConfigs:
             cls(**knob)
 
     @pytest.mark.parametrize("cls", [GridConfig, ThresholdSweepConfig])
-    def test_scan_floor_is_not_a_config_key(self, cls):
-        # the scan's significance floor is a constant of the pipeline, not a setting
+    @pytest.mark.parametrize("floor", [0.1, -0.1, 1.0, float("nan"), "0.1"])
+    def test_scan_floor_is_not_a_config_key(self, cls, floor):
+        # the scan's significance floor is a constant of the pipeline, not a
+        # setting: a config that names it is refused whatever the value
         with pytest.raises(ValueError, match="unknown config keys"):
-            cls.from_json_dict({"enum_floor": 0.1})
+            cls.from_json_dict({"enum_floor": floor})
+        with pytest.raises(TypeError):
+            cls(enum_floor=floor)
 
     @pytest.mark.parametrize(
         "cls", [GridConfig, ThresholdSweepConfig, SampleComplexityConfig]

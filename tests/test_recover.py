@@ -480,10 +480,12 @@ class TestRecoverCondensation:
         with pytest.raises(ValueError):
             recover_condensation(x, mode=mode, **knob)
 
-    def test_scan_floor_is_not_an_argument(self):
-        # the scan's significance floor is a constant of the pipeline, not a setting
+    @pytest.mark.parametrize("floor", [0.1, -0.1, 1.0, math.nan, "0.1"])
+    def test_scan_floor_is_not_an_argument(self, floor):
+        # the scan's significance floor is a constant of the pipeline, not a
+        # setting: a call that names it is refused whatever the value
         with pytest.raises(TypeError):
-            recover_condensation(np.ones((20, 3)), enum_floor=0.1)
+            recover_condensation(np.ones((20, 3)), enum_floor=floor)
 
     def test_non_finite_samples_rejected(self, example_b):
         spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
