@@ -357,7 +357,11 @@ def _execute(cfg, taus, sub_seeds, out_path, workers) -> list:
     ``sub_seeds(seed, cell, n)`` gives the (SCM, sample, ICA) seeds of a unit
     of the config's (kappa, lambda, regime) ``cell``. Rows already in
     ``out_path`` win, so reruns are idempotent. Returns the wanted records sorted by key.
+    ``workers >= 1`` (ValueError otherwise) caps the pool, which gets one
+    process per unit left to run, at most ``workers``; one unit or one
+    worker runs in this process.
     """
+    workers = integer(workers, "workers", 1)
     units = []
     for kappa, lam, regime in cfg._cells():
         cell = _cell_keys(cfg.d, kappa, lam, regime)
@@ -370,10 +374,10 @@ def _execute(cfg, taus, sub_seeds, out_path, workers) -> list:
                 ))
     existing = {r.key(): r for r in load_records(out_path)} if out_path else {}
     todo = [u for u in units if any(r.key() not in existing for r in u.rows())]
-    if integer(workers, "workers") <= 1 or len(todo) <= 1:
+    if min(workers, len(todo)) <= 1:
         produced = [_run_unit(u) for u in todo]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    else:  # fork starts every worker up front: no more than there are units
+        with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
             produced = list(pool.map(_run_unit, todo, chunksize=1))
     merged = dict(existing)
     for rec in itertools.chain.from_iterable(produced):

@@ -8,8 +8,8 @@ partition and inter-cluster edges off the surviving support. Two selection
 modes are offered:
 
 * ``hungarian`` (the default): one permutation from a min-cost assignment
-  in which entries that are not rook slots cost ``inf``; scipy reports that no
-  assignment has finite cost, which is raised as
+  (``_min_cost_assignment``) in which entries that are not rook slots cost
+  ``inf``; when no assignment has finite cost, that is raised as
   ``NoAdmissiblePermutationError``.
 * ``enumerate-first-stable``, for experiments that also score
   variable-level structure: ``first_stable_select``, the one implementation
@@ -92,34 +92,88 @@ def _rook_slots(m: np.ndarray, cut: float) -> np.ndarray:
     return mags > cut * mags.max(axis=1, keepdims=True)
 
 
+def _min_cost_assignment(cost: np.ndarray) -> list | None:
+    """Column of each row in a min-cost perfect assignment of a square ``cost``.
+
+    ``cost`` holds finite values or ``+inf``; ``None`` when every perfect
+    assignment uses an ``inf`` entry. The shortest-augmenting-path algorithm
+    of Crouse (2016, *IEEE Trans. AES* 52(4)) as scipy's
+    ``linear_sum_assignment`` runs it, step for step, so it returns the same
+    assignment, ties included. Row ``cur`` is added by a Dijkstra search
+    over reduced costs ``((min_val + cost[i, j]) - u[i]) - v[j]``, vectorised
+    over the columns still ``remaining``; those are listed in reverse order
+    and shrunk by moving the last into the taken one's place. Of the columns
+    at the minimum, the search takes the last one in ``remaining`` that is
+    unassigned, else the first. It ends at an unassigned column, the duals
+    ``u, v`` are updated, and the path is flipped.
+    """
+    d = cost.shape[0]
+    u, v = np.zeros(d), np.zeros(d)
+    shortest = np.empty(d)  # shortest reduced path cost to each column
+    path = np.empty(d, np.intp)  # the row each column is reached from
+    col4row, row4col = [-1] * d, np.full(d, -1, np.intp)
+    for cur in range(d):
+        remaining = np.arange(d - 1, -1, -1)
+        shortest.fill(np.inf)
+        rows, cols = [], []  # the rows and columns the search has settled
+        min_val, i, k = 0.0, cur, d
+        while True:
+            rows.append(i)
+            rem = remaining[:k]
+            reduced = ((min_val + cost[i, rem]) - u[i]) - v[rem]
+            old = shortest[rem]
+            better = reduced < old
+            path[rem[better]] = i
+            shortest[rem] = vals = np.where(better, reduced, old)
+            lowest = vals.min()
+            if lowest == np.inf:
+                return None
+            hits = np.flatnonzero(vals == lowest)
+            index = hits[0]
+            if len(hits) > 1:
+                free = hits[row4col[rem[hits]] < 0]
+                if len(free):
+                    index = free[-1]
+            j = int(rem[index])
+            min_val = shortest[j]
+            cols.append(j)
+            k -= 1
+            remaining[index] = remaining[k]
+            if (i := int(row4col[j])) < 0:
+                break
+        u[cur] += min_val
+        others = rows[1:]
+        u[others] += min_val - shortest[[col4row[r] for r in others]]
+        v[cols] -= min_val - shortest[cols]
+        while True:  # flip the path back from the unassigned column j to row cur
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def hungarian_admissible(w, eta: float = DEFAULT_ETA) -> tuple:
     """Permutation maximizing sum_i log|(PW)_ii| over admissible assignments.
 
-    Solved as a min-cost assignment with cost -log|W[r, i]| for placing row
-    r at slot i; slots that are not rook slots at ``cut = eta``
-    (``_rook_slots``) cost ``inf``, which scipy's ``linear_sum_assignment``
-    never assigns. Scaling a row shifts all its costs by one constant, so the
-    assignment does not depend on row scale either. Returns ``perm`` with
-    ``perm[i]`` the source row for slot i, so ``PW = W[perm, :]``. Raises
-    NoAdmissiblePermutationError when every perfect matching uses a slot
-    that is not a rook slot, which scipy reports as an infeasible cost matrix
-    (the only ``ValueError`` it raises for a square matrix of finite or
-    ``+inf`` costs).
+    Solved as a min-cost assignment (``_min_cost_assignment``) with cost
+    -log|W[r, i]| for placing row r at slot i; slots that are not rook slots
+    at ``cut = eta`` (``_rook_slots``) cost ``inf``. Scaling a row shifts all
+    its costs by one constant, so the assignment does not depend on row
+    scale either. Returns ``perm`` with ``perm[i]`` the source row for slot
+    i, so ``PW = W[perm, :]``. Raises NoAdmissiblePermutationError when every
+    perfect matching uses a slot that is not a rook slot.
     """
-    # not at module level: scipy.optimize would be most of the package's import time
-    from scipy.optimize import linear_sum_assignment
-
     check_eta(eta)
     m = square_matrix(w, "demixing matrix")
     mags = np.abs(m.T)  # cost[i, r] scores row r at slot i
     cost = -np.log(mags, out=np.full(mags.shape, -np.inf), where=_rook_slots(m, eta).T)
-    try:
-        _, rows = linear_sum_assignment(cost)
-    except ValueError as exc:
+    if (rows := _min_cost_assignment(cost)) is None:
         raise NoAdmissiblePermutationError(
             f"no permutation keeps every diagonal magnitude above eta={eta} of its row's largest"
-        ) from exc
-    return tuple(int(r) for r in rows)
+        )
+    return tuple(rows)
 
 
 def _admissible_blocks(ok: np.ndarray, size: int):
@@ -401,8 +455,6 @@ def recover_condensation(
     tau, eta = check_tau(tau), check_eta(eta)
     enum_cap = integer(enum_cap, "enum_cap", 1)
     opts = ica_opts if ica_opts is not None else IcaOptions()
-    if mode == "hungarian":  # its first import (~0.4 s) is no part of the fit's timings
-        import scipy.optimize  # noqa: F401
 
     t0 = time.perf_counter()
     estimate = fastica(x, opts)

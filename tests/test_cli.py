@@ -322,6 +322,15 @@ class TestExperimentCommands:
         assert len(lines) == 3  # header + 2 records
         assert json.loads(summary.read_text())["cells"]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_is_a_usage_error(self, workspace, workers, capsys):
+        cfg_path = workspace / "grid.json"
+        cfg_path.write_text(json.dumps({"d": 6, "kappas": [2], "sample_sizes": [500], "seeds": 1}))
+        out = workspace / "results.csv"
+        assert run("grid", "--config", cfg_path, "--out", out, "--workers", workers) == 1
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_threshold_command(self, workspace):
         cfg_path = workspace / "sweep.json"
         cfg_path.write_text(json.dumps({

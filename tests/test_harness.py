@@ -62,6 +62,28 @@ RUNNERS = {
 }
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the harness's process pool for one that maps in this process; its sizes."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 def without_fit_ms(records):
     return [replace(r, fit_ms=None) for r in records]
 
@@ -404,6 +426,32 @@ class TestStudyUnit:
         run, make_cfg = RUNNERS[name]
         with pytest.raises(ValueError, match="integer"):
             run(make_cfg(), out_path=None, workers=workers)
+
+    @pytest.mark.parametrize("name", list(RUNNERS))
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, name, workers, pool_sizes, monkeypatch):
+        # refused before any pool is made or any unit is fitted
+        monkeypatch.setattr(harness, "_run_unit", None)
+        run, make_cfg = RUNNERS[name]
+        with pytest.raises(ValueError, match=">= 1"):
+            run(make_cfg(), out_path=None, workers=workers)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("name", list(RUNNERS))
+    def test_pool_has_no_more_workers_than_units(self, name, pool_sizes):
+        # fork starts every worker up front, so the pool has one per unit at most
+        run, make_cfg = RUNNERS[name]
+        cfg = make_cfg()
+        records = run(cfg, out_path=None, workers=500)
+        assert pool_sizes == [len(cfg.sample_sizes) * len(cfg.seeds)]
+        assert without_fit_ms(records) == without_fit_ms(run(cfg, out_path=None))
+
+    def test_resumed_units_get_no_workers(self, tmp_path, pool_sizes):
+        cfg, out = tiny_grid_cfg(), tmp_path / "grid.csv"
+        run_grid(replace(cfg, seeds=(0,)), out_path=out)
+        run_grid(cfg, out_path=out, workers=8)  # one unit left: it runs in this process
+        run_grid(cfg, out_path=out, workers=8)  # none left
+        assert pool_sizes == []
 
     @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
     def test_grid_record_is_a_one_tau_sweep(self, mode):

@@ -112,37 +112,83 @@ class TestHungarianAdmissible:
             with pytest.raises(ValueError, match="finite"):
                 hungarian_admissible(w)
 
-    def test_scipy_imported_only_by_a_hungarian_fit(self):
-        # scipy.optimize is most of the import time, and first-stable fits never use it
-        script = (
-            "import sys\n"
-            "import lingcond\n"
-            "x = lingcond.sample(lingcond.generate_scm(4, 1, 0.5, seed=0), 500, seed=1)\n"
-            "lingcond.recover_condensation(x, mode='enumerate-first-stable')\n"
-            "print('scipy.optimize' in sys.modules)\n"
-            "lingcond.recover_condensation(x, mode='hungarian')\n"
-            "print('scipy.optimize' in sys.modules)\n"
-        )
-        assert _run_python(script).split() == ["False", "True"]
+    def test_assignment_is_scipys_exactly(self):
+        # the port runs scipy's algorithm step for step: the same permutation,
+        # ties included, and infeasible exactly when scipy says so
+        optimize = pytest.importorskip("scipy.optimize")
 
-    def test_hungarian_fit_imports_scipy_before_its_clock_starts(self):
-        # the first import of scipy.optimize takes about 0.4 s; inside the fit it
-        # would land in assign_ms and total_ms of the first Hungarian fit only
+        def reference(cost):
+            try:
+                return optimize.linear_sum_assignment(cost)[1].tolist()
+            except ValueError:
+                return None
+
+        rng = np.random.default_rng(41)
+        costs = []
+        for trial in range(6000):
+            d = int(rng.integers(1, 13))
+            kind = trial % 4
+            if kind == 0:
+                cost = rng.normal(0, 1, (d, d))
+            elif kind == 1:  # small integers: many tied paths
+                cost = np.round(rng.uniform(0, 3, (d, d)))
+            elif kind == 2:
+                cost = np.round(rng.normal(0, 1, (d, d)), 1)
+            else:  # all tied: scipy gives the identity
+                cost = np.full((d, d), float(rng.integers(-2, 3)))
+            cost[rng.random((d, d)) < rng.uniform(0, 0.7)] = np.inf
+            costs.append(cost)
+        for d in (50, 100):
+            for cost in (rng.normal(0, 1, (d, d)), np.round(rng.uniform(0, 3, (d, d)))):
+                cost[rng.random((d, d)) < 0.5] = np.inf
+                costs.append(cost)
+        infeasible = 0
+        for cost in costs:
+            want = reference(cost)
+            assert recover._min_cost_assignment(cost) == want, cost
+            infeasible += want is None
+        assert 500 < infeasible < 3000
+
+    def test_hungarian_admissible_is_scipys_permutation(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            d = int(rng.integers(1, 9))
+            w = np.round(rng.normal(0, 1, (d, d)), 1)  # equal magnitudes tie the costs
+            mags = np.abs(w.T)
+            ok = mags > 1e-3 * mags.max(axis=0)
+            cost = np.where(ok, -np.log(mags, where=ok, out=np.ones_like(mags)), np.inf)
+            try:
+                want = tuple(optimize.linear_sum_assignment(cost)[1].tolist())
+            except ValueError:
+                with pytest.raises(NoAdmissiblePermutationError, match="eta=0.001"):
+                    hungarian_admissible(w, 1e-3)
+                continue
+            assert hungarian_admissible(w, 1e-3) == want
+
+    def test_no_fit_imports_scipy(self):
         script = (
             "import sys\n"
             "import lingcond\n"
-            "from lingcond import recover\n"
-            "seen, fastica = [], recover.fastica\n"
-            "def probe(*args, **kwargs):\n"
-            "    seen.append('scipy.optimize' in sys.modules)\n"
-            "    return fastica(*args, **kwargs)\n"
-            "recover.fastica = probe\n"
             "x = lingcond.sample(lingcond.generate_scm(4, 1, 0.5, seed=0), 500, seed=1)\n"
-            "lingcond.recover_condensation(x, mode='enumerate-first-stable')\n"
-            "lingcond.recover_condensation(x, mode='hungarian')\n"
-            "print(*seen)\n"
+            "for mode in ('enumerate-first-stable', 'hungarian'):\n"
+            "    lingcond.recover_condensation(x, mode=mode)\n"
+            "    print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
         )
-        assert _run_python(script).split() == ["False", "True"]
+        assert _run_python(script).split() == ["False", "False"]
+
+    def test_hungarian_fit_runs_with_scipy_unimportable(self):
+        # a None entry in sys.modules makes every import of scipy raise ImportError
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import lingcond\n"
+            "x = lingcond.sample(lingcond.generate_scm(6, 2, 0.5, seed=0), 2000, seed=1)\n"
+            "print(*lingcond.recover_condensation(x, mode='hungarian').candidate.permutation)\n"
+        )
+        x = sample(generate_scm(6, 2, 0.5, seed=0), 2000, seed=1)
+        expected = recover_condensation(x, mode="hungarian").candidate.permutation
+        assert _run_python(script).split() == [str(r) for r in expected]
 
 
 class TestEnumerateAdmissible:
