@@ -29,10 +29,8 @@ from .harness import (
     ExperimentRecord,
     GridConfig,
     SampleComplexityConfig,
-    ThresholdSweepConfig,
     run_grid,
     run_sample_complexity,
-    run_threshold_sweep,
     summarize_grid,
     summarize_sample_complexity,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "SampleComplexityConfig",
     "ScmSpec",
     "SingularModelError",
-    "ThresholdSweepConfig",
     "WeightedAdjacency",
     "WhiteningError",
     "ari",
@@ -109,7 +106,6 @@ __all__ = [
     "reverse_cycle",
     "run_grid",
     "run_sample_complexity",
-    "run_threshold_sweep",
     "sample",
     "soft_cluster_intervention",
     "spectral_radius",

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: generate, sample, fit, lattice, grid, sweep-threshold,
-sample-complexity. Exit codes: 0 success, 1 usage error, 2 numerical failure.
+Subcommands: generate, sample, fit, lattice, grid, sample-complexity; a
+threshold sweep is a grid of one cell with several taus. Exit codes: 0
+success, 1 usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from .graphs import DirectedGraph
 from .harness import (
     GridConfig,
     SampleComplexityConfig,
-    ThresholdSweepConfig,
     run_grid,
     run_sample_complexity,
-    run_threshold_sweep,
     summarize_grid,
 )
 from .ica import IcaOptions, NONLINEARITIES
@@ -40,9 +39,7 @@ from .scm import (
 
 # study subcommand: (help, config class, runner, summary of the runner's result)
 _STUDIES = {
-    "grid": ("run the main experiment grid", GridConfig, run_grid, summarize_grid),
-    "sweep-threshold": ("sweep tau over one cell", ThresholdSweepConfig,
-                        run_threshold_sweep, summarize_grid),
+    "grid": ("run an experiment grid or tau sweep", GridConfig, run_grid, summarize_grid),
     "sample-complexity": ("fixed-SCM recovery-rate study", SampleComplexityConfig,
                           run_sample_complexity, lambda result: result[1]),
 }

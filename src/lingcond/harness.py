@@ -1,17 +1,17 @@
-"""Experiment harness: grid runs, threshold sweeps, sample-complexity study.
+"""Experiment harness: grid runs and the sample-complexity study.
 
-All three studies run one unit of work: a model, one sample of size n and
-one record seed, fitted once with ``recover_condensation`` at the smallest of
-the study's taus (the grid's one ``cfg.tau``, the sweep's ``cfg.taus``, or
-beta_min / 2 of the fixed SCM), then cut and scored at each of them.
-A unit is pure given its derived sub-seeds, so runs are deterministic,
-resumable (a unit whose rows all exist is skipped) and safely parallelizable.
-Results go to a flat CSV, one column per ``ExperimentRecord`` field, ordered
-by key rather than completion time and read back by the rules it is written
-with. Sub-seeds are derived by hashing the explicit record seed together with
-cell identifiers and a purpose tag through ``rng.derive_seed`` (SeedSequence);
-the SCM stream deliberately excludes the sample size so one seed sees a
-growing sample of the same model.
+Both studies run one unit of work: a model, one sample of size n and one
+record seed, fitted once with ``recover_condensation`` at the smallest of
+the study's taus (the grid's ``cfg.taus``, or beta_min / 2 of the fixed
+SCM), then cut and scored at each of them; a threshold sweep is a grid of
+one cell. A unit is pure given its derived sub-seeds, so runs are
+deterministic, resumable (a unit whose rows all exist is skipped) and safely
+parallelizable. Results go to a flat CSV, one column per ``ExperimentRecord``
+field, ordered by key rather than completion time and read back by the rules
+it is written with. Sub-seeds are derived by hashing the explicit record
+seed together with cell identifiers and a purpose tag through
+``rng.derive_seed`` (SeedSequence); the SCM stream deliberately excludes the
+sample size so one seed sees a growing sample of the same model.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _require(condition: bool, message: str) -> None:
 
 @dataclass(frozen=True, kw_only=True)
 class _StudyConfig:
-    """Base of the three study configs: their shared fields, checks and JSON constructor.
+    """Base of the two study configs: their shared fields, checks and JSON constructor.
 
     Fields are keyword-only, so a config is built from names, never positions.
     """
@@ -66,19 +66,25 @@ class _StudyConfig:
     weight_high: float = DEFAULT_WEIGHT_HIGH
     noise_family: str = "laplace"
 
-    def __post_init__(self):  # the checks all three share, so no unit fails on its arguments
-        cells = self._cells()
-        _require(bool(cells), "kappas, lambdas and regimes must be nonempty")
-        for kappa, lam, regime in cells:
+    def __post_init__(self):  # the checks both share, so no unit fails on its arguments
+        for f in fields(self):  # a repeated value would run its units again for the same rows
+            if isinstance(f.default, tuple):
+                values = getattr(self, f.name)
+                _require(isinstance(values, (tuple, list, range)) and len(values) > 0 and all(
+                    a != b for a, b in itertools.combinations(values, 2)),
+                    f"{f.name} must be a nonempty sequence of distinct values")
+                object.__setattr__(self, f.name, tuple(values))
+        for kappa, lam, regime in self._cells():
             _check_model_args(self.d, kappa, lam, self.weight_low, self.weight_high,
                               regime, self.noise_family)
         sizes = [integer(n, "sample size") for n in self.sample_sizes]
-        _require(bool(sizes), "sample_sizes must be nonempty")
         _require(all(a < b for a, b in zip(sizes, sizes[1:])),
                  "sample_sizes must be strictly increasing")
         _require(min(sizes) > self.d, f"every sample size must exceed d={self.d}")
-        seeds = [integer(seed, "seed", 0) for seed in self.seeds]
-        _require(bool(seeds), "seeds must be nonempty")
+        for seed in self.seeds:
+            integer(seed, "seed", 0)
+        _require(isinstance(self.ica, IcaOptions),
+                 f"ica must be an IcaOptions, got {type(self.ica).__name__}")
         _require(self.ica.seed == IcaOptions.seed,
                  "ica.seed must be left out: a study derives each unit's ICA seed "
                  "from its record seed, cell and sample size")
@@ -104,9 +110,6 @@ class _StudyConfig:
         try:
             if not isinstance(kwargs.get("seeds", ()), (list, tuple)):  # a count of seeds
                 kwargs["seeds"] = range(integer(kwargs["seeds"], "seed count"))
-            for f in fields(cls):  # the fields whose default is a tuple take a JSON list
-                if isinstance(f.default, tuple) and f.name in kwargs:
-                    kwargs[f.name] = tuple(kwargs[f.name])
             if "ica" in kwargs:
                 kwargs["ica"] = IcaOptions(**kwargs["ica"])
             return cls(**kwargs)
@@ -115,56 +118,30 @@ class _StudyConfig:
 
 
 @dataclass(frozen=True, kw_only=True)
-class _ScanStudyConfig(_StudyConfig):
-    """Base of the grid and sweep configs, which choose the mode and the scan's cap."""
-
-    mode: str = "enumerate-first-stable"
-    enum_cap: int = DEFAULT_ENUM_CAP
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.mode in MODES, f"mode must be one of {MODES}")
-        integer(self.enum_cap, "enum_cap", 1)
-
-    def _fit(self) -> dict:
-        return dict(eta=self.eta, mode=self.mode, enum_cap=self.enum_cap)
-
-
-@dataclass(frozen=True, kw_only=True)
-class GridConfig(_ScanStudyConfig):
-    """Main-grid configuration (cells = kappas x lambdas x regimes x sizes)."""
+class GridConfig(_StudyConfig):
+    """Grid configuration: cells = kappas x lambdas x regimes, each fit cut at every tau."""
 
     kappas: tuple = (3, 4, 5)
     lambdas: tuple = (0.3, 0.5, 0.8)
     regimes: tuple = ("stable", "unstable")
     sample_sizes: tuple = (50, 200, 1000, 5000, 20000, 100000)
     seeds: tuple = tuple(range(10))
-    tau: float = DEFAULT_TAU
+    taus: tuple = (DEFAULT_TAU,)
+    mode: str = "enumerate-first-stable"
+    enum_cap: int = DEFAULT_ENUM_CAP
 
     def __post_init__(self):
-        check_tau(self.tau)
         super().__post_init__()
+        for tau in self.taus:
+            check_tau(tau)
+        _require(self.mode in MODES, f"mode must be one of {MODES}")
+        integer(self.enum_cap, "enum_cap", 1)
 
     def _cells(self) -> list:
         return list(itertools.product(self.kappas, self.lambdas, self.regimes))
 
-
-@dataclass(frozen=True, kw_only=True)
-class ThresholdSweepConfig(_ScanStudyConfig):
-    """One grid cell swept across thresholds with a shared fit per (n, seed)."""
-
-    kappa: int = 4
-    lam: float = 0.5
-    regime: str = "stable"
-    taus: tuple = (0.001, 0.01, 0.1, 0.2, 0.5, 1.0)
-    sample_sizes: tuple = (500, 5000, 50000)
-    seeds: tuple = tuple(range(10))
-
-    def __post_init__(self):
-        _require(bool(self.taus), "taus must be nonempty")
-        for tau in self.taus:
-            check_tau(tau)
-        super().__post_init__()
+    def _fit(self) -> dict:
+        return dict(eta=self.eta, mode=self.mode, enum_cap=self.enum_cap)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -180,11 +157,11 @@ class SampleComplexityConfig(_StudyConfig):
     window: tuple = (200, 1000)
 
     def __post_init__(self):
+        super().__post_init__()
         window = [finite(v, "window bound") for v in self.window]
         _require(len(window) == 2 and window[0] < window[1],
                  "window must be (low, high), two numbers with low < high")
         integer(self.scm_seed, "scm_seed", 0)
-        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -388,7 +365,7 @@ def _execute(cfg, taus, sub_seeds, out_path, workers) -> list:
 
 
 def _cell_sub_seeds(seed: int, cell: tuple, n: int) -> tuple:
-    """Grid and sweep sub-seeds: the SCM stream is keyed by the cell, not by n."""
+    """Grid sub-seeds: the SCM stream is keyed by the cell, not by n."""
     return (
         rng_mod.derive_seed(seed, TAG_SCM, *cell),
         rng_mod.derive_seed(seed, TAG_SAMPLE, *cell, n),
@@ -397,12 +374,7 @@ def _cell_sub_seeds(seed: int, cell: tuple, n: int) -> tuple:
 
 
 def run_grid(cfg: GridConfig, out_path=None, workers: int = 1) -> list:
-    """Run every (cell, n, seed) of the grid at ``cfg.tau``; records sorted by key."""
-    return _execute(cfg, (cfg.tau,), _cell_sub_seeds, out_path, workers)
-
-
-def run_threshold_sweep(cfg: ThresholdSweepConfig, out_path=None, workers: int = 1) -> list:
-    """Sweep tau over a fixed cell, reusing one fitted pipeline per (n, seed)."""
+    """Fit every (cell, n, seed) of the grid once, cut at each tau; records sorted by key."""
     return _execute(cfg, cfg.taus, _cell_sub_seeds, out_path, workers)
 
 

@@ -258,8 +258,11 @@ def fastica(x, opts: IcaOptions = IcaOptions()) -> DemixingEstimate:
     and ``converged`` then report that refinement. If the subsample's
     covariance is rank deficient while that of all rows is not, the
     restarts run on all rows. The restarts run in lockstep; each stage's
-    results match running its starts one after another.
+    results match running its starts one after another. An ``opts`` that is
+    not an ``IcaOptions`` raises ValueError.
     """
+    if not isinstance(opts, IcaOptions):
+        raise ValueError(f"ICA options must be an IcaOptions, got {type(opts).__name__}")
     z, k, _ = center_whiten(x)
     n, d = z.shape
     step = n // (_ROWS_PER_DIM * d)

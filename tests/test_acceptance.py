@@ -20,7 +20,6 @@ from lingcond import (
     NoiseSpec,
     SampleComplexityConfig,
     ScmSpec,
-    ThresholdSweepConfig,
     b_from_w,
     condense,
     enumerate_admissible,
@@ -30,7 +29,6 @@ from lingcond import (
     reverse_cycle,
     run_grid,
     run_sample_complexity,
-    run_threshold_sweep,
     sample,
     tarjan_scc,
     valid_dag_coarsenings,
@@ -214,23 +212,25 @@ def test_criterion_07_sample_complexity(tmp_path):
 
 
 def test_criterion_08_threshold_failure_modes():
-    cfg = ThresholdSweepConfig(
-        d=10, kappa=4, lam=0.5, regime="stable",
+    # a threshold sweep: one grid cell, every (n, seed) fitted once and cut at each tau
+    kappa, lam, regime = 4, 0.5, "stable"
+    cfg = GridConfig(
+        d=10, kappas=(kappa,), lambdas=(lam,), regimes=(regime,),
         taus=(0.01, 0.1, 0.2, 0.5, 1.0), sample_sizes=(5000,),
-        seeds=tuple(range(10)),
+        seeds=tuple(range(10)), mode="enumerate-first-stable",
     )
-    records = run_threshold_sweep(cfg)
+    records = run_grid(cfg)
     at = {}
     for rec in records:
         at.setdefault(rec.tau, {})[rec.seed] = rec
 
     # Rebuild each seed's SCM exactly as the sweep derived it, for its own
     # beta_min and true SCC count.
-    cell = harness._cell_keys(cfg.d, cfg.kappa, cfg.lam, cfg.regime)
+    cell = harness._cell_keys(cfg.d, kappa, lam, regime)
     beta_min, true_clusters = {}, {}
     for seed in cfg.seeds:
         scm = generate_scm(
-            cfg.d, cfg.kappa, cfg.lam, cfg.weight_low, cfg.weight_high, cfg.regime,
+            cfg.d, kappa, lam, cfg.weight_low, cfg.weight_high, regime,
             seed=rng_mod.derive_seed(seed, harness.TAG_SCM, *cell),
             noise_family=cfg.noise_family,
         )

@@ -195,26 +195,39 @@ class TestExitCodes:
         ("grid", {"kappas": [2, 4]}),
         ("grid", {"lambdas": [0.4, 1.5]}),
         ("grid", {"sample_sizes": [6, 200]}),
-        ("sweep-threshold", {"weight_low": 0.9, "weight_high": 0.5}),
-        ("sweep-threshold", {"sample_sizes": [3, 200]}),
+        ("grid", {"weight_low": 0.9, "weight_high": 0.5}),
+        ("grid", {"sample_sizes": [3, 200]}),
         ("sample-complexity", {"lam": 1.5}),
         ("sample-complexity", {"seeds": [0, -1]}),
         ("grid", {"ica": {"restarts": 2.5}}),
-        ("sweep-threshold", {"ica": {"max_iterations": 10.5}}),
+        ("grid", {"ica": {"max_iterations": 10.5}}),
         ("sample-complexity", {"ica": {"seed": -1}}),
         ("grid", {"sample_sizes": [200.5]}),
         ("grid", {"kappas": [2.5]}),
         ("grid", {"d": 6.0}),
-        ("sweep-threshold", {"kappa": 2.5}),
+        ("grid", {"kappa": 2}),  # a grid's cells are lists: the scalar key is unknown
         ("sample-complexity", {"scm_seed": 1.5}),
         ("sample-complexity", {"scm_seed": -1}),
         ("sample-complexity", {"window": ["a", "b"]}),
         ("grid", [1, 2]),
-        ("sweep-threshold", None),
+        ("grid", None),
         ("grid", [["d", 6], ["kappas", [2]], ["lambdas", [0.4]], ["regimes", ["stable"]],
                   ["seeds", 1], ["sample_sizes", [200]], ["ica", {"restarts": 1}]]),
         ("grid", {"seeds": True}),
         ("sample-complexity", {"seeds": True}),
+        # before, this config fitted 8 times for its one row
+        ("grid", {"kappas": [2, 2], "regimes": ["stable", "stable"], "seeds": [0, 0]}),
+        ("grid", {"regimes": "stable"}),
+        ("grid", {"taus": [0.1, 0.1]}),
+        ("grid", {"taus": 0.1}),
+        ("grid", {"lambda": 0.4}),
+        ("grid", {"regime": "stable"}),
+        ("grid", {"lambdas": [0.4, 0.4]}),
+        ("grid", {"sample_sizes": 500}),
+        ("sample-complexity", {"window": 200}),
+        ("sample-complexity", {"window": [200, 200]}),
+        ("sample-complexity", {"sample_sizes": [200, 200]}),
+        ("sample-complexity", {"seeds": [1, 1]}),
     ])
     def test_bad_study_config_fits_and_writes_nothing(
         self, workspace, monkeypatch, command, config
@@ -331,16 +344,27 @@ class TestExperimentCommands:
         assert "workers must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sweep_threshold_command(self, workspace):
+    def test_tau_sweep_is_a_one_cell_grid(self, workspace):
         cfg_path = workspace / "sweep.json"
         cfg_path.write_text(json.dumps({
-            "d": 6, "kappa": 2, "lambda": 0.4, "taus": [0.05, 0.2],
+            "d": 6, "kappas": [2], "lambdas": [0.4], "regimes": ["stable"], "taus": [0.05, 0.2],
             "sample_sizes": [500], "seeds": 1, "mode": "hungarian",
             "ica": {"restarts": 1},
         }))
         out = workspace / "sweep.csv"
-        assert run("sweep-threshold", "--config", cfg_path, "--out", out) == 0
+        assert run("grid", "--config", cfg_path, "--out", out) == 0
         assert len(out.read_text().splitlines()) == 3
+
+    def test_sweep_threshold_command_and_tau_key_refused(self, workspace, capsys):
+        # the sweep is a grid with several taus: no command or scalar key stands in for it
+        cfg_path, out = workspace / "sweep.json", workspace / "sweep.csv"
+        cfg_path.write_text(json.dumps({"d": 6, "kappas": [2], "taus": [0.1]}))
+        assert run("sweep-threshold", "--config", cfg_path, "--out", out) == 1
+        assert "invalid choice" in capsys.readouterr().err
+        cfg_path.write_text(json.dumps({"d": 6, "kappas": [2], "tau": 0.1}))
+        assert run("grid", "--config", cfg_path, "--out", out) == 1
+        assert "unknown config keys: ['tau']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sample_complexity_command(self, workspace):
         cfg_path = workspace / "sc.json"

@@ -11,13 +11,11 @@ from lingcond import (
     GridConfig,
     IcaOptions,
     SampleComplexityConfig,
-    ThresholdSweepConfig,
     evaluate,
     generate_scm,
     recover_condensation,
     run_grid,
     run_sample_complexity,
-    run_threshold_sweep,
     sample,
     summarize_grid,
     summarize_sample_complexity,
@@ -40,9 +38,9 @@ def tiny_grid_cfg():
     )
 
 
-def tiny_sweep_cfg(**kw):
-    return ThresholdSweepConfig(
-        d=6, kappa=2, lam=0.4, regime="unstable", taus=(0.05, 0.2, 0.6),
+def tiny_sweep_cfg(**kw):  # a threshold sweep: one cell, several taus
+    return GridConfig(
+        d=6, kappas=(2,), lambdas=(0.4,), regimes=("unstable",), taus=(0.05, 0.2, 0.6),
         sample_sizes=(300, 800), seeds=(0, 1), ica=IcaOptions(restarts=1), **kw,
     )
 
@@ -54,9 +52,13 @@ def tiny_complexity_cfg():
     )
 
 
+# the study-config fields whose default is a tuple
+LIST_FIELDS = [(cls, f.name) for cls in (GridConfig, SampleComplexityConfig)
+               for f in fields(cls) if isinstance(f.default, tuple)]
+
 RUNNERS = {
     "grid": (run_grid, tiny_grid_cfg),
-    "sweep": (run_threshold_sweep, tiny_sweep_cfg),
+    "sweep": (run_grid, tiny_sweep_cfg),
     "complexity": (lambda cfg, **kw: run_sample_complexity(cfg, **kw)[0],
                    tiny_complexity_cfg),
 }
@@ -165,14 +167,14 @@ class TestRecords:
         common = dict(d=6, sample_sizes=(300,), seeds=(0,), mode="hungarian",
                       ica=IcaOptions(restarts=1))
         grid = GridConfig(kappas=(2,), lambdas=(0.5, 0.5000001), regimes=("stable",), **common)
-        sweep = ThresholdSweepConfig(kappa=2, lam=0.4, taus=(0.1, 0.1000004, 0.2), **common)
-        for run, cfg, column, values in ((run_grid, grid, "lam", grid.lambdas),
-                                         (run_threshold_sweep, sweep, "tau", sweep.taus)):
+        sweep = GridConfig(kappas=(2,), lambdas=(0.4,), regimes=("stable",),
+                           taus=(0.1, 0.1000004, 0.2), **common)
+        for cfg, column, values in ((grid, "lam", grid.lambdas), (sweep, "tau", sweep.taus)):
             out = tmp_path / f"{column}.csv"
-            records = run(cfg, out_path=out)
+            records = run_grid(cfg, out_path=out)
             assert [getattr(r, column) for r in records] == list(values)
             first_bytes = out.read_bytes()
-            assert run(cfg, out_path=out) == records
+            assert run_grid(cfg, out_path=out) == records
             assert out.read_bytes() == first_bytes
 
 
@@ -182,18 +184,22 @@ class TestConfigs:
         assert cfg.seeds == (0, 1, 2)
 
     def test_lambda_alias(self):
-        cfg = ThresholdSweepConfig.from_json_dict({"lambda": 0.3})
+        cfg = SampleComplexityConfig.from_json_dict({"lambda": 0.3})
         assert cfg.lam == 0.3
 
     def test_unknown_keys_rejected(self):
+        # a grid's taus and cells are lists: the old sweep's scalar names are not keys
+        for key in ("tau", "kappa", "lam", "lambda", "regime"):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                GridConfig.from_json_dict({key: 0.1})
         with pytest.raises(ValueError, match="unknown config keys"):
-            GridConfig.from_json_dict({"taus": [0.1]})
+            SampleComplexityConfig.from_json_dict({"taus": [0.1]})
 
     def test_sample_sizes_must_increase(self):
         with pytest.raises(ValueError):
             GridConfig(sample_sizes=(100, 100))
 
-    @pytest.mark.parametrize("cls", [GridConfig, ThresholdSweepConfig])
+    @pytest.mark.parametrize("cls", [GridConfig])
     @pytest.mark.parametrize("knob", [
         {"enum_cap": 0}, {"enum_cap": 1.5},
         {"eta": float("nan")}, {"eta": 0.0}, {"enum_cap": True},
@@ -202,7 +208,7 @@ class TestConfigs:
         with pytest.raises(ValueError):
             cls(**knob)
 
-    @pytest.mark.parametrize("cls", [GridConfig, ThresholdSweepConfig])
+    @pytest.mark.parametrize("cls", [GridConfig])
     @pytest.mark.parametrize("floor", [0.1, -0.1, 1.0, float("nan"), "0.1"])
     def test_scan_floor_is_not_a_config_key(self, cls, floor):
         # the scan's significance floor is a constant of the pipeline, not a
@@ -212,9 +218,7 @@ class TestConfigs:
         with pytest.raises(TypeError):
             cls(enum_floor=floor)
 
-    @pytest.mark.parametrize(
-        "cls", [GridConfig, ThresholdSweepConfig, SampleComplexityConfig]
-    )
+    @pytest.mark.parametrize("cls", [GridConfig, SampleComplexityConfig])
     @pytest.mark.parametrize("bad", [
         {"eta": float("nan")}, {"eta": 0.0}, {"noise_family": "bogus"},
         {"seeds": ()}, {"sample_sizes": ()}, {"sample_sizes": (500, 200)},
@@ -223,9 +227,7 @@ class TestConfigs:
         with pytest.raises(ValueError):
             cls(**bad)
 
-    @pytest.mark.parametrize(
-        "cls", [GridConfig, ThresholdSweepConfig, SampleComplexityConfig]
-    )
+    @pytest.mark.parametrize("cls", [GridConfig, SampleComplexityConfig])
     @pytest.mark.parametrize("bad", [
         {"sample_sizes": (3, 4)}, {"sample_sizes": (6, 500)}, {"kappa": 4},
         {"lam": 1.5}, {"weight_low": 0.9, "weight_high": 0.5}, {"seeds": (0, -1)},
@@ -244,7 +246,7 @@ class TestConfigs:
         with pytest.raises(ValueError):
             build(**{"kappa": 2, **bad})
 
-    @pytest.mark.parametrize("cls", [GridConfig, ThresholdSweepConfig])
+    @pytest.mark.parametrize("cls", [GridConfig])
     @pytest.mark.parametrize("data", [
         {"ica": {"bogus": 1}}, {"kappas": 3}, {"seeds": 2.5}, {"d": "6"},
         {"ica": {"restarts": 2.5}}, {"ica": {"max_iterations": 10.5}}, {"ica": {"seed": -1}},
@@ -259,8 +261,8 @@ class TestConfigs:
         (GridConfig, {"sample_sizes": [200.5]}),
         (GridConfig, {"kappas": [2.5]}),
         (GridConfig, {"d": 10.0}),
-        (ThresholdSweepConfig, {"sample_sizes": [500, 5000.5]}),
-        (ThresholdSweepConfig, {"kappa": 2.5}),
+        (GridConfig, {"sample_sizes": [500, 5000.5]}),
+        (GridConfig, {"kappas": [2, 2.5]}),
         (SampleComplexityConfig, {"d": 10.0}),
         (SampleComplexityConfig, {"scm_seed": 1.5}),
         (SampleComplexityConfig, {"scm_seed": -1}),
@@ -281,28 +283,45 @@ class TestConfigs:
         with pytest.raises(ValueError, match="window"):
             SampleComplexityConfig.from_json_dict({"window": window})
         with pytest.raises(ValueError, match="window"):
-            SampleComplexityConfig(d=6, window=tuple(window))
+            SampleComplexityConfig(d=6, kappa=2, window=tuple(window))
 
     def test_bad_regimes_rejected(self):
         for bad in ((), ("stable", "bogus")):
             with pytest.raises(ValueError):
                 GridConfig(regimes=bad)
         with pytest.raises(ValueError):
-            ThresholdSweepConfig(regime="bogus")
-        with pytest.raises(ValueError):
             SampleComplexityConfig(regime="bogus")
 
     def test_bad_taus_rejected(self):
-        with pytest.raises(ValueError):
-            GridConfig(tau=float("nan"))
-        with pytest.raises(ValueError):
-            ThresholdSweepConfig(taus=(0.1, float("nan")))
+        for taus in ((float("nan"),), (0.1, float("nan")), (0.1, -0.1)):
+            with pytest.raises(ValueError):
+                GridConfig(taus=taus)
+
+    @pytest.mark.parametrize("cls, name", LIST_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in LIST_FIELDS])
+    @pytest.mark.parametrize("shape", ["scalar", "repeat", "empty"])
+    def test_list_field_is_a_sequence_of_distinct_values(self, cls, name, shape):
+        # before, kappas=3 raised a raw TypeError, regimes="stable" read as the
+        # regime 's', and kappas=(2, 2) ran every unit of kappa 2 twice for one set of rows
+        default = getattr(cls(), name)
+        bad = {"scalar": default[0], "repeat": [default[0]] * 2, "empty": []}[shape]
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: bad})
+        with pytest.raises(ValueError, match=name):  # a scalar seeds is a count: here zero
+            cls.from_json_dict({name: bad})
+        assert cls(**{name: list(default)}) == cls()  # a list is held as a tuple
+
+    @pytest.mark.parametrize("cls", [GridConfig, SampleComplexityConfig])
+    def test_ica_that_is_not_ica_options_rejected(self, cls):
+        # before, a dict raised a raw AttributeError
+        with pytest.raises(ValueError, match="IcaOptions"):
+            cls(ica={"restarts": 1})
 
     def test_ica_sub_config(self):
         cfg = GridConfig.from_json_dict({"ica": {"restarts": 1}})
         assert cfg.ica.restarts == 1
 
-    @pytest.mark.parametrize("cls", [GridConfig, ThresholdSweepConfig, SampleComplexityConfig])
+    @pytest.mark.parametrize("cls", [GridConfig, SampleComplexityConfig])
     def test_ica_seed_refused(self, cls):
         # each unit's ICA seed is derived from its record seed, so before, any
         # ica.seed wrote the records of seed 0
@@ -321,10 +340,10 @@ class TestConfigs:
 
     @pytest.mark.parametrize("cfg", [
         GridConfig(d=6, kappas=(2,), lambdas=(0.4, 0.6), regimes=("stable",), seeds=(3, 5),
-                   sample_sizes=(200, 500), tau=0.2, eta=2e-3, mode="hungarian", enum_cap=7,
+                   sample_sizes=(200, 500), taus=(0.2,), eta=2e-3, mode="hungarian", enum_cap=7,
                    ica=IcaOptions(restarts=2), noise_family="exponential-centered"),
-        ThresholdSweepConfig(d=6, kappa=2, lam=0.4, taus=(0.05, 0.3), sample_sizes=(300,),
-                             weight_low=0.6),
+        GridConfig(d=6, kappas=(2,), lambdas=(0.4,), taus=(0.05, 0.3), sample_sizes=(300,),
+                   weight_low=0.6),
         SampleComplexityConfig(d=6, kappa=2, lam=0.4, scm_seed=3, seeds=(0, 2),
                                sample_sizes=(200, 400), window=(250, 400), weight_high=0.9),
     ], ids=["grid", "sweep", "sample-complexity"])
@@ -333,7 +352,7 @@ class TestConfigs:
         assert set(data) == {f.name for f in fields(cfg)}
         assert type(cfg).from_json_dict(data) == cfg
 
-    @pytest.mark.parametrize("cls", [GridConfig, ThresholdSweepConfig, SampleComplexityConfig])
+    @pytest.mark.parametrize("cls", [GridConfig, SampleComplexityConfig])
     def test_positional_construction_rejected(self, cls):
         # fields are keyword-only, so moving one between classes cannot reorder them
         with pytest.raises(TypeError):
@@ -373,7 +392,7 @@ class TestRunGrid:
 
     def test_integer_valued_config_resumes_byte_for_byte(self, tmp_path):
         # before, the first run wrote tau 0 and lambda 1, the resume 0.0 and 1.0
-        cfg = replace(tiny_grid_cfg(), lambdas=(1,), tau=0)
+        cfg = replace(tiny_grid_cfg(), lambdas=(1,), taus=(0,))
         out = tmp_path / "grid.csv"
         records = run_grid(cfg, out_path=out)
         first_bytes = out.read_bytes()
@@ -454,16 +473,15 @@ class TestStudyUnit:
         assert pool_sizes == []
 
     @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
-    def test_grid_record_is_a_one_tau_sweep(self, mode):
-        common = dict(d=6, sample_sizes=(300, 800), seeds=(0, 1), mode=mode,
-                      ica=IcaOptions(restarts=1))
-        grid = GridConfig(kappas=(2,), lambdas=(0.4,), regimes=("unstable",),
-                          tau=0.2, **common)
-        sweep = ThresholdSweepConfig(kappa=2, lam=0.4, regime="unstable",
-                                     taus=(0.2,), **common)
-        records = run_grid(grid)
-        assert len(records) == 4 and not any(r.error for r in records)
-        assert without_fit_ms(records) == without_fit_ms(run_threshold_sweep(sweep))
+    def test_multi_tau_grid_is_one_grid_per_tau(self, mode):
+        # one fit per (cell, n, seed) cut at each tau gives the rows of a grid run at that tau
+        cfg = GridConfig(d=6, kappas=(2,), lambdas=(0.4, 0.6), regimes=("unstable",),
+                         taus=(0.2, 0.05, 0.6), sample_sizes=(300, 800), seeds=(0, 1),
+                         mode=mode, ica=IcaOptions(restarts=1))
+        records = run_grid(cfg)
+        assert len(records) == 24 and not any(r.error for r in records)
+        per_tau = [rec for tau in cfg.taus for rec in run_grid(replace(cfg, taus=(tau,)))]
+        assert without_fit_ms(records) == without_fit_ms(sorted(per_tau, key=ExperimentRecord.key))
 
     @pytest.mark.parametrize("name, mode", [
         ("sweep", "hungarian"), ("sweep", "enumerate-first-stable"), ("complexity", "hungarian"),
@@ -525,12 +543,14 @@ class TestStudyUnit:
 
 
 class TestThresholdSweep:
+    """A threshold sweep is a grid of one cell with several taus."""
+
     def test_sweep_shares_fit_and_covers_taus(self, tmp_path):
-        cfg = ThresholdSweepConfig(
-            d=6, kappa=2, lam=0.4, taus=(0.05, 0.2), sample_sizes=(800,),
-            seeds=(0, 1), mode="hungarian", ica=IcaOptions(restarts=1),
+        cfg = GridConfig(
+            d=6, kappas=(2,), lambdas=(0.4,), regimes=("stable",), taus=(0.05, 0.2),
+            sample_sizes=(800,), seeds=(0, 1), mode="hungarian", ica=IcaOptions(restarts=1),
         )
-        records = run_threshold_sweep(cfg, out_path=tmp_path / "sweep.csv")
+        records = run_grid(cfg, out_path=tmp_path / "sweep.csv")
         assert len(records) == 4
         by_seed = {}
         for rec in records:
@@ -542,24 +562,25 @@ class TestThresholdSweep:
 
     def test_numpy_float_config_writes_a_readable_csv(self, tmp_path):
         # before, the cells read np.float64(...) and load_records raised
-        cfg = ThresholdSweepConfig(
-            d=6, kappa=2, lam=np.float64(0.4), taus=tuple(np.logspace(-2, 0, 3)),
-            sample_sizes=(300,), seeds=(0,), mode="hungarian", ica=IcaOptions(restarts=1),
+        cfg = GridConfig(
+            d=6, kappas=(2,), lambdas=(np.float64(0.4),), regimes=("stable",),
+            taus=tuple(np.logspace(-2, 0, 3)), sample_sizes=(300,), seeds=(0,),
+            mode="hungarian", ica=IcaOptions(restarts=1),
         )
         out = tmp_path / "sweep.csv"
-        records = run_threshold_sweep(cfg, out_path=out)
+        records = run_grid(cfg, out_path=out)
         first_bytes = out.read_bytes()
         assert b"np." not in first_bytes
         assert load_records(out) == records
-        assert run_threshold_sweep(cfg, out_path=out) == records
+        assert run_grid(cfg, out_path=out) == records
         assert out.read_bytes() == first_bytes
 
     def test_monotone_support_across_taus(self, tmp_path):
-        cfg = ThresholdSweepConfig(
-            d=6, kappa=2, lam=0.4, taus=(0.05, 0.2, 0.6), sample_sizes=(800,),
-            seeds=(0,), mode="hungarian", ica=IcaOptions(restarts=1),
+        cfg = GridConfig(
+            d=6, kappas=(2,), lambdas=(0.4,), regimes=("stable",), taus=(0.05, 0.2, 0.6),
+            sample_sizes=(800,), seeds=(0,), mode="hungarian", ica=IcaOptions(restarts=1),
         )
-        records = run_threshold_sweep(cfg)
+        records = run_grid(cfg)
         by_tau = {r.tau: r for r in records}
         # larger tau can only remove edges, so predicted clusters cannot merge
         assert by_tau[0.05].pred_clusters <= by_tau[0.2].pred_clusters <= by_tau[0.6].pred_clusters

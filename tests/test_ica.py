@@ -92,6 +92,14 @@ class TestIcaOptions:
         assert (opts.restarts, opts.max_iterations, opts.seed) == (2, 7, 5)
         assert {type(v) for v in (opts.restarts, opts.max_iterations, opts.seed)} == {int}
 
+    def test_options_that_are_not_ica_options_rejected(self):
+        # before, a dict raised a raw AttributeError in fastica and recover_condensation
+        x = laplace_sources(200, 3, 0)
+        with pytest.raises(ValueError, match="IcaOptions"):
+            fastica(x, {"seed": 1})
+        with pytest.raises(ValueError, match="IcaOptions"):
+            recover_condensation(x, ica_opts={"seed": 1})
+
 
 class TestFastica:
     def test_identity_mixing_recovery(self):
