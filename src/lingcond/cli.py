@@ -21,9 +21,9 @@ from .harness import (
     run_sample_complexity,
     summarize_grid,
 )
-from .ica import IcaOptions, NONLINEARITIES
+from .ica import IcaOptions
 from .lattice import valid_dag_coarsenings
-from .recover import DEFAULT_ENUM_CAP, DEFAULT_ETA, DEFAULT_TAU, MODES, recover_condensation
+from .recover import DEFAULT_ENUM_CAP, DEFAULT_TAU, MODES, recover_condensation
 from .scm import (
     DEFAULT_WEIGHT_HIGH,
     DEFAULT_WEIGHT_LOW,
@@ -77,17 +77,12 @@ def _build_parser() -> _Parser:
     smp.add_argument("--seed", type=int, default=0)
     smp.add_argument("--out", required=True)
 
-    ica = IcaOptions()
     fit = sub.add_parser("fit", help="recover a condensation from samples (JSON out)")
     fit.add_argument("--data", required=True)
     fit.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    fit.add_argument("--eta", type=float, default=DEFAULT_ETA)
     fit.add_argument("--mode", choices=MODES, default="hungarian")
-    fit.add_argument("--nonlinearity", choices=NONLINEARITIES, default=ica.nonlinearity)
-    fit.add_argument("--tol", type=float, default=ica.tolerance)
-    fit.add_argument("--max-iter", type=int, default=ica.max_iterations)
-    fit.add_argument("--restarts", type=int, default=ica.restarts)
-    fit.add_argument("--seed", type=int, default=ica.seed)
+    fit.add_argument("--restarts", type=int, default=IcaOptions.restarts)
+    fit.add_argument("--seed", type=int, default=IcaOptions.seed)
     fit.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     fit.add_argument("--out")
 
@@ -135,12 +130,9 @@ def _dispatch(args) -> int:
 
     if args.command == "fit":
         x = load_samples_csv(args.data)
-        opts = IcaOptions(
-            nonlinearity=args.nonlinearity, tolerance=args.tol,
-            max_iterations=args.max_iter, restarts=args.restarts, seed=args.seed,
-        )
         result = recover_condensation(
-            x, tau=args.tau, eta=args.eta, ica_opts=opts, mode=args.mode, enum_cap=args.enum_cap,
+            x, tau=args.tau, ica_opts=IcaOptions(restarts=args.restarts, seed=args.seed),
+            mode=args.mode, enum_cap=args.enum_cap,
         )
         _emit(result.to_json_dict(), args.out)
         return 0

@@ -30,8 +30,8 @@ from .graphs import support_graph
 from .ica import IcaOptions
 from .metrics import evaluate
 from .recover import (
-    DEFAULT_ENUM_CAP, DEFAULT_ETA, DEFAULT_TAU, MODES, check_eta, check_tau,
-    recover_condensation, threshold as apply_threshold,
+    DEFAULT_ENUM_CAP, DEFAULT_TAU, MODES, check_tau, recover_condensation,
+    threshold as apply_threshold,
 )
 from .scm import (
     DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, _check_model_args, generate_scm, sample,
@@ -60,7 +60,6 @@ class _StudyConfig:
     """
 
     d: int = 10
-    eta: float = DEFAULT_ETA
     ica: IcaOptions = field(default_factory=IcaOptions)
     weight_low: float = DEFAULT_WEIGHT_LOW
     weight_high: float = DEFAULT_WEIGHT_HIGH
@@ -88,13 +87,12 @@ class _StudyConfig:
         _require(self.ica.seed == IcaOptions.seed,
                  "ica.seed must be left out: a study derives each unit's ICA seed "
                  "from its record seed, cell and sample size")
-        check_eta(self.eta)
 
     def _cells(self) -> list:  # the study's (kappa, lambda, regime) cells
         return [(self.kappa, self.lam, self.regime)]
 
     def _fit(self) -> dict:  # the recover_condensation knobs besides tau and ICA
-        return dict(eta=self.eta, mode="hungarian")
+        return dict(mode="hungarian")
 
     @classmethod
     def from_json_dict(cls, data: dict):
@@ -102,11 +100,13 @@ class _StudyConfig:
         if not isinstance(data, dict):
             raise ValueError(f"a {cls.__name__} must be a JSON object, got {type(data).__name__}")
         kwargs = dict(data)
-        if "lambda" in kwargs:
-            kwargs["lam"] = kwargs.pop("lambda")
-        unknown = set(kwargs) - set(cls.__dataclass_fields__)
+        names = set(cls.__dataclass_fields__)  # unknown keys by the names the file uses
+        unknown = set(kwargs) - names - ({"lambda"} if "lam" in names else set())
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if "lambda" in kwargs:
+            _require("lam" not in kwargs, "config names both lambda and lam")
+            kwargs["lam"] = kwargs.pop("lambda")
         try:
             if not isinstance(kwargs.get("seeds", ()), (list, tuple)):  # a count of seeds
                 kwargs["seeds"] = range(integer(kwargs["seeds"], "seed count"))
@@ -141,7 +141,7 @@ class GridConfig(_StudyConfig):
         return list(itertools.product(self.kappas, self.lambdas, self.regimes))
 
     def _fit(self) -> dict:
-        return dict(eta=self.eta, mode=self.mode, enum_cap=self.enum_cap)
+        return dict(mode=self.mode, enum_cap=self.enum_cap)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -6,6 +6,7 @@ decorrelation from several random starts in lockstep, and de-whitens the
 winner so the returned matrix acts on the raw (uncentered-scale)
 observations. Restarts are resolved by the non-Gaussianity objective, ties
 by the earliest restart, so results are deterministic given the options.
+The contrast is log cosh (``g = tanh``), as Hyvarinen (1999) recommends.
 
 From ``n = 400 d`` rows on, the restarts run on an evenly spaced subsample
 of about ``200 d`` rows (``_ROWS_PER_DIM``), whitened on its own, and only
@@ -16,20 +17,20 @@ row would repeat the first one's work.
 The iteration has two phases. The first ``_PLAIN_ITERATIONS`` (K = 150)
 iterations take the plain fixed-point step ``w <- E{z g(w'z)} - E{g'(w'z)} w``.
 At n = 200, d = 10 some restarts never settle under it and would run to
-``max_iterations``; every start still active after K iterations therefore
+the 500-iteration cap; every start still active after K iterations therefore
 switches, all at once, to the stabilised step of Hyvarinen (1999, "Fast and
 robust fixed-point algorithms for independent component analysis", IEEE
 Trans. Neural Networks 10(3)):
 ``w <- w - mu (E{z g(w'z)} - beta w) / (E{g'(w'z)} - beta)`` with
-``beta = E{w'z g(w'z)}`` (``E{y^4}`` for ``cube``), followed by the same
-symmetric decorrelation. Each start keeps its own ``mu``: it starts at 1
-and halves, down to ``_MIN_STEP`` (1/64), whenever that start's drift rises
-above the drift of its previous iteration (the last plain one included).
-A fit whose starts all stop within K iterations is unchanged by the second
-phase. The stabilised step makes the small-n tail converge; it does not
-make the end point robust to last-bit changes of the input: in a sample of
-23 n = 200 fits whose plain-step winner hit the 500-iteration cap,
-``x * (1 + 2**-52)`` still moved ``w_white`` by O(1) in 5.
+``beta = E{w'z g(w'z)}``, followed by the same symmetric decorrelation.
+Each start keeps its own ``mu``: it starts at 1 and halves, down to
+``_MIN_STEP`` (1/64), whenever that start's drift rises above the drift of
+its previous iteration (the last plain one included). A fit whose starts
+all stop within K iterations is unchanged by the second phase. The
+stabilised step makes the small-n tail converge; it does not make the end
+point robust to last-bit changes of the input: in a sample of 23 n = 200
+fits whose plain-step winner hit the 500-iteration cap, ``x * (1 + 2**-52)``
+still moved ``w_white`` by O(1) in 5.
 """
 
 from __future__ import annotations
@@ -40,13 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .exceptions import WhiteningError, finite, integer, sample_matrix
+from .exceptions import WhiteningError, integer, sample_matrix
 
-NONLINEARITIES = ("logcosh", "cube")
-
-# E[log cosh Z] and E[Z^4]/4 for Z ~ N(0, 1): baselines of the contrast functions
+# E[log cosh Z] for Z ~ N(0, 1): the baseline of the contrast function
 LOGCOSH_GAUSSIAN = 0.374567207491438
-CUBE_GAUSSIAN = 0.75
 
 RANK_TOLERANCE = 1e-10
 
@@ -54,25 +52,21 @@ RANK_TOLERANCE = 1e-10
 _ROWS_PER_DIM = 200
 
 # plain fixed-point iterations before a start still active switches to the
-# stabilised step, and the floor of that step's size
+# stabilised step, the floor of that step's size, the drift below which a
+# start has converged, and the cap on its iterations
 _PLAIN_ITERATIONS = 150
 _MIN_STEP = 1 / 64
+_TOLERANCE = 1e-6
+_MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
 class IcaOptions:
-    nonlinearity: str = "logcosh"
-    tolerance: float = 1e-6
-    max_iterations: int = 500
     restarts: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        if self.nonlinearity not in NONLINEARITIES:
-            raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if finite(self.tolerance, "tolerance") <= 0:
-            raise ValueError("tolerance must be finite and positive")
-        for name, low in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
+        for name, low in (("restarts", 1), ("seed", 0)):
             object.__setattr__(self, name, integer(getattr(self, name), name, low))
 
 
@@ -151,15 +145,10 @@ def _logcosh_mean(s: np.ndarray) -> np.ndarray:
     return mean_abs + s.mean(axis=0) - math.log(2.0)
 
 
-def _objectives(s: np.ndarray, r: int, nonlinearity: str) -> np.ndarray:
+def _objectives(s: np.ndarray, r: int) -> np.ndarray:
     """Non-Gaussianity objective of each restart, from the ``(n, r*d)`` block
     of projections (restart-major columns); ``s`` is overwritten."""
-    if nonlinearity == "logcosh":
-        dev = _logcosh_mean(s) - LOGCOSH_GAUSSIAN
-    else:
-        np.square(s, out=s)
-        np.square(s, out=s)
-        dev = 0.25 * s.mean(axis=0) - CUBE_GAUSSIAN
+    dev = _logcosh_mean(s) - LOGCOSH_GAUSSIAN
     return (dev**2).reshape(r, -1).sum(axis=1)
 
 
@@ -173,7 +162,7 @@ def _starts(d: int, opts: IcaOptions) -> np.ndarray:
     ])
 
 
-def _fixed_point(z: np.ndarray, w: np.ndarray, opts: IcaOptions) -> tuple:
+def _fixed_point(z: np.ndarray, w: np.ndarray) -> tuple:
     """Iterate the ``(r, d, d)`` stack of starts ``w`` on the whitened rows ``z``.
 
     Each iteration projects every active start at once into one ``(n, a*d)``
@@ -189,27 +178,23 @@ def _fixed_point(z: np.ndarray, w: np.ndarray, opts: IcaOptions) -> tuple:
     """
     n, d = z.shape
     r = len(w)
-    iterations = np.full(r, opts.max_iterations)
+    iterations = np.full(r, _MAX_ITERATIONS)
     converged = np.zeros(r, dtype=bool)
     failed = np.zeros(r, dtype=bool)
     active = np.arange(r)
     mu = np.ones(r)
     last_drift = np.full(r, np.inf)
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         a = active.size
         w_act = w[active]
         w_rows = w_act.reshape(a * d, d)
         s = z @ w_rows.T  # restart-major columns
         stabilised = it > _PLAIN_ITERATIONS
         g_out = None if stabilised else s  # the stabilised step still needs s for beta
-        if opts.nonlinearity == "logcosh":
-            g = np.tanh(s, out=g_out)
-            g_prime_mean = 1.0 - np.einsum("ij,ij->j", g, g) / n
-        else:
-            g_prime_mean = 3.0 * (np.einsum("ij,ij->j", s, s) / n)
-            g = np.power(s, 3, out=g_out)
+        g = np.tanh(s, out=g_out)
+        g_prime_mean = 1.0 - np.einsum("ij,ij->j", g, g) / n
         if stabilised:
-            beta = np.einsum("ij,ij->j", s, g) / n  # E{y g(y)}; E{y^4} for cube
+            beta = np.einsum("ij,ij->j", s, g) / n  # E{y g(y)}
             step = np.repeat(mu[active], d) / (g_prime_mean - beta)
             w_new = w_rows - step[:, None] * ((g.T @ z) / n - beta[:, None] * w_rows)
         else:
@@ -224,7 +209,7 @@ def _fixed_point(z: np.ndarray, w: np.ndarray, opts: IcaOptions) -> tuple:
             rose = active[drift > last_drift[active]]
             mu[rose] = np.maximum(mu[rose] / 2, _MIN_STEP)
             last_drift[active] = drift
-        done = drift < opts.tolerance
+        done = drift < _TOLERANCE
         if done.any():
             iterations[active[done]] = it
             converged[active[done]] = True
@@ -245,8 +230,8 @@ def fastica(x, opts: IcaOptions = IcaOptions()) -> DemixingEstimate:
     (``_fixed_point``) is not a candidate. WhiteningError is raised when
     every restart degenerates, or the refinement below does. Convergence of
     a run is declared when ``1 - min_i |<w_i_new, w_i_old>|`` drops below
-    the tolerance; otherwise it stops at ``max_iterations`` with
-    ``converged=False``. A run still active after ``_PLAIN_ITERATIONS``
+    ``_TOLERANCE`` (1e-6); otherwise it stops at ``_MAX_ITERATIONS`` (500)
+    with ``converged=False``. A run still active after ``_PLAIN_ITERATIONS``
     plain fixed-point iterations continues with Hyvarinen's stabilised step
     (module docstring); ``iterations`` counts both phases.
 
@@ -273,14 +258,14 @@ def fastica(x, opts: IcaOptions = IcaOptions()) -> DemixingEstimate:
             zs, ks, _ = _whiten(np.asarray(x)[::step])
         except WhiteningError:
             step = 1  # the subsample missed the rows that give some direction its spread
-    w, iterations, converged, failed = _fixed_point(zs, _starts(d, opts), opts)
-    objectives = _objectives(zs @ w.reshape(-1, d).T, opts.restarts, opts.nonlinearity)
+    w, iterations, converged, failed = _fixed_point(zs, _starts(d, opts))
+    objectives = _objectives(zs @ w.reshape(-1, d).T, opts.restarts)
     best = int(np.argmax(np.where(failed, -np.inf, objectives)))
     if step >= 2:
         start, ok = _symmetric_decorrelate((w[best] @ ks @ np.linalg.inv(k))[None])
         if not ok[0]:
             raise WhiteningError("degenerate refinement start in symmetric decorrelation")
-        w, iterations, converged, _ = _fixed_point(z, start, opts)
+        w, iterations, converged, _ = _fixed_point(z, start)
         best = 0  # the refined winner is the only run left
     return DemixingEstimate(
         w=w[best] @ k,

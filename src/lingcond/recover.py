@@ -45,7 +45,7 @@ DEFAULT_TAU = 0.1
 DEFAULT_ETA = 1e-3
 DEFAULT_ENUM_CAP = 20000
 
-# the first-stable scan's significance floor: its rook slots are cut at max(eta, _SCAN_FLOOR)
+# the first-stable scan's significance floor: its rook slots are cut at _SCAN_FLOOR
 _SCAN_FLOOR = 0.1
 
 # the most candidates scored per batched eigenvalue call in the first-stable scan
@@ -345,14 +345,14 @@ def first_stable_select(candidates) -> CandidateAdjacency:
     return best
 
 
-def _scan_candidates(m: np.ndarray, eta: float, cap: int):
+def _scan_candidates(m: np.ndarray, cap: int):
     """Yield the significance-pruned candidates the trace bound cannot rule out.
 
     On finite samples every entry of the estimated demixing matrix is
-    nonzero, so admissibility at eta alone would admit all d! permutations.
-    The rook slots are therefore those of ``_rook_slots`` at
-    ``cut = max(eta, _SCAN_FLOOR)``; candidates are still built from the
-    unpruned matrix.
+    nonzero, so admissibility at ``DEFAULT_ETA`` would admit all d!
+    permutations. The rook slots are therefore those of ``_rook_slots`` at
+    ``cut = _SCAN_FLOOR``; candidates are still built from the unpruned
+    matrix.
 
     The first ``cap`` permutations of the lexicographic enumeration
     (``cap >= 1``), read from ``_admissible_blocks``, are taken in blocks of
@@ -377,7 +377,7 @@ def _scan_candidates(m: np.ndarray, eta: float, cap: int):
     allowance, a few ``d^2 u ||B||_F^j``, is far wider than the error of
     ``eigvals``.)
     """
-    blocks = _admissible_blocks(_rook_slots(m, max(eta, _SCAN_FLOOR)), _SCAN_BLOCK)
+    blocks = _admissible_blocks(_rook_slots(m, _SCAN_FLOOR), _SCAN_BLOCK)
     pending = np.empty((0, m.shape[0]), np.intp)
     smallest, seen, size = math.inf, 0, 1
     while seen < cap:
@@ -410,7 +410,6 @@ class RecoveryResult:
     b_hat: np.ndarray  # threshold(candidate, tau)
     condensation: Condensation
     tau: float
-    eta: float
     timings_ms: dict
     ica_iterations: int
     mode: str
@@ -428,7 +427,7 @@ class RecoveryResult:
             "clusterEdges": [list(e) for e in sorted(self.condensation.cluster_edges)],
             "bHat": [[float(x) for x in row] for row in self.b_hat],
             "tau": self.tau,
-            "eta": self.eta,
+            "eta": DEFAULT_ETA,
             "timings": {k: float(v) for k, v in self.timings_ms.items()},
             "icaIterations": self.ica_iterations,
             "mode": self.mode,
@@ -438,7 +437,6 @@ class RecoveryResult:
 def recover_condensation(
     x,
     tau: float = DEFAULT_TAU,
-    eta: float = DEFAULT_ETA,
     ica_opts: IcaOptions | None = None,
     mode: str = "hungarian",
     enum_cap: int = DEFAULT_ENUM_CAP,
@@ -452,7 +450,7 @@ def recover_condensation(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    tau, eta = check_tau(tau), check_eta(eta)
+    tau = check_tau(tau)
     enum_cap = integer(enum_cap, "enum_cap", 1)
     opts = ica_opts if ica_opts is not None else IcaOptions()
 
@@ -460,10 +458,10 @@ def recover_condensation(
     estimate = fastica(x, opts)
     t1 = time.perf_counter()
     if mode == "hungarian":
-        perm = hungarian_admissible(estimate.w, eta)
+        perm = hungarian_admissible(estimate.w)
         candidate = b_from_w(estimate.w, perm)
     else:
-        candidate = first_stable_select(_scan_candidates(estimate.w, eta, enum_cap))
+        candidate = first_stable_select(_scan_candidates(estimate.w, enum_cap))
     b_hat = threshold(candidate, tau)
     t2 = time.perf_counter()
     condensation = condense(support_graph(b_hat))
@@ -474,7 +472,6 @@ def recover_condensation(
         b_hat=b_hat,
         condensation=condensation,
         tau=tau,
-        eta=eta,
         timings_ms={
             "ica_ms": (t1 - t0) * 1e3,
             "assign_ms": (t2 - t1) * 1e3,

@@ -50,6 +50,7 @@ class TestGenerateSampleFit:
         assert set(result) >= {"partition", "clusterEdges", "bHat", "tau", "eta",
                                "timings", "icaIterations"}
         assert len(result["partition"]) == 10
+        assert result["eta"] == DEFAULT_ETA  # a constant of the pipeline, still reported
 
     def test_fit_enumerate_mode(self, workspace):
         scm_path = workspace / "scm.json"
@@ -72,11 +73,9 @@ class TestGenerateSampleFit:
     def test_fit_defaults_come_from_the_library(self):
         args = _build_parser().parse_args(["fit", "--data", "x.csv"])
         ica = IcaOptions()
-        assert (args.nonlinearity, args.tol, args.max_iter, args.restarts, args.seed) == (
-            ica.nonlinearity, ica.tolerance, ica.max_iterations, ica.restarts, ica.seed
-        )
+        assert (args.restarts, args.seed) == (ica.restarts, ica.seed)
         assert args.enum_cap == DEFAULT_ENUM_CAP
-        assert (args.tau, args.eta) == (DEFAULT_TAU, DEFAULT_ETA)
+        assert args.tau == DEFAULT_TAU
 
     def test_generate_defaults_and_choices_come_from_the_library(self):
         parser = _build_parser()
@@ -94,7 +93,7 @@ class TestParserBuiltOnce:
 
     ARGVS = (
         ["fit", "--data", "x.csv", "--tau", "0.3", "--seed", "5", "--mode",
-         "enumerate-first-stable", "--max-iter", "7"],
+         "enumerate-first-stable", "--restarts", "2"],
         ["fit", "--data", "x.csv"],
         ["generate", "--d", "6", "--kappa", "2", "--lambda", "0.4", "--seed", "9",
          "--regime", "unstable", "--out", "scm.json"],
@@ -176,13 +175,18 @@ class TestExitCodes:
         assert run("fit", "--data", data, "--mode", "enumerate-first-stable",
                    "--enum-cap", 0) == 1
 
-    def test_usage_error_removed_enum_floor(self, workspace, capsys):
-        # the scan's floor is a constant, so the flag that set it is refused
+    @pytest.mark.parametrize("flag, value", [
+        ("--enum-floor", 0.2), ("--eta", 0.01), ("--nonlinearity", "cube"), ("--tol", 1e-6),
+        ("--max-iter", 500),
+    ])
+    def test_usage_error_removed_enum_floor(self, workspace, capsys, flag, value):
+        # the scan's floor, eta and the FastICA contrast, tolerance and cap are
+        # constants, so the flags that set them are refused
         data = workspace / "data.csv"
         x = np.random.default_rng(0).laplace(size=(100, 3))
         np.savetxt(data, x, fmt="%.17g", delimiter=",", header="X1,X2,X3", comments="")
-        assert run("fit", "--data", data, "--enum-floor", 0.2) == 1
-        assert "--enum-floor" in capsys.readouterr().err
+        assert run("fit", "--data", data, flag, value) == 1
+        assert flag in capsys.readouterr().err
 
     def test_usage_error_bad_config_key(self, workspace):
         cfg = workspace / "cfg.json"
@@ -228,6 +232,14 @@ class TestExitCodes:
         ("sample-complexity", {"window": [200, 200]}),
         ("sample-complexity", {"sample_sizes": [200, 200]}),
         ("sample-complexity", {"seeds": [1, 1]}),
+        # eta and the FastICA contrast, tolerance and cap are constants, not settings
+        ("grid", {"eta": 1e-3}),
+        ("sample-complexity", {"eta": 1e-3}),
+        ("grid", {"ica": {"nonlinearity": "logcosh"}}),
+        ("grid", {"ica": {"tolerance": 1e-6}}),
+        ("sample-complexity", {"ica": {"max_iterations": 500}}),
+        # the base config names lam: a lambda as well is refused, not read instead
+        ("sample-complexity", {"lambda": 0.5}),
     ])
     def test_bad_study_config_fits_and_writes_nothing(
         self, workspace, monkeypatch, command, config

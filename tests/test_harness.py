@@ -34,7 +34,7 @@ def tiny_grid_cfg():
         sample_sizes=(500,),
         seeds=(0, 1),
         mode="hungarian",
-        ica=IcaOptions(restarts=1, max_iterations=200),
+        ica=IcaOptions(restarts=1),
     )
 
 
@@ -194,6 +194,12 @@ class TestConfigs:
                 GridConfig.from_json_dict({key: 0.1})
         with pytest.raises(ValueError, match="unknown config keys"):
             SampleComplexityConfig.from_json_dict({"taus": [0.1]})
+        # named as the file names it: a grid has no lam for lambda to alias
+        with pytest.raises(ValueError, match=re.escape("unknown config keys: ['lambda']")):
+            GridConfig.from_json_dict({"lambda": 0.4})
+        # before, the lambda silently won
+        with pytest.raises(ValueError, match="both lambda and lam"):
+            SampleComplexityConfig.from_json_dict({"lam": 0.3, "lambda": 0.5})
 
     def test_sample_sizes_must_increase(self):
         with pytest.raises(ValueError):
@@ -201,27 +207,28 @@ class TestConfigs:
 
     @pytest.mark.parametrize("cls", [GridConfig])
     @pytest.mark.parametrize("knob", [
-        {"enum_cap": 0}, {"enum_cap": 1.5},
-        {"eta": float("nan")}, {"eta": 0.0}, {"enum_cap": True},
+        {"enum_cap": 0}, {"enum_cap": 1.5}, {"enum_cap": True}, {"mode": "magic"}, {"enum_cap": -1},
     ])
     def test_bad_scan_knobs_rejected(self, cls, knob):
         with pytest.raises(ValueError):
             cls(**knob)
 
-    @pytest.mark.parametrize("cls", [GridConfig])
+    @pytest.mark.parametrize("cls", [GridConfig, SampleComplexityConfig])
     @pytest.mark.parametrize("floor", [0.1, -0.1, 1.0, float("nan"), "0.1"])
     def test_scan_floor_is_not_a_config_key(self, cls, floor):
-        # the scan's significance floor is a constant of the pipeline, not a
-        # setting: a config that names it is refused whatever the value
-        with pytest.raises(ValueError, match="unknown config keys"):
-            cls.from_json_dict({"enum_floor": floor})
-        with pytest.raises(TypeError):
-            cls(enum_floor=floor)
+        # the scan's significance floor and the admissibility cut eta are
+        # constants of the pipeline, not settings: a config that names either
+        # is refused whatever the value
+        for key in ("enum_floor", "eta"):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                cls.from_json_dict({key: floor})
+            with pytest.raises(TypeError):
+                cls(**{key: floor})
 
     @pytest.mark.parametrize("cls", [GridConfig, SampleComplexityConfig])
     @pytest.mark.parametrize("bad", [
-        {"eta": float("nan")}, {"eta": 0.0}, {"noise_family": "bogus"},
-        {"seeds": ()}, {"sample_sizes": ()}, {"sample_sizes": (500, 200)},
+        {"noise_family": "bogus"}, {"seeds": ()}, {"sample_sizes": ()},
+        {"sample_sizes": (500, 200)}, {"seeds": (0, 0)}, {"ica": {"restarts": 1}},
     ])
     def test_shared_checks_rejected(self, cls, bad):
         with pytest.raises(ValueError):
@@ -231,7 +238,7 @@ class TestConfigs:
     @pytest.mark.parametrize("bad", [
         {"sample_sizes": (3, 4)}, {"sample_sizes": (6, 500)}, {"kappa": 4},
         {"lam": 1.5}, {"weight_low": 0.9, "weight_high": 0.5}, {"seeds": (0, -1)},
-        {"seeds": (0, 1.5)}, {"lam": True}, {"weight_low": "0.5"}, {"eta": True},
+        {"seeds": (0, 1.5)}, {"lam": True}, {"weight_low": "0.5"}, {"weight_high": True},
     ])
     def test_config_that_would_fail_mid_run_rejected(self, cls, bad):
         # rejected when built, not when run_* reaches the first unit it breaks;
@@ -252,6 +259,9 @@ class TestConfigs:
         {"ica": {"restarts": 2.5}}, {"ica": {"max_iterations": 10.5}}, {"ica": {"seed": -1}},
         [1, 2], None, [["d", 10]], {"seeds": True}, {"seeds": [0, True]},
         {"ica": {"restarts": True}}, {"ica": {"tolerance": True}},
+        # the FastICA contrast, tolerance and cap are constants, not ica options
+        {"ica": {"nonlinearity": "logcosh"}}, {"ica": {"tolerance": 1e-6}},
+        {"ica": {"max_iterations": 500}},
     ])
     def test_malformed_json_raises_value_error(self, cls, data):
         with pytest.raises(ValueError):
@@ -340,7 +350,7 @@ class TestConfigs:
 
     @pytest.mark.parametrize("cfg", [
         GridConfig(d=6, kappas=(2,), lambdas=(0.4, 0.6), regimes=("stable",), seeds=(3, 5),
-                   sample_sizes=(200, 500), taus=(0.2,), eta=2e-3, mode="hungarian", enum_cap=7,
+                   sample_sizes=(200, 500), taus=(0.2,), mode="hungarian", enum_cap=7,
                    ica=IcaOptions(restarts=2), noise_family="exponential-centered"),
         GridConfig(d=6, kappas=(2,), lambdas=(0.4,), taus=(0.05, 0.3), sample_sizes=(300,),
                    weight_low=0.6),
@@ -512,7 +522,7 @@ class TestStudyUnit:
                 ica_seed = rng_mod.derive_seed(rec.seed, harness.TAG_ICA, rec.n)
             scm = generate_scm(cfg.d, rec.kappa, rec.lam, regime=rec.regime, seed=scm_seed)
             fit = recover_condensation(
-                sample(scm, rec.n, seed=sample_seed), tau=rec.tau, eta=cfg.eta,
+                sample(scm, rec.n, seed=sample_seed), tau=rec.tau,
                 ica_opts=replace(cfg.ica, seed=ica_seed), mode=mode,
             )
             report = evaluate(fit.support(), scm.b.support())

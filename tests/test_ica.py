@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lingcond import harness, rng as rng_mod
+from lingcond import harness, ica as ica_mod, rng as rng_mod
 from lingcond import (
     DemixingEstimate,
     IcaOptions,
@@ -19,7 +19,7 @@ from lingcond import (
     threshold,
 )
 from lingcond.ica import (
-    CUBE_GAUSSIAN, LOGCOSH_GAUSSIAN, _MIN_STEP, _PLAIN_ITERATIONS, _ROWS_PER_DIM, _fixed_point,
+    LOGCOSH_GAUSSIAN, _MAX_ITERATIONS, _MIN_STEP, _PLAIN_ITERATIONS, _ROWS_PER_DIM, _fixed_point,
     _logcosh_mean, _objectives, _starts,
 )
 
@@ -67,30 +67,24 @@ class TestCenterWhiten:
 class TestIcaOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
-            IcaOptions(nonlinearity="relu")
-        with pytest.raises(ValueError):
-            IcaOptions(tolerance=0)
-        with pytest.raises(ValueError):
-            IcaOptions(tolerance=float("nan"))
-        with pytest.raises(ValueError):
-            IcaOptions(tolerance=float("inf"))
-        with pytest.raises(ValueError):
-            IcaOptions(max_iterations=0)
-        with pytest.raises(ValueError):
             IcaOptions(restarts=0)
+        # the contrast, tolerance and iteration cap are constants, not options
+        for removed in ({"nonlinearity": "logcosh"}, {"tolerance": 1e-6}, {"max_iterations": 500}):
+            with pytest.raises(TypeError):
+                IcaOptions(**removed)
 
     @pytest.mark.parametrize("bad", [
-        {"restarts": 2.5}, {"max_iterations": 10.5}, {"seed": -1}, {"seed": 1.0},
-        {"restarts": "3"}, {"restarts": True}, {"tolerance": True}, {"tolerance": "1e-6"},
+        {"restarts": 2.5}, {"seed": -1}, {"seed": 1.0}, {"restarts": "3"}, {"restarts": True},
+        {"restarts": -1}, {"seed": "0"}, {"seed": True},
     ])
     def test_non_integral_or_negative_counts_rejected(self, bad):
         with pytest.raises(ValueError):
             IcaOptions(**bad)
 
     def test_numpy_integers_accepted(self):
-        opts = IcaOptions(restarts=np.int64(2), max_iterations=np.int32(7), seed=np.uint32(5))
-        assert (opts.restarts, opts.max_iterations, opts.seed) == (2, 7, 5)
-        assert {type(v) for v in (opts.restarts, opts.max_iterations, opts.seed)} == {int}
+        opts = IcaOptions(restarts=np.int64(2), seed=np.uint32(5))
+        assert (opts.restarts, opts.seed) == (2, 5)
+        assert {type(v) for v in (opts.restarts, opts.seed)} == {int}
 
     def test_options_that_are_not_ica_options_rejected(self):
         # before, a dict raised a raw AttributeError in fastica and recover_condensation
@@ -124,14 +118,17 @@ class TestFastica:
         assert np.array_equal(a.w, b.w)
         assert a.iterations == b.iterations
 
-    def test_iteration_bounds(self):
+    def test_iteration_bounds(self, monkeypatch):
+        monkeypatch.setattr("lingcond.ica._MAX_ITERATIONS", 200)
         x = laplace_sources(5000, 3, 5)
-        est = fastica(x, IcaOptions(seed=0, max_iterations=200))
+        est = fastica(x, IcaOptions(seed=0))
         assert 1 <= est.iterations <= 200
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr("lingcond.ica._TOLERANCE", 1e-15)
+        monkeypatch.setattr("lingcond.ica._MAX_ITERATIONS", 3)
         x = laplace_sources(2000, 3, 6)
-        est = fastica(x, IcaOptions(seed=0, tolerance=1e-15, max_iterations=3))
+        est = fastica(x, IcaOptions(seed=0))
         assert not est.converged
         assert est.iterations == 3
 
@@ -139,12 +136,6 @@ class TestFastica:
         x = laplace_sources(20000, 4, 7)
         est = fastica(x, IcaOptions(seed=2))
         assert np.allclose(est.w_white @ est.w_white.T, np.eye(4), atol=1e-10)
-
-    def test_cube_nonlinearity_runs(self):
-        rng = np.random.default_rng(8)
-        x = rng.exponential(1.0, (20000, 3)) - 1.0
-        est = fastica(x, IcaOptions(nonlinearity="cube", seed=3))
-        assert est.converged
 
     def test_estimated_sources_decorrelated(self):
         scm = generate_scm(8, 3, 0.4, seed=21)
@@ -182,26 +173,22 @@ def _decorrelate(m):
     return (vecs / np.sqrt(vals)) @ vecs.T @ m
 
 
-def _sequential_run(z, w, opts):
+def _sequential_run(z, w):
     """One start iterated alone on the whitened rows ``z``: ``(w, iterations, converged)``.
 
     The first ``_PLAIN_ITERATIONS`` steps are plain fixed-point steps; later
     ones are stabilised steps of size ``mu``, halved (down to ``_MIN_STEP``)
-    whenever the drift rises above that of the step before.
+    whenever the drift rises above that of the step before. The tolerance
+    and cap are read from ``lingcond.ica`` at call time, so a test can patch them.
     """
     n = len(z)
     converged = False
     mu, last_drift = 1.0, np.inf
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, ica_mod._MAX_ITERATIONS + 1):
         s = z @ w.T
-        if opts.nonlinearity == "logcosh":
-            g = np.tanh(s)
-            g_prime_mean = 1.0 - np.einsum("ij,ij->j", g, g) / n
-            beta = np.einsum("ij,ij->j", s, g) / n
-        else:
-            g = s**3
-            g_prime_mean = 3.0 * (s**2).mean(axis=0)
-            beta = (s**4).mean(axis=0)
+        g = np.tanh(s)
+        g_prime_mean = 1.0 - np.einsum("ij,ij->j", g, g) / n
+        beta = np.einsum("ij,ij->j", s, g) / n
         if iterations > _PLAIN_ITERATIONS:
             w_new = w - mu / (g_prime_mean - beta)[:, None] * ((g.T @ z) / n - beta[:, None] * w)
         else:
@@ -213,7 +200,7 @@ def _sequential_run(z, w, opts):
                 mu = max(mu / 2, _MIN_STEP)
             last_drift = drift
         w = w_new
-        if drift < opts.tolerance:
+        if drift < ica_mod._TOLERANCE:
             converged = True
             break
     return w, iterations, converged
@@ -242,14 +229,8 @@ def _sequential_fastica(x, opts):
     runs = []
     for restart in range(opts.restarts):
         gen = rng_mod.stream(opts.seed, rng_mod.PURPOSE_ICA, restart)
-        w, iterations, converged = _sequential_run(
-            zs, np.linalg.qr(gen.standard_normal((d, d)))[0], opts
-        )
-        s = zs @ w.T
-        if opts.nonlinearity == "logcosh":
-            dev = _logcosh_mean(s) - LOGCOSH_GAUSSIAN
-        else:
-            dev = 0.25 * (s**4).mean(axis=0) - CUBE_GAUSSIAN
+        w, iterations, converged = _sequential_run(zs, np.linalg.qr(gen.standard_normal((d, d)))[0])
+        dev = _logcosh_mean(zs @ w.T) - LOGCOSH_GAUSSIAN
         runs.append((float(np.sum(dev**2)), w, iterations, converged))
     best = None
     for run in runs:
@@ -257,7 +238,7 @@ def _sequential_fastica(x, opts):
             best = run
     if step >= 2:
         start = _decorrelate(best[1] @ ks @ np.linalg.inv(k))
-        best = (best[0], *_sequential_run(z, start, opts))
+        best = (best[0], *_sequential_run(z, start))
     return best, runs
 
 
@@ -265,8 +246,8 @@ def _full_rows_fastica(x, opts):
     """Reference: every restart iterated on all rows by the lockstep helper."""
     z, k, _ = center_whiten(x)
     d = z.shape[1]
-    w, iterations, converged, _ = _fixed_point(z, _starts(d, opts), opts)
-    best = int(np.argmax(_objectives(z @ w.reshape(-1, d).T, opts.restarts, opts.nonlinearity)))
+    w, iterations, converged, _ = _fixed_point(z, _starts(d, opts))
+    best = int(np.argmax(_objectives(z @ w.reshape(-1, d).T, opts.restarts)))
     return DemixingEstimate(w[best] @ k, int(iterations[best]), bool(converged[best]), w[best])
 
 
@@ -284,22 +265,25 @@ def _assert_same_estimate(x, opts):
 
 class TestLockstepMatchesSequential:
     # past_plain: whether the winner ("winner") or some restart ("a restart")
-    # must run past the plain phase into the stabilised step
-    @pytest.mark.parametrize("x, opts, past_plain", [
-        (_scm_samples(10000, 0), IcaOptions(seed=0), None),
-        (_scm_samples(10000, 1, "unstable"), IcaOptions(seed=1), None),
-        (_scm_samples(200, 2), IcaOptions(seed=2), None),
-        (_scm_samples(200, 3, "unstable"), IcaOptions(seed=3), None),
-        (_scm_samples(200, 10), IcaOptions(seed=10), "winner"),
-        (_scm_samples(200, 4), IcaOptions(nonlinearity="cube", seed=4), "a restart"),
-        (_scm_samples(5000, 4), IcaOptions(nonlinearity="cube", seed=4), None),
-        (_scm_samples(10000, 5), IcaOptions(seed=5, max_iterations=4), None),
-        (_scm_samples(10000, 6), IcaOptions(seed=6, restarts=1), None),
-        (_scm_samples(10000, 7), IcaOptions(seed=7, restarts=5), None),
+    # must run past the plain phase into the stabilised step; cap: the
+    # iteration cap patched in, if any
+    @pytest.mark.parametrize("x, opts, past_plain, cap", [
+        (_scm_samples(10000, 0), IcaOptions(seed=0), None, None),
+        (_scm_samples(10000, 1, "unstable"), IcaOptions(seed=1), None, None),
+        (_scm_samples(200, 2), IcaOptions(seed=2), None, None),
+        (_scm_samples(200, 3, "unstable"), IcaOptions(seed=3), None, None),
+        (_scm_samples(200, 10), IcaOptions(seed=10), "winner", None),
+        (_scm_samples(200, 4, "unstable"), IcaOptions(seed=4), "a restart", None),
+        (_scm_samples(5000, 4), IcaOptions(seed=4), None, None),
+        (_scm_samples(10000, 5), IcaOptions(seed=5), None, 4),
+        (_scm_samples(10000, 6), IcaOptions(seed=6, restarts=1), None, None),
+        (_scm_samples(10000, 7), IcaOptions(seed=7, restarts=5), None, None),
     ], ids=["n1e4-stable", "n1e4-unstable", "n200-stable", "n200-unstable",
-            "n200-no-convergence", "cube", "cube-subsample", "capped", "one-restart",
-            "five-restarts"])
-    def test_same_estimate(self, x, opts, past_plain):
+            "n200-no-convergence", "n200-restart-past-plain", "n5000-subsample", "capped",
+            "one-restart", "five-restarts"])
+    def test_same_estimate(self, x, opts, past_plain, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr("lingcond.ica._MAX_ITERATIONS", cap)
         est, runs = _assert_same_estimate(x, opts)
         if past_plain == "winner":
             # the plain step alone does not converge within 500 iterations here
@@ -307,22 +291,21 @@ class TestLockstepMatchesSequential:
         elif past_plain == "a restart":
             assert max(run[2] for run in runs) > _PLAIN_ITERATIONS
 
-    def test_restarts_stopping_at_different_iterations(self):
+    def test_restarts_stopping_at_different_iterations(self, monkeypatch):
         x = _scm_samples(10000, 7)
         _, runs = _assert_same_estimate(x, IcaOptions(seed=7, restarts=5))
         counts = [run[2] for run in runs]
         # freezing is exercised only when restarts leave the active set at different times
         assert len(set(counts)) > 1
         # capped at the earliest stop: that restart converges, the others do not
-        _, runs = _assert_same_estimate(x, IcaOptions(seed=7, restarts=5, max_iterations=min(counts)))
+        monkeypatch.setattr("lingcond.ica._MAX_ITERATIONS", min(counts))
+        _, runs = _assert_same_estimate(x, IcaOptions(seed=7, restarts=5))
         assert {run[3] for run in runs} == {True, False}
 
     def test_tie_goes_to_earliest_restart(self, monkeypatch):
         x = laplace_sources(2000, 3, 11)
         # equal objectives for every restart: the first restart must win
-        monkeypatch.setattr(
-            "lingcond.ica._objectives", lambda s, r, nonlinearity: np.zeros(r)
-        )
+        monkeypatch.setattr("lingcond.ica._objectives", lambda s, r: np.zeros(r))
         est = fastica(x, IcaOptions(seed=3, restarts=4))
         first = fastica(x, IcaOptions(seed=3, restarts=1))
         assert np.array_equal(est.w_white, first.w_white)
@@ -339,14 +322,14 @@ class TestStabilisedTail:
     def test_formerly_capped_fit_converges(self, seed, regime, monkeypatch):
         x, opts = _scm_samples(200, seed, regime), IcaOptions(seed=seed)
         with monkeypatch.context() as patch:
-            patch.setattr("lingcond.ica._PLAIN_ITERATIONS", opts.max_iterations)
+            patch.setattr("lingcond.ica._PLAIN_ITERATIONS", _MAX_ITERATIONS)
             plain = fastica(x, opts)
-        assert (plain.iterations, plain.converged) == (opts.max_iterations, False)
+        assert (plain.iterations, plain.converged) == (_MAX_ITERATIONS, False)
         est = fastica(x, opts)
-        assert est.converged and est.iterations < opts.max_iterations
+        assert est.converged and est.iterations < _MAX_ITERATIONS
         # every restart, not only the winner, reaches a fixed point within the cap
-        _, iterations, converged, _ = _fixed_point(center_whiten(x)[0], _starts(10, opts), opts)
-        assert converged.all() and iterations.max() < opts.max_iterations
+        _, iterations, converged, _ = _fixed_point(center_whiten(x)[0], _starts(10, opts))
+        assert converged.all() and iterations.max() < _MAX_ITERATIONS
 
 
 class TestDegenerateRestart:
@@ -359,25 +342,29 @@ class TestDegenerateRestart:
         x = sample(generate_scm(10, 5, 0.5, regime="unstable", seed=scm_seed), 200,
                    seed=sample_seed)
         opts = IcaOptions(seed=ica_seed)
-        _, _, converged, failed = _fixed_point(center_whiten(x)[0], _starts(10, opts), opts)
+        _, _, converged, failed = _fixed_point(center_whiten(x)[0], _starts(10, opts))
         assert failed.tolist() == [False, True, False]
         assert converged.tolist() == [True, False, True]
         est = fastica(x, opts)
-        assert est.converged and est.iterations < opts.max_iterations
+        assert est.converged and est.iterations < _MAX_ITERATIONS
         assert np.allclose(est.w_white @ est.w_white.T, np.eye(10), atol=1e-6)
 
-    def test_every_restart_degenerate_raises(self):
-        # with the cube nonlinearity, rows of zeros make every update zero
-        opts = IcaOptions(nonlinearity="cube")
+    def test_every_restart_degenerate_raises(self, monkeypatch):
+        # every restart's first update has no positive definite M M^T
+        monkeypatch.setattr("lingcond.ica._symmetric_decorrelate",
+                            lambda m: (m[:0], np.zeros(len(m), dtype=bool)))
+        z = center_whiten(laplace_sources(200, 3, 14))[0]
         with pytest.raises(WhiteningError, match="degenerate"):
-            _fixed_point(np.zeros((50, 3)), _starts(3, opts), opts)
+            _fixed_point(z, _starts(3, IcaOptions()))
+        with pytest.raises(WhiteningError, match="degenerate"):
+            fastica(laplace_sources(200, 3, 14))
 
 
 class TestSubsampleRestarts:
     @pytest.mark.parametrize("d, opts", [
         (3, IcaOptions(seed=0)),
         (10, IcaOptions(seed=1)),
-        (10, IcaOptions(nonlinearity="cube", seed=2, restarts=2)),
+        (10, IcaOptions(seed=2, restarts=2)),
     ])
     def test_below_threshold_all_rows_bit_identical(self, d, opts):
         # one row short of step 2: the restarts run on all rows, as before the subsample stage

@@ -516,9 +516,10 @@ class TestRecoverCondensation:
     @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
     @pytest.mark.parametrize("knob", [
         {"tau": math.nan}, {"tau": math.inf}, {"tau": -0.1},
-        {"eta": math.nan}, {"eta": math.inf}, {"eta": 0.0}, {"eta": 1.0},
         {"enum_cap": 0}, {"enum_cap": -5}, {"enum_cap": 2.5},
-        {"tau": "0.1"}, {"tau": True}, {"eta": True}, {"enum_cap": True},
+        {"tau": "0.1"}, {"tau": True}, {"enum_cap": True},
+        {"tau": -math.inf}, {"tau": None}, {"enum_cap": math.inf}, {"enum_cap": "5"},
+        {"enum_cap": 2.0},
     ])
     def test_bad_knobs_rejected(self, example_b, mode, knob):
         spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
@@ -528,10 +529,12 @@ class TestRecoverCondensation:
 
     @pytest.mark.parametrize("floor", [0.1, -0.1, 1.0, math.nan, "0.1"])
     def test_scan_floor_is_not_an_argument(self, floor):
-        # the scan's significance floor is a constant of the pipeline, not a
-        # setting: a call that names it is refused whatever the value
-        with pytest.raises(TypeError):
-            recover_condensation(np.ones((20, 3)), enum_floor=floor)
+        # the scan's significance floor and the admissibility cut eta are
+        # constants of the pipeline, not settings: a call that names either
+        # is refused whatever the value
+        for name in ("enum_floor", "eta"):
+            with pytest.raises(TypeError):
+                recover_condensation(np.ones((20, 3)), **{name: floor})
 
     def test_non_finite_samples_rejected(self, example_b):
         spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
@@ -542,15 +545,15 @@ class TestRecoverCondensation:
 
     def test_scan_matches_first_stable_select_on_population(self, monkeypatch):
         # the lazy pruned scan and the list-based selector agree when the
-        # demixing matrix has exact zeros; with no floor the scan admits
-        # every rook slot at eta, as enumerate_admissible does
-        monkeypatch.setattr(recover, "_SCAN_FLOOR", 0.0)
+        # demixing matrix has exact zeros; with its floor at 1e-9 the scan
+        # admits every rook slot at eta 1e-9, as enumerate_admissible does
+        monkeypatch.setattr(recover, "_SCAN_FLOOR", 1e-9)
         for seed in (1, 4):
             scm = generate_scm(8, 3, 0.5, seed=seed, regime="unstable")
             w = np.eye(8) - scm.b.matrix
             cands = [b_from_w(w, p) for p in enumerate_admissible(w, 1e-9)]
             expected = first_stable_select(cands)
-            got = first_stable_select(recover._scan_candidates(w, 1e-9, 10**6))
+            got = first_stable_select(recover._scan_candidates(w, 10**6))
             assert got.permutation == expected.permutation
 
 
@@ -559,20 +562,20 @@ def _finite_sample_w(seed, regime, n):
     return fastica(sample(scm, n, seed=seed), IcaOptions(seed=seed)).w
 
 
-def _reference_candidates(w, eta, floor):
+def _reference_candidates(w, floor):
     """Brute-force lexicographic enumeration of the significance-pruned rook patterns."""
     d = w.shape[0]
     mags = np.abs(w)
-    ok = mags > max(eta, floor) * mags.max(axis=1)[:, None]
+    ok = mags > floor * mags.max(axis=1)[:, None]
     return (
         p for p in itertools.permutations(range(d))
         if all(ok[p[i], i] for i in range(d))
     )
 
 
-def _reference_scan(w, eta, floor, cap):
+def _reference_scan(w, floor, cap):
     """First-stable selection, one candidate at a time, over ``_reference_candidates``."""
-    perms = _reference_candidates(w, eta, floor)
+    perms = _reference_candidates(w, floor)
     return first_stable_select(b_from_w(w, p) for p in itertools.islice(perms, cap))
 
 
@@ -598,8 +601,8 @@ class TestFirstStableScan:
     ])
     def test_matches_reference(self, sample_ws, seed, cap, stable):
         w = sample_ws[seed]
-        got = first_stable_select(recover._scan_candidates(w, 1e-3, cap))
-        expected = _reference_scan(w, 1e-3, 0.1, cap)
+        got = first_stable_select(recover._scan_candidates(w, cap))
+        expected = _reference_scan(w, 0.1, cap)
         assert (expected.spectral_radius < 1.0) == stable
         assert got.permutation == expected.permutation
         assert np.array_equal(got.b, expected.b)
@@ -612,8 +615,8 @@ class TestFirstStableScan:
         # index 113 opens a block; at 51 the block [63, 114) ends on it
         monkeypatch.setattr(recover, "_SCAN_BLOCK", block)
         w = sample_ws[8]
-        got = first_stable_select(recover._scan_candidates(w, 1e-3, 5000))
-        expected = _reference_scan(w, 1e-3, 0.1, 5000)
+        got = first_stable_select(recover._scan_candidates(w, 5000))
+        expected = _reference_scan(w, 0.1, 5000)
         assert got.permutation == expected.permutation
         assert np.array_equal(got.b, expected.b)
 
@@ -625,8 +628,8 @@ class TestFirstStableScan:
         monkeypatch.setattr(recover, "_SCAN_BLOCK", block)
         w = sample_ws[0].copy()
         w[1] = w[0]
-        got = first_stable_select(recover._scan_candidates(w, 1e-3, 10**6))
-        expected = _reference_scan(w, 1e-3, 0.1, 10**6)
+        got = first_stable_select(recover._scan_candidates(w, 10**6))
+        expected = _reference_scan(w, 0.1, 10**6)
         assert got.spectral_radius >= 1.0
         assert got.permutation == expected.permutation
         assert got.permutation.index(0) < got.permutation.index(1)
@@ -637,8 +640,8 @@ class TestFirstStableScan:
         # far, which moves as the scan goes
         monkeypatch.setattr(recover, "_SCAN_BLOCK", 1)
         w = sample_ws[0]
-        got = first_stable_select(recover._scan_candidates(w, 1e-3, 10**6))
-        expected = _reference_scan(w, 1e-3, 0.1, 10**6)
+        got = first_stable_select(recover._scan_candidates(w, 10**6))
+        expected = _reference_scan(w, 0.1, 10**6)
         assert got.permutation == expected.permutation
         assert np.array_equal(got.b, expected.b)
         assert got.spectral_radius == expected.spectral_radius
@@ -653,8 +656,8 @@ class TestFirstStableScan:
             return radii(b)
 
         monkeypatch.setattr(recover, "_radii", counting_radii)
-        first_stable_select(recover._scan_candidates(sample_ws[0], 1e-3, 10**6))
-        assert sum(1 for _ in _reference_candidates(sample_ws[0], 1e-3, 0.1)) == 1244
+        first_stable_select(recover._scan_candidates(sample_ws[0], 10**6))
+        assert sum(1 for _ in _reference_candidates(sample_ws[0], 0.1)) == 1244
         assert sum(scored) < 1244 / 2
         # the first block holds one candidate: nothing is yielded before it,
         # so the bound cannot prune it and it gets eigvals alone
@@ -670,7 +673,7 @@ class TestFirstStableScan:
             return build(m, perms)
 
         monkeypatch.setattr(recover, "_build_stack", counting_build)
-        got = first_stable_select(recover._scan_candidates(sample_ws[0], 1e-3, cap))
+        got = first_stable_select(recover._scan_candidates(sample_ws[0], cap))
         assert sum(built) == min(cap, 1244)
         assert all(type(p) is int for p in got.permutation)
 
@@ -678,7 +681,7 @@ class TestFirstStableScan:
         # d = 70 is past any 64-bit row mask; the floor leaves only the identity
         d = 70
         w = np.eye(d) + 1e-3 * np.random.default_rng(0).normal(size=(d, d))
-        got = first_stable_select(recover._scan_candidates(w, 1e-3, 10**6))
+        got = first_stable_select(recover._scan_candidates(w, 10**6))
         assert got.permutation == tuple(range(d))
         assert got.spectral_radius < 1.0
         assert np.array_equal(got.b, b_from_w(w, range(d)).b)
