@@ -34,7 +34,7 @@ from .harness import (
     summarize_grid,
     summarize_sample_complexity,
 )
-from .ica import DemixingEstimate, IcaOptions, center_whiten, fastica
+from .ica import DemixingEstimate, center_whiten, fastica
 from .lattice import (
     LatticeReport,
     enumerate_partitions,
@@ -72,7 +72,6 @@ __all__ = [
     "DirectedGraph",
     "ExperimentRecord",
     "GridConfig",
-    "IcaOptions",
     "LatticeReport",
     "MetricsReport",
     "NoAdmissiblePermutationError",

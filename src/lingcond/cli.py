@@ -21,7 +21,6 @@ from .harness import (
     run_sample_complexity,
     summarize_grid,
 )
-from .ica import IcaOptions
 from .lattice import valid_dag_coarsenings
 from .recover import DEFAULT_ENUM_CAP, DEFAULT_TAU, MODES, recover_condensation
 from .scm import (
@@ -81,8 +80,7 @@ def _build_parser() -> _Parser:
     fit.add_argument("--data", required=True)
     fit.add_argument("--tau", type=float, default=DEFAULT_TAU)
     fit.add_argument("--mode", choices=MODES, default="hungarian")
-    fit.add_argument("--restarts", type=int, default=IcaOptions.restarts)
-    fit.add_argument("--seed", type=int, default=IcaOptions.seed)
+    fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     fit.add_argument("--out")
 
@@ -131,8 +129,7 @@ def _dispatch(args) -> int:
     if args.command == "fit":
         x = load_samples_csv(args.data)
         result = recover_condensation(
-            x, tau=args.tau, ica_opts=IcaOptions(restarts=args.restarts, seed=args.seed),
-            mode=args.mode, enum_cap=args.enum_cap,
+            x, tau=args.tau, seed=args.seed, mode=args.mode, enum_cap=args.enum_cap,
         )
         _emit(result.to_json_dict(), args.out)
         return 0

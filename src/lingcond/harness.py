@@ -8,8 +8,9 @@ one cell. A unit is pure given its derived sub-seeds, so runs are
 deterministic, resumable (a unit whose rows all exist is skipped) and safely
 parallelizable. Results go to a flat CSV, one column per ``ExperimentRecord``
 field, ordered by key rather than completion time and read back by the rules
-it is written with. Sub-seeds are derived by hashing the explicit record
-seed together with cell identifiers and a purpose tag through
+it is written with. Sub-seeds for the model, the sample and FastICA (whose
+seed is its one setting) are derived by hashing the explicit record seed
+together with cell identifiers and a purpose tag through
 ``rng.derive_seed`` (SeedSequence); the SCM stream deliberately excludes the
 sample size so one seed sees a growing sample of the same model.
 """
@@ -20,14 +21,13 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from . import rng as rng_mod
 from .exceptions import NUMERICAL_FAILURES, finite, finite_array, integer
 from .graphs import support_graph
-from .ica import IcaOptions
 from .metrics import evaluate
 from .recover import (
     DEFAULT_ENUM_CAP, DEFAULT_TAU, MODES, check_tau, recover_condensation,
@@ -60,7 +60,6 @@ class _StudyConfig:
     """
 
     d: int = 10
-    ica: IcaOptions = field(default_factory=IcaOptions)
     weight_low: float = DEFAULT_WEIGHT_LOW
     weight_high: float = DEFAULT_WEIGHT_HIGH
     noise_family: str = "laplace"
@@ -82,16 +81,11 @@ class _StudyConfig:
         _require(min(sizes) > self.d, f"every sample size must exceed d={self.d}")
         for seed in self.seeds:
             integer(seed, "seed", 0)
-        _require(isinstance(self.ica, IcaOptions),
-                 f"ica must be an IcaOptions, got {type(self.ica).__name__}")
-        _require(self.ica.seed == IcaOptions.seed,
-                 "ica.seed must be left out: a study derives each unit's ICA seed "
-                 "from its record seed, cell and sample size")
 
     def _cells(self) -> list:  # the study's (kappa, lambda, regime) cells
         return [(self.kappa, self.lam, self.regime)]
 
-    def _fit(self) -> dict:  # the recover_condensation knobs besides tau and ICA
+    def _fit(self) -> dict:  # the recover_condensation knobs besides tau and the ICA seed
         return dict(mode="hungarian")
 
     @classmethod
@@ -110,8 +104,6 @@ class _StudyConfig:
         try:
             if not isinstance(kwargs.get("seeds", ()), (list, tuple)):  # a count of seeds
                 kwargs["seeds"] = range(integer(kwargs["seeds"], "seed count"))
-            if "ica" in kwargs:
-                kwargs["ica"] = IcaOptions(**kwargs["ica"])
             return cls(**kwargs)
         except TypeError as exc:
             raise ValueError(f"malformed {cls.__name__}: {exc}") from exc
@@ -200,11 +192,22 @@ class ExperimentRecord:
 
     @classmethod
     def from_csv_row(cls, row: str) -> "ExperimentRecord":
-        """Parse a ``to_csv_row`` row; ValueError on a cell that method does not write."""
+        """Parse a row the harness writes; ValueError on any other row.
+
+        Each cell must be one ``to_csv_row`` writes (``_parse_cell``), the
+        regime a known one, and the metric columns all filled on a scored
+        row and all empty on an error row.
+        """
         columns, cells = fields(cls), row.rstrip("\n").split(",")
         if len(cells) != len(columns):
             raise ValueError(f"malformed record row: {row!r}")
-        return cls(*(_parse_cell(f, text) for f, text in zip(columns, cells)))
+        rec = cls(*(_parse_cell(f, text) for f, text in zip(columns, cells)))
+        if rec.regime not in _REGIME_CODE:
+            raise ValueError(f"results cell {rec.regime!r} is not a valid regime")
+        filled = [getattr(rec, f.name) is not None for f in columns if f.default is None]
+        if any(filled) if rec.error else not all(filled):
+            raise ValueError(f"results row is neither a scored row nor an error row: {row!r}")
+        return rec
 
 
 def _parse_cell(f, text: str):
@@ -270,8 +273,8 @@ class _Unit:
     """One model at one (n, seed): fitted once, scored at every tau in ``taus``.
 
     ``cfg`` is the study config, read for ``d``, the weight bounds, the
-    noise family and the remaining ``recover_condensation`` knobs; ``ica``
-    already carries the derived ICA seed.
+    noise family and the remaining ``recover_condensation`` knobs; the
+    three seeds are the unit's derived sub-seeds.
     """
 
     cfg: object
@@ -283,7 +286,7 @@ class _Unit:
     taus: tuple
     scm_seed: int
     sample_seed: int
-    ica: IcaOptions
+    ica_seed: int
 
     def rows(self) -> list:
         """The unit's records before scoring, one per tau."""
@@ -307,7 +310,7 @@ def _run_unit(unit: _Unit) -> list:
             unit.regime, seed=unit.scm_seed, noise_family=cfg.noise_family,
         )
         x = sample(scm, unit.n, seed=unit.sample_seed)
-        fitted = recover_condensation(x, tau=min(unit.taus), ica_opts=unit.ica, **cfg._fit())
+        fitted = recover_condensation(x, tau=min(unit.taus), seed=unit.ica_seed, **cfg._fit())
     except NUMERICAL_FAILURES as exc:
         return [replace(row, error=type(exc).__name__) for row in rows]
     truth = scm.b.support()
@@ -344,11 +347,8 @@ def _execute(cfg, taus, sub_seeds, out_path, workers) -> list:
         cell = _cell_keys(cfg.d, kappa, lam, regime)
         for n in cfg.sample_sizes:
             for seed in cfg.seeds:
-                scm_seed, sample_seed, ica_seed = sub_seeds(seed, cell, n)
-                units.append(_Unit(
-                    cfg, kappa, lam, regime, n, seed, taus, scm_seed, sample_seed,
-                    replace(cfg.ica, seed=ica_seed),
-                ))
+                units.append(_Unit(cfg, kappa, lam, regime, n, seed, taus,
+                                   *sub_seeds(seed, cell, n)))
     existing = {r.key(): r for r in load_records(out_path)} if out_path else {}
     todo = [u for u in units if any(r.key() not in existing for r in u.rows())]
     if min(workers, len(todo)) <= 1:
@@ -422,11 +422,14 @@ def _rate_ci(hits: int, total: int) -> dict:
 
 
 def ols_slope(xs, ys) -> float:
+    """Least-squares slope of ``ys`` on ``xs``; ValueError unless the xs have a spread."""
     xs, ys = finite_array(xs, "xs"), finite_array(ys, "ys")
     if xs.size < 2:
         raise ValueError("need at least two points for a slope")
     xc = xs - xs.mean()
-    return float((xc @ (ys - ys.mean())) / (xc @ xc))
+    if not (spread := xc @ xc) > 0:
+        raise ValueError("xs have no spread: a slope needs two distinct xs")
+    return float((xc @ (ys - ys.mean())) / spread)
 
 
 def summarize_grid(records) -> dict:

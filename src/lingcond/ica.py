@@ -5,8 +5,9 @@ covariance, runs parallel fixed-point iterations with symmetric
 decorrelation from several random starts in lockstep, and de-whitens the
 winner so the returned matrix acts on the raw (uncentered-scale)
 observations. Restarts are resolved by the non-Gaussianity objective, ties
-by the earliest restart, so results are deterministic given the options.
-The contrast is log cosh (``g = tanh``), as Hyvarinen (1999) recommends.
+by the earliest restart, so results are deterministic given the seed, the
+one setting. The contrast is log cosh (``g = tanh``), as Hyvarinen (1999)
+recommends; the restart count, tolerance and iteration cap are constants.
 
 From ``n = 400 d`` rows on, the restarts run on an evenly spaced subsample
 of about ``200 d`` rows (``_ROWS_PER_DIM``), whitened on its own, and only
@@ -51,23 +52,14 @@ RANK_TOLERANCE = 1e-10
 # rows per dimension of the subsample that picks the winning restart
 _ROWS_PER_DIM = 200
 
-# plain fixed-point iterations before a start still active switches to the
-# stabilised step, the floor of that step's size, the drift below which a
-# start has converged, and the cap on its iterations
+# random starts per fit, plain fixed-point iterations before a start still
+# active switches to the stabilised step, the floor of that step's size, the
+# drift below which a start has converged, and the cap on its iterations
+_RESTARTS = 3
 _PLAIN_ITERATIONS = 150
 _MIN_STEP = 1 / 64
 _TOLERANCE = 1e-6
 _MAX_ITERATIONS = 500
-
-
-@dataclass(frozen=True)
-class IcaOptions:
-    restarts: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, low in (("restarts", 1), ("seed", 0)):
-            object.__setattr__(self, name, integer(getattr(self, name), name, low))
 
 
 @dataclass(frozen=True)
@@ -152,13 +144,13 @@ def _objectives(s: np.ndarray, r: int) -> np.ndarray:
     return (dev**2).reshape(r, -1).sum(axis=1)
 
 
-def _starts(d: int, opts: IcaOptions) -> np.ndarray:
-    """The ``(restarts, d, d)`` stack of random orthonormal starting points."""
+def _starts(d: int, seed: int) -> np.ndarray:
+    """The ``(_RESTARTS, d, d)`` stack of random orthonormal starting points."""
     return np.stack([
         np.linalg.qr(
-            rng_mod.stream(opts.seed, rng_mod.PURPOSE_ICA, restart).standard_normal((d, d))
+            rng_mod.stream(seed, rng_mod.PURPOSE_ICA, restart).standard_normal((d, d))
         )[0]
-        for restart in range(opts.restarts)
+        for restart in range(_RESTARTS)
     ])
 
 
@@ -221,14 +213,15 @@ def _fixed_point(z: np.ndarray, w: np.ndarray) -> tuple:
     return w, iterations, converged, failed
 
 
-def fastica(x, opts: IcaOptions = IcaOptions()) -> DemixingEstimate:
+def fastica(x, seed: int = 0) -> DemixingEstimate:
     """Estimate the demixing matrix of x by symmetric FastICA.
 
-    Runs ``opts.restarts`` fixed-point iterations from random orthonormal
-    starts and keeps the one with the largest non-Gaussianity objective,
-    ties going to the earliest restart; a restart whose update degenerates
-    (``_fixed_point``) is not a candidate. WhiteningError is raised when
-    every restart degenerates, or the refinement below does. Convergence of
+    Runs ``_RESTARTS`` (3) fixed-point iterations from random orthonormal
+    starts drawn from ``seed`` and keeps the one with the largest
+    non-Gaussianity objective, ties going to the earliest restart; a restart
+    whose update degenerates (``_fixed_point``) is not a candidate.
+    WhiteningError is raised when every restart degenerates, or the
+    refinement below does. Convergence of
     a run is declared when ``1 - min_i |<w_i_new, w_i_old>|`` drops below
     ``_TOLERANCE`` (1e-6); otherwise it stops at ``_MAX_ITERATIONS`` (500)
     with ``converged=False``. A run still active after ``_PLAIN_ITERATIONS``
@@ -243,11 +236,10 @@ def fastica(x, opts: IcaOptions = IcaOptions()) -> DemixingEstimate:
     and ``converged`` then report that refinement. If the subsample's
     covariance is rank deficient while that of all rows is not, the
     restarts run on all rows. The restarts run in lockstep; each stage's
-    results match running its starts one after another. An ``opts`` that is
-    not an ``IcaOptions`` raises ValueError.
+    results match running its starts one after another. A ``seed`` that is
+    not an integer ``>= 0`` raises ValueError.
     """
-    if not isinstance(opts, IcaOptions):
-        raise ValueError(f"ICA options must be an IcaOptions, got {type(opts).__name__}")
+    seed = integer(seed, "seed", 0)
     z, k, _ = center_whiten(x)
     n, d = z.shape
     step = n // (_ROWS_PER_DIM * d)
@@ -258,8 +250,8 @@ def fastica(x, opts: IcaOptions = IcaOptions()) -> DemixingEstimate:
             zs, ks, _ = _whiten(np.asarray(x)[::step])
         except WhiteningError:
             step = 1  # the subsample missed the rows that give some direction its spread
-    w, iterations, converged, failed = _fixed_point(zs, _starts(d, opts))
-    objectives = _objectives(zs @ w.reshape(-1, d).T, opts.restarts)
+    w, iterations, converged, failed = _fixed_point(zs, _starts(d, seed))
+    objectives = _objectives(zs @ w.reshape(-1, d).T, len(w))
     best = int(np.argmax(np.where(failed, -np.inf, objectives)))
     if step >= 2:
         start, ok = _symmetric_decorrelate((w[best] @ ks @ np.linalg.inv(k))[None])

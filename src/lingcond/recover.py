@@ -31,7 +31,7 @@ import numpy as np
 
 from .exceptions import NoAdmissiblePermutationError, finite, integer, square_matrix
 from .graphs import Condensation, DirectedGraph, Partition, condense, support_graph
-from .ica import IcaOptions, fastica
+from .ica import fastica
 from .scm import _radii
 
 MODES = ("hungarian", "enumerate-first-stable")
@@ -40,7 +40,8 @@ ENUMERATION_MAX_D = 12
 
 # pipeline defaults: the hard threshold on |b|; eta, the fraction of row r's
 # largest magnitude that |W[r, i]| must exceed for (r, i) to be a rook slot
-# (``_rook_slots``); and the cap on the candidates the first-stable scan builds
+# (``_rook_slots``), which Hungarian fits always cut at; and the cap on the
+# candidates the first-stable scan builds
 DEFAULT_TAU = 0.1
 DEFAULT_ETA = 1e-3
 DEFAULT_ENUM_CAP = 20000
@@ -72,13 +73,6 @@ def check_tau(tau) -> float:
     if (tau := finite(tau, "tau")) < 0:
         raise ValueError(f"tau must be finite and non-negative, got {tau}")
     return tau
-
-
-def check_eta(eta) -> float:
-    """``eta`` as a float; ValueError unless ``0 < eta < 1`` (at 1 no slot is admissible)."""
-    if not 0 < (eta := finite(eta, "eta")) < 1:
-        raise ValueError(f"eta must be finite and in (0, 1), got {eta}")
-    return eta
 
 
 def _rook_slots(m: np.ndarray, cut: float) -> np.ndarray:
@@ -154,24 +148,25 @@ def _min_cost_assignment(cost: np.ndarray) -> list | None:
     return col4row
 
 
-def hungarian_admissible(w, eta: float = DEFAULT_ETA) -> tuple:
+def hungarian_admissible(w) -> tuple:
     """Permutation maximizing sum_i log|(PW)_ii| over admissible assignments.
 
     Solved as a min-cost assignment (``_min_cost_assignment``) with cost
     -log|W[r, i]| for placing row r at slot i; slots that are not rook slots
-    at ``cut = eta`` (``_rook_slots``) cost ``inf``. Scaling a row shifts all
-    its costs by one constant, so the assignment does not depend on row
-    scale either. Returns ``perm`` with ``perm[i]`` the source row for slot
-    i, so ``PW = W[perm, :]``. Raises NoAdmissiblePermutationError when every
-    perfect matching uses a slot that is not a rook slot.
+    at ``cut = DEFAULT_ETA`` (1e-3, ``_rook_slots``) cost ``inf``. Scaling a
+    row shifts all its costs by one constant, so the assignment does not
+    depend on row scale either. Returns ``perm`` with ``perm[i]`` the source
+    row for slot i, so ``PW = W[perm, :]``. Raises
+    NoAdmissiblePermutationError when every perfect matching uses a slot
+    that is not a rook slot.
     """
-    check_eta(eta)
     m = square_matrix(w, "demixing matrix")
     mags = np.abs(m.T)  # cost[i, r] scores row r at slot i
-    cost = -np.log(mags, out=np.full(mags.shape, -np.inf), where=_rook_slots(m, eta).T)
+    cost = -np.log(mags, out=np.full(mags.shape, -np.inf), where=_rook_slots(m, DEFAULT_ETA).T)
     if (rows := _min_cost_assignment(cost)) is None:
         raise NoAdmissiblePermutationError(
-            f"no permutation keeps every diagonal magnitude above eta={eta} of its row's largest"
+            f"no permutation keeps every diagonal magnitude above eta={DEFAULT_ETA} "
+            "of its row's largest"
         )
     return tuple(rows)
 
@@ -210,10 +205,12 @@ def _admissible_blocks(ok: np.ndarray, size: int):
 def enumerate_admissible(w, eta: float = DEFAULT_ETA) -> list:
     """All permutations made of rook slots at ``cut = eta``, in lexicographic order.
 
-    That is, every ``|(PW)_ii| > eta max_j |(PW)_ij|`` (``_rook_slots``).
-    Guarded at d <= 12: the admissible count is a permanent and can reach d!.
+    That is, every ``|(PW)_ii| > eta max_j |(PW)_ij|`` (``_rook_slots``);
+    ValueError unless ``0 < eta < 1`` (at 1 no slot is admissible). Guarded
+    at d <= 12: the admissible count is a permanent and can reach d!.
     """
-    check_eta(eta)
+    if not 0 < (eta := finite(eta, "eta")) < 1:
+        raise ValueError(f"eta must be finite and in (0, 1), got {eta}")
     m = square_matrix(w, "demixing matrix")
     if m.shape[0] > ENUMERATION_MAX_D:
         raise ValueError(
@@ -437,25 +434,26 @@ class RecoveryResult:
 def recover_condensation(
     x,
     tau: float = DEFAULT_TAU,
-    ica_opts: IcaOptions | None = None,
+    seed: int = 0,
     mode: str = "hungarian",
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> RecoveryResult:
     """Run the full pipeline on a sample matrix.
 
-    FastICA -> permutation selection (per ``mode``) -> candidate adjacency ->
-    hard threshold at ``tau`` -> SCC partition and inter-cluster edges of the
-    surviving support. Per-stage wall times are recorded in milliseconds.
-    Raises ValueError on a non-finite or out-of-range knob before fitting.
+    FastICA from ``seed`` -> permutation selection (per ``mode``) ->
+    candidate adjacency -> hard threshold at ``tau`` -> SCC partition and
+    inter-cluster edges of the surviving support. Per-stage wall times are
+    recorded in milliseconds. Raises ValueError on a non-finite or
+    out-of-range knob before fitting.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     tau = check_tau(tau)
+    seed = integer(seed, "seed", 0)
     enum_cap = integer(enum_cap, "enum_cap", 1)
-    opts = ica_opts if ica_opts is not None else IcaOptions()
 
     t0 = time.perf_counter()
-    estimate = fastica(x, opts)
+    estimate = fastica(x, seed)
     t1 = time.perf_counter()
     if mode == "hungarian":
         perm = hungarian_admissible(estimate.w)

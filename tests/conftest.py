@@ -18,6 +18,12 @@ settings.load_profile("lingcond")
 
 
 @pytest.fixture
+def one_restart(monkeypatch):
+    """Run every FastICA fit with one restart; a forked worker pool inherits the patch."""
+    monkeypatch.setattr("lingcond.ica._RESTARTS", 1)
+
+
+@pytest.fixture
 def example_graph():
     """The five-variable golden graph: 0->1, 1->2, 2->3, 3->1, 1->4."""
     return DirectedGraph(5, {(0, 1), (1, 2), (2, 3), (3, 1), (1, 4)})

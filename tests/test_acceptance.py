@@ -16,7 +16,6 @@ import pytest
 
 from lingcond import (
     GridConfig,
-    IcaOptions,
     NoiseSpec,
     SampleComplexityConfig,
     ScmSpec,
@@ -138,7 +137,7 @@ def test_criterion_05_example_pipeline_recovery(example_b):
     hits = 0
     for seed in range(10):
         x = sample(spec, 10000, seed=seed)
-        res = recover_condensation(x, tau=0.1, ica_opts=IcaOptions(seed=seed))
+        res = recover_condensation(x, tau=0.1, seed=seed)
         chain = (
             res.partition.labels == (0, 1, 1, 1, 2)
             and res.condensation.cluster_edges == frozenset({(0, 1), (1, 2)})
@@ -318,7 +317,7 @@ def test_criterion_09_metric_and_assignment_oracles():
         if brute_perm is None:
             continue
         compared += 1
-        perm = hungarian_admissible(w, 1e-3)
+        perm = hungarian_admissible(w)
         score = sum(math.log(abs(w[perm[i], i])) for i in range(d))
         if abs(score - brute_score) > 1e-9:
             hungarian_mismatches += 1
@@ -339,15 +338,15 @@ def test_criterion_10_runtime_scaling(tmp_path):
     script = (
         "import json\n"
         "import numpy as np\n"
-        "from lingcond import generate_scm, sample, recover_condensation, IcaOptions\n"
+        "from lingcond import generate_scm, sample, recover_condensation\n"
         "scm = generate_scm(10, 4, 0.5, seed=1)\n"
         "x = sample(scm, 10000, seed=2)\n"
-        "res = recover_condensation(x, tau=0.1, ica_opts=IcaOptions(seed=3))\n"
+        "res = recover_condensation(x, tau=0.1, seed=3)\n"
         "times = {}\n"
         "for d in (20, 50, 100):\n"
         "    x = sample(generate_scm(d, d // 10, 0.5, seed=1), 10000, seed=2)\n"
         "    times[d] = float(np.median([recover_condensation(\n"
-        "        x, tau=0.1, ica_opts=IcaOptions(seed=3), mode='hungarian'\n"
+        "        x, tau=0.1, seed=3, mode='hungarian'\n"
         "    ).timings_ms['total_ms'] for _ in range(3)]))\n"
         "print(json.dumps([res.timings_ms['total_ms'], times]))\n"
     )

@@ -1,3 +1,4 @@
+import inspect
 import json
 import warnings
 
@@ -6,7 +7,6 @@ import pytest
 
 from lingcond import harness
 from lingcond.cli import _UsageError, _build_parser, main
-from lingcond.ica import IcaOptions
 from lingcond.recover import (
     DEFAULT_ENUM_CAP, DEFAULT_ETA, DEFAULT_TAU, recover_condensation,
 )
@@ -72,8 +72,7 @@ class TestGenerateSampleFit:
 
     def test_fit_defaults_come_from_the_library(self):
         args = _build_parser().parse_args(["fit", "--data", "x.csv"])
-        ica = IcaOptions()
-        assert (args.restarts, args.seed) == (ica.restarts, ica.seed)
+        assert args.seed == inspect.signature(recover_condensation).parameters["seed"].default
         assert args.enum_cap == DEFAULT_ENUM_CAP
         assert args.tau == DEFAULT_TAU
 
@@ -93,7 +92,7 @@ class TestParserBuiltOnce:
 
     ARGVS = (
         ["fit", "--data", "x.csv", "--tau", "0.3", "--seed", "5", "--mode",
-         "enumerate-first-stable", "--restarts", "2"],
+         "enumerate-first-stable", "--enum-cap", "7"],
         ["fit", "--data", "x.csv"],
         ["generate", "--d", "6", "--kappa", "2", "--lambda", "0.4", "--seed", "9",
          "--regime", "unstable", "--out", "scm.json"],
@@ -177,11 +176,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--enum-floor", 0.2), ("--eta", 0.01), ("--nonlinearity", "cube"), ("--tol", 1e-6),
-        ("--max-iter", 500),
+        ("--max-iter", 500), ("--restarts", 3),
     ])
     def test_usage_error_removed_enum_floor(self, workspace, capsys, flag, value):
-        # the scan's floor, eta and the FastICA contrast, tolerance and cap are
-        # constants, so the flags that set them are refused
+        # the scan's floor, eta and the FastICA restart count, contrast,
+        # tolerance and cap are constants, so the flags that set them are refused
         data = workspace / "data.csv"
         x = np.random.default_rng(0).laplace(size=(100, 3))
         np.savetxt(data, x, fmt="%.17g", delimiter=",", header="X1,X2,X3", comments="")
@@ -240,6 +239,9 @@ class TestExitCodes:
         ("sample-complexity", {"ica": {"max_iterations": 500}}),
         # the base config names lam: a lambda as well is refused, not read instead
         ("sample-complexity", {"lambda": 0.5}),
+        # the restart count is a constant and the ICA seed is derived: no ica key is left
+        ("grid", {"ica": {"restarts": 3}}),
+        ("sample-complexity", {"ica": {"restarts": 1}}),
     ])
     def test_bad_study_config_fits_and_writes_nothing(
         self, workspace, monkeypatch, command, config
@@ -251,7 +253,7 @@ class TestExitCodes:
             return recover_condensation(*args, **kwargs)
 
         monkeypatch.setattr(harness, "recover_condensation", counting_fit)
-        base = {"d": 6, "seeds": 1, "sample_sizes": [200], "ica": {"restarts": 1}}
+        base = {"d": 6, "seeds": 1, "sample_sizes": [200]}
         if command == "grid":
             base.update(kappas=[2], lambdas=[0.4], regimes=["stable"])
         else:
@@ -331,13 +333,13 @@ class TestExitCodes:
         assert run("lattice", "--graph", path) == 1
 
 
+@pytest.mark.usefixtures("one_restart")
 class TestExperimentCommands:
     def test_grid_with_config_and_summary(self, workspace):
         cfg_path = workspace / "grid.json"
         cfg_path.write_text(json.dumps({
             "d": 6, "kappas": [2], "lambdas": [0.4], "regimes": ["stable"],
             "sample_sizes": [500], "seeds": 2, "mode": "hungarian",
-            "ica": {"restarts": 1},
         }))
         out = workspace / "results.csv"
         summary = workspace / "summary.json"
@@ -361,7 +363,6 @@ class TestExperimentCommands:
         cfg_path.write_text(json.dumps({
             "d": 6, "kappas": [2], "lambdas": [0.4], "regimes": ["stable"], "taus": [0.05, 0.2],
             "sample_sizes": [500], "seeds": 1, "mode": "hungarian",
-            "ica": {"restarts": 1},
         }))
         out = workspace / "sweep.csv"
         assert run("grid", "--config", cfg_path, "--out", out) == 0
@@ -382,7 +383,7 @@ class TestExperimentCommands:
         cfg_path = workspace / "sc.json"
         cfg_path.write_text(json.dumps({
             "d": 6, "kappa": 2, "lambda": 0.4, "seeds": 2,
-            "sample_sizes": [200, 500], "ica": {"restarts": 1},
+            "sample_sizes": [200, 500],
         }))
         out = workspace / "sc.csv"
         summary = workspace / "sc_summary.json"

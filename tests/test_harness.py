@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from lingcond import (
     ExperimentRecord,
     GridConfig,
-    IcaOptions,
     SampleComplexityConfig,
     evaluate,
     generate_scm,
@@ -24,6 +23,9 @@ from lingcond import harness, rng as rng_mod
 from lingcond.exceptions import NumericalError
 from lingcond.harness import CSV_HEADER, load_records, ols_slope, write_records
 
+# every fit in this module runs one FastICA restart, which keeps the studies small
+pytestmark = pytest.mark.usefixtures("one_restart")
+
 
 def tiny_grid_cfg():
     return GridConfig(
@@ -34,21 +36,20 @@ def tiny_grid_cfg():
         sample_sizes=(500,),
         seeds=(0, 1),
         mode="hungarian",
-        ica=IcaOptions(restarts=1),
     )
 
 
 def tiny_sweep_cfg(**kw):  # a threshold sweep: one cell, several taus
     return GridConfig(
         d=6, kappas=(2,), lambdas=(0.4,), regimes=("unstable",), taus=(0.05, 0.2, 0.6),
-        sample_sizes=(300, 800), seeds=(0, 1), ica=IcaOptions(restarts=1), **kw,
+        sample_sizes=(300, 800), seeds=(0, 1), **kw,
     )
 
 
 def tiny_complexity_cfg():
     return SampleComplexityConfig(
         d=6, kappa=2, lam=0.4, seeds=(0, 1), sample_sizes=(200, 600),
-        window=(100, 1000), ica=IcaOptions(restarts=1),
+        window=(100, 1000),
     )
 
 
@@ -114,16 +115,24 @@ class TestRecords:
         assert parsed == rec
         assert parsed.ari is None
 
-    def test_malformed_row_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentRecord.from_csv_row("1,2,3")
+    @pytest.mark.parametrize("row", [
+        "1,2,3",
+        # rows of the right width that the writer never writes: an error row
+        # that carries metrics, and a scored row with a metric left empty
+        replace(GOOD_RECORD, error="WhiteningError").to_csv_row(),
+        replace(GOOD_RECORD, hamming=None).to_csv_row(),
+    ], ids=["short", "error-with-metrics", "metric-missing"])
+    def test_malformed_row_rejected(self, row):
+        # before, both rows of the right width loaded as records
+        with pytest.raises(ValueError, match="row"):
+            ExperimentRecord.from_csv_row(row)
 
     @pytest.mark.parametrize("column, cell", [
         ("exact_recovery", "yes"), ("exact_recovery", "2"), ("hamming", "1_0"),
         ("hamming", "2.0"), ("n", "+500"), ("ari", "nan"), ("fit_ms", "inf"),
         ("lambda", "-inf"), ("tau", "np.float64(0.1)"), ("seed", ""), ("regime", ""),
         ("lambda", "0_5"), ("tau", " 0.5"), ("tau", "0.5 "), ("lambda", "+0.5"),
-        ("fit_ms", "1E-05"),
+        ("fit_ms", "1E-05"), ("regime", "banana"),
     ])
     def test_cell_the_writer_never_writes_rejected(self, column, cell):
         # before, yes loaded as False, 1_0 and 0_5 as 10 and 5.0, nan or inf as
@@ -153,7 +162,7 @@ class TestRecords:
     def test_write_orders_by_key(self, tmp_path):
         recs = [
             ExperimentRecord(d=5, kappa=1, lam=0.5, regime="stable", n=100,
-                             seed=s, tau=0.1)
+                             seed=s, tau=0.1, error="WhiteningError")
             for s in (2, 0, 1)
         ]
         path = tmp_path / "r.csv"
@@ -164,8 +173,7 @@ class TestRecords:
 
     def test_close_config_values_keep_their_own_rows(self, tmp_path):
         # before, keys quantized lambda and tau to 1e-6, so these configs gave 1 and 2 rows
-        common = dict(d=6, sample_sizes=(300,), seeds=(0,), mode="hungarian",
-                      ica=IcaOptions(restarts=1))
+        common = dict(d=6, sample_sizes=(300,), seeds=(0,), mode="hungarian")
         grid = GridConfig(kappas=(2,), lambdas=(0.5, 0.5000001), regimes=("stable",), **common)
         sweep = GridConfig(kappas=(2,), lambdas=(0.4,), regimes=("stable",),
                            taus=(0.1, 0.1000004, 0.2), **common)
@@ -216,10 +224,10 @@ class TestConfigs:
     @pytest.mark.parametrize("cls", [GridConfig, SampleComplexityConfig])
     @pytest.mark.parametrize("floor", [0.1, -0.1, 1.0, float("nan"), "0.1"])
     def test_scan_floor_is_not_a_config_key(self, cls, floor):
-        # the scan's significance floor and the admissibility cut eta are
-        # constants of the pipeline, not settings: a config that names either
-        # is refused whatever the value
-        for key in ("enum_floor", "eta"):
+        # the scan's significance floor, the admissibility cut eta and the
+        # FastICA options are constants of the pipeline, not settings: a config
+        # that names any of them is refused whatever the value
+        for key in ("enum_floor", "eta", "ica"):
             with pytest.raises(ValueError, match="unknown config keys"):
                 cls.from_json_dict({key: floor})
             with pytest.raises(TypeError):
@@ -228,7 +236,7 @@ class TestConfigs:
     @pytest.mark.parametrize("cls", [GridConfig, SampleComplexityConfig])
     @pytest.mark.parametrize("bad", [
         {"noise_family": "bogus"}, {"seeds": ()}, {"sample_sizes": ()},
-        {"sample_sizes": (500, 200)}, {"seeds": (0, 0)}, {"ica": {"restarts": 1}},
+        {"sample_sizes": (500, 200)}, {"seeds": (0, 0)}, {"noise_family": 3},
     ])
     def test_shared_checks_rejected(self, cls, bad):
         with pytest.raises(ValueError):
@@ -262,6 +270,8 @@ class TestConfigs:
         # the FastICA contrast, tolerance and cap are constants, not ica options
         {"ica": {"nonlinearity": "logcosh"}}, {"ica": {"tolerance": 1e-6}},
         {"ica": {"max_iterations": 500}},
+        # the restart count is a constant too, so no ica key is left
+        {"ica": {"restarts": 3}}, {"ica": {}},
     ])
     def test_malformed_json_raises_value_error(self, cls, data):
         with pytest.raises(ValueError):
@@ -321,25 +331,6 @@ class TestConfigs:
             cls.from_json_dict({name: bad})
         assert cls(**{name: list(default)}) == cls()  # a list is held as a tuple
 
-    @pytest.mark.parametrize("cls", [GridConfig, SampleComplexityConfig])
-    def test_ica_that_is_not_ica_options_rejected(self, cls):
-        # before, a dict raised a raw AttributeError
-        with pytest.raises(ValueError, match="IcaOptions"):
-            cls(ica={"restarts": 1})
-
-    def test_ica_sub_config(self):
-        cfg = GridConfig.from_json_dict({"ica": {"restarts": 1}})
-        assert cfg.ica.restarts == 1
-
-    @pytest.mark.parametrize("cls", [GridConfig, SampleComplexityConfig])
-    def test_ica_seed_refused(self, cls):
-        # each unit's ICA seed is derived from its record seed, so before, any
-        # ica.seed wrote the records of seed 0
-        with pytest.raises(ValueError, match="ica.seed"):
-            cls(ica=IcaOptions(seed=12345))
-        with pytest.raises(ValueError, match="ica.seed"):
-            cls.from_json_dict({"ica": {"seed": 1}})
-
     def test_complexity_default_grid_is_log_spaced(self):
         cfg = SampleComplexityConfig()
         assert cfg.sample_sizes[0] == 100
@@ -351,7 +342,7 @@ class TestConfigs:
     @pytest.mark.parametrize("cfg", [
         GridConfig(d=6, kappas=(2,), lambdas=(0.4, 0.6), regimes=("stable",), seeds=(3, 5),
                    sample_sizes=(200, 500), taus=(0.2,), mode="hungarian", enum_cap=7,
-                   ica=IcaOptions(restarts=2), noise_family="exponential-centered"),
+                   noise_family="exponential-centered"),
         GridConfig(d=6, kappas=(2,), lambdas=(0.4,), taus=(0.05, 0.3), sample_sizes=(300,),
                    weight_low=0.6),
         SampleComplexityConfig(d=6, kappa=2, lam=0.4, scm_seed=3, seeds=(0, 2),
@@ -409,17 +400,24 @@ class TestRunGrid:
         assert run_grid(cfg, out_path=out) == records
         assert out.read_bytes() == first_bytes
 
-    def test_corrupt_row_stops_the_resume_and_keeps_the_file(self, tmp_path):
+    @pytest.mark.parametrize("column, cell, message", [
+        ("exact_recovery", "yes", "results cell 'yes'"),
+        ("regime", "banana", "results cell 'banana'"),
+        ("error", "WhiteningError", "neither a scored row nor an error row"),
+        ("hamming", "", "neither a scored row nor an error row"),
+    ], ids=["yes", "banana", "error-with-metrics", "metric-missing"])
+    def test_corrupt_row_stops_the_resume_and_keeps_the_file(self, tmp_path, column, cell,
+                                                              message):
         cfg = tiny_grid_cfg()
         out = tmp_path / "grid.csv"
         run_grid(cfg, out_path=out)
         lines = out.read_text().splitlines(keepends=True)
-        cells = lines[1].split(",")
-        cells[CSV_HEADER.split(",").index("exact_recovery")] = "yes"
-        lines[1] = ",".join(cells)
+        cells = lines[1].rstrip("\n").split(",")
+        cells[CSV_HEADER.split(",").index(column)] = cell
+        lines[1] = ",".join(cells) + "\n"
         out.write_text("".join(lines))
         corrupt = out.read_bytes()
-        with pytest.raises(ValueError, match="results cell 'yes'"):
+        with pytest.raises(ValueError, match=message):
             run_grid(cfg, out_path=out)
         assert out.read_bytes() == corrupt
 
@@ -442,7 +440,10 @@ class TestStudyUnit:
     """All three runners share one unit: fit once per (cell, n, seed), score every tau."""
 
     @pytest.mark.parametrize("name", list(RUNNERS))
-    def test_workers_do_not_change_results(self, name):
+    def test_workers_do_not_change_results(self, name, monkeypatch):
+        # only a forked worker inherits the one-restart patch, so under any
+        # start method both runs use the package's own restart count
+        monkeypatch.undo()
         run, make_cfg = RUNNERS[name]
         serial = run(make_cfg(), out_path=None, workers=1)
         parallel = run(make_cfg(), out_path=None, workers=2)
@@ -487,7 +488,7 @@ class TestStudyUnit:
         # one fit per (cell, n, seed) cut at each tau gives the rows of a grid run at that tau
         cfg = GridConfig(d=6, kappas=(2,), lambdas=(0.4, 0.6), regimes=("unstable",),
                          taus=(0.2, 0.05, 0.6), sample_sizes=(300, 800), seeds=(0, 1),
-                         mode=mode, ica=IcaOptions(restarts=1))
+                         mode=mode)
         records = run_grid(cfg)
         assert len(records) == 24 and not any(r.error for r in records)
         per_tau = [rec for tau in cfg.taus for rec in run_grid(replace(cfg, taus=(tau,)))]
@@ -522,8 +523,7 @@ class TestStudyUnit:
                 ica_seed = rng_mod.derive_seed(rec.seed, harness.TAG_ICA, rec.n)
             scm = generate_scm(cfg.d, rec.kappa, rec.lam, regime=rec.regime, seed=scm_seed)
             fit = recover_condensation(
-                sample(scm, rec.n, seed=sample_seed), tau=rec.tau,
-                ica_opts=replace(cfg.ica, seed=ica_seed), mode=mode,
+                sample(scm, rec.n, seed=sample_seed), tau=rec.tau, seed=ica_seed, mode=mode,
             )
             report = evaluate(fit.support(), scm.b.support())
             assert not rec.error
@@ -558,7 +558,7 @@ class TestThresholdSweep:
     def test_sweep_shares_fit_and_covers_taus(self, tmp_path):
         cfg = GridConfig(
             d=6, kappas=(2,), lambdas=(0.4,), regimes=("stable",), taus=(0.05, 0.2),
-            sample_sizes=(800,), seeds=(0, 1), mode="hungarian", ica=IcaOptions(restarts=1),
+            sample_sizes=(800,), seeds=(0, 1), mode="hungarian",
         )
         records = run_grid(cfg, out_path=tmp_path / "sweep.csv")
         assert len(records) == 4
@@ -575,7 +575,7 @@ class TestThresholdSweep:
         cfg = GridConfig(
             d=6, kappas=(2,), lambdas=(np.float64(0.4),), regimes=("stable",),
             taus=tuple(np.logspace(-2, 0, 3)), sample_sizes=(300,), seeds=(0,),
-            mode="hungarian", ica=IcaOptions(restarts=1),
+            mode="hungarian",
         )
         out = tmp_path / "sweep.csv"
         records = run_grid(cfg, out_path=out)
@@ -588,7 +588,7 @@ class TestThresholdSweep:
     def test_monotone_support_across_taus(self, tmp_path):
         cfg = GridConfig(
             d=6, kappas=(2,), lambdas=(0.4,), regimes=("stable",), taus=(0.05, 0.2, 0.6),
-            sample_sizes=(800,), seeds=(0,), mode="hungarian", ica=IcaOptions(restarts=1),
+            sample_sizes=(800,), seeds=(0,), mode="hungarian",
         )
         records = run_grid(cfg)
         by_tau = {r.tau: r for r in records}
@@ -600,7 +600,7 @@ class TestSampleComplexity:
     def test_summary_matches_records(self, tmp_path):
         cfg = SampleComplexityConfig(
             d=6, kappa=2, lam=0.4, seeds=(0, 1, 2), sample_sizes=(200, 600),
-            window=(100, 1000), ica=IcaOptions(restarts=1),
+            window=(100, 1000),
         )
         records, summary = run_sample_complexity(cfg, out_path=tmp_path / "sc.csv")
         assert len(records) == 6
@@ -620,7 +620,6 @@ class TestSampleComplexity:
     def test_tau_is_half_beta_min(self, tmp_path):
         cfg = SampleComplexityConfig(
             d=6, kappa=2, lam=0.4, seeds=(0,), sample_sizes=(300,),
-            ica=IcaOptions(restarts=1),
         )
         records, summary = run_sample_complexity(cfg)
         from lingcond import generate_scm
@@ -635,6 +634,9 @@ class TestSummaries:
         xs = np.log([100, 200, 400])
         ys = -2.0 * xs + 3.0
         assert ols_slope(xs, ys) == pytest.approx(-2.0)
+        # before, xs with no spread gave nan and a RuntimeWarning
+        with pytest.raises(ValueError, match="spread"):
+            ols_slope([1, 1], [0, 1])
 
     def test_grid_summary_matches_records(self, tmp_path):
         cfg = tiny_grid_cfg()

@@ -4,7 +4,6 @@ import pytest
 from lingcond import harness, ica as ica_mod, rng as rng_mod
 from lingcond import (
     DemixingEstimate,
-    IcaOptions,
     NoiseSpec,
     ScmSpec,
     WhiteningError,
@@ -64,41 +63,34 @@ class TestCenterWhiten:
             center_whiten(x)
 
 
-class TestIcaOptions:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IcaOptions(restarts=0)
-        # the contrast, tolerance and iteration cap are constants, not options
-        for removed in ({"nonlinearity": "logcosh"}, {"tolerance": 1e-6}, {"max_iterations": 500}):
-            with pytest.raises(TypeError):
-                IcaOptions(**removed)
+class TestSeed:
+    """FastICA's one setting is the seed; restarts, contrast, tolerance and cap are constants."""
 
-    @pytest.mark.parametrize("bad", [
-        {"restarts": 2.5}, {"seed": -1}, {"seed": 1.0}, {"restarts": "3"}, {"restarts": True},
-        {"restarts": -1}, {"seed": "0"}, {"seed": True},
-    ])
-    def test_non_integral_or_negative_counts_rejected(self, bad):
-        with pytest.raises(ValueError):
-            IcaOptions(**bad)
+    def test_validation(self):
+        x = laplace_sources(200, 3, 0)
+        for removed in ({"restarts": 3}, {"opts": None}, {"nonlinearity": "logcosh"},
+                        {"tolerance": 1e-6}, {"max_iterations": 500}):
+            with pytest.raises(TypeError):
+                fastica(x, **removed)
+
+    @pytest.mark.parametrize("bad", [2.5, -1, 1.0, "3", True, -1.5, "0", None], ids=repr)
+    def test_non_integral_or_negative_seed_rejected(self, bad, monkeypatch):
+        # refused before any work: whitening is never reached
+        monkeypatch.setattr("lingcond.ica.center_whiten", None)
+        with pytest.raises(ValueError, match="seed"):
+            fastica(laplace_sources(200, 3, 0), seed=bad)
 
     def test_numpy_integers_accepted(self):
-        opts = IcaOptions(restarts=np.int64(2), seed=np.uint32(5))
-        assert (opts.restarts, opts.seed) == (2, 5)
-        assert {type(v) for v in (opts.restarts, opts.seed)} == {int}
-
-    def test_options_that_are_not_ica_options_rejected(self):
-        # before, a dict raised a raw AttributeError in fastica and recover_condensation
-        x = laplace_sources(200, 3, 0)
-        with pytest.raises(ValueError, match="IcaOptions"):
-            fastica(x, {"seed": 1})
-        with pytest.raises(ValueError, match="IcaOptions"):
-            recover_condensation(x, ica_opts={"seed": 1})
+        x = laplace_sources(2000, 3, 1)
+        for seed in (np.int64(5), np.uint32(5)):
+            est, ref = fastica(x, seed), fastica(x, 5)
+            assert np.array_equal(est.w, ref.w) and est.iterations == ref.iterations
 
 
 class TestFastica:
     def test_identity_mixing_recovery(self):
         x = laplace_sources(100000, 4, 3)
-        est = fastica(x, IcaOptions(seed=1))
+        est = fastica(x, seed=1)
         w = est.w
         # greedy alignment: each row should be (up to sign/scale) a unit vector
         remaining = set(range(4))
@@ -113,34 +105,34 @@ class TestFastica:
 
     def test_deterministic(self):
         x = laplace_sources(5000, 3, 4)
-        a = fastica(x, IcaOptions(seed=9))
-        b = fastica(x, IcaOptions(seed=9))
+        a = fastica(x, seed=9)
+        b = fastica(x, seed=9)
         assert np.array_equal(a.w, b.w)
         assert a.iterations == b.iterations
 
     def test_iteration_bounds(self, monkeypatch):
         monkeypatch.setattr("lingcond.ica._MAX_ITERATIONS", 200)
         x = laplace_sources(5000, 3, 5)
-        est = fastica(x, IcaOptions(seed=0))
+        est = fastica(x, seed=0)
         assert 1 <= est.iterations <= 200
 
     def test_nonconvergence_reported(self, monkeypatch):
         monkeypatch.setattr("lingcond.ica._TOLERANCE", 1e-15)
         monkeypatch.setattr("lingcond.ica._MAX_ITERATIONS", 3)
         x = laplace_sources(2000, 3, 6)
-        est = fastica(x, IcaOptions(seed=0))
+        est = fastica(x, seed=0)
         assert not est.converged
         assert est.iterations == 3
 
     def test_whitened_rows_orthonormal(self):
         x = laplace_sources(20000, 4, 7)
-        est = fastica(x, IcaOptions(seed=2))
+        est = fastica(x, seed=2)
         assert np.allclose(est.w_white @ est.w_white.T, np.eye(4), atol=1e-10)
 
     def test_estimated_sources_decorrelated(self):
         scm = generate_scm(8, 3, 0.4, seed=21)
         x = sample(scm, 100000, seed=22)
-        est = fastica(x, IcaOptions(seed=4))
+        est = fastica(x, seed=4)
         s = x @ est.w.T
         corr = np.corrcoef(s, rowvar=False)
         off = corr[~np.eye(8, dtype=bool)]
@@ -151,7 +143,7 @@ class TestFastica:
         x = sample(spec, 20000, seed=13)
         supports = []
         for scale in (1.0, 256.0):
-            est = fastica(x * scale, IcaOptions(seed=5))
+            est = fastica(x * scale, seed=5)
             perm = hungarian_admissible(est.w)
             supports.append(support_graph(threshold(b_from_w(est.w, perm), 0.1)))
         assert supports[0] == supports[1]
@@ -162,7 +154,7 @@ class TestFastica:
         hits = 0
         for seed in range(10):
             x = sample(spec, 10000, seed=seed)
-            est = fastica(x, IcaOptions(seed=seed))
+            est = fastica(x, seed=seed)
             perm = hungarian_admissible(est.w)
             hits += support_graph(threshold(b_from_w(est.w, perm), 0.1)) == true_support
         assert hits >= 9
@@ -206,7 +198,7 @@ def _sequential_run(z, w):
     return w, iterations, converged
 
 
-def _sequential_fastica(x, opts):
+def _sequential_fastica(x, seed):
     """Reference: the restarts run one after another, one Python loop each.
 
     The update kernels are the package's (``g'`` as ``1 - mean(g^2)`` via
@@ -227,8 +219,8 @@ def _sequential_fastica(x, opts):
     step = n // (_ROWS_PER_DIM * d)
     zs, ks = (z, k) if step < 2 else center_whiten(x[::step])[:2]
     runs = []
-    for restart in range(opts.restarts):
-        gen = rng_mod.stream(opts.seed, rng_mod.PURPOSE_ICA, restart)
+    for restart in range(ica_mod._RESTARTS):
+        gen = rng_mod.stream(seed, rng_mod.PURPOSE_ICA, restart)
         w, iterations, converged = _sequential_run(zs, np.linalg.qr(gen.standard_normal((d, d)))[0])
         dev = _logcosh_mean(zs @ w.T) - LOGCOSH_GAUSSIAN
         runs.append((float(np.sum(dev**2)), w, iterations, converged))
@@ -242,12 +234,12 @@ def _sequential_fastica(x, opts):
     return best, runs
 
 
-def _full_rows_fastica(x, opts):
+def _full_rows_fastica(x, seed):
     """Reference: every restart iterated on all rows by the lockstep helper."""
     z, k, _ = center_whiten(x)
     d = z.shape[1]
-    w, iterations, converged, _ = _fixed_point(z, _starts(d, opts))
-    best = int(np.argmax(_objectives(z @ w.reshape(-1, d).T, opts.restarts)))
+    w, iterations, converged, _ = _fixed_point(z, _starts(d, seed))
+    best = int(np.argmax(_objectives(z @ w.reshape(-1, d).T, len(w))))
     return DemixingEstimate(w[best] @ k, int(iterations[best]), bool(converged[best]), w[best])
 
 
@@ -255,36 +247,38 @@ def _scm_samples(n, seed, regime="stable"):
     return sample(generate_scm(10, 4, 0.5, regime=regime, seed=seed), n, seed=100 + seed)
 
 
-def _assert_same_estimate(x, opts):
-    (_, w_ref, iterations, converged), runs = _sequential_fastica(x, opts)
-    est = fastica(x, opts)
+def _assert_same_estimate(x, seed):
+    (_, w_ref, iterations, converged), runs = _sequential_fastica(x, seed)
+    est = fastica(x, seed)
     assert np.abs(est.w_white - w_ref).max() <= 1e-12
     assert (est.iterations, est.converged) == (iterations, converged)
     return est, runs
 
 
 class TestLockstepMatchesSequential:
-    # past_plain: whether the winner ("winner") or some restart ("a restart")
-    # must run past the plain phase into the stabilised step; cap: the
-    # iteration cap patched in, if any
-    @pytest.mark.parametrize("x, opts, past_plain, cap", [
-        (_scm_samples(10000, 0), IcaOptions(seed=0), None, None),
-        (_scm_samples(10000, 1, "unstable"), IcaOptions(seed=1), None, None),
-        (_scm_samples(200, 2), IcaOptions(seed=2), None, None),
-        (_scm_samples(200, 3, "unstable"), IcaOptions(seed=3), None, None),
-        (_scm_samples(200, 10), IcaOptions(seed=10), "winner", None),
-        (_scm_samples(200, 4, "unstable"), IcaOptions(seed=4), "a restart", None),
-        (_scm_samples(5000, 4), IcaOptions(seed=4), None, None),
-        (_scm_samples(10000, 5), IcaOptions(seed=5), None, 4),
-        (_scm_samples(10000, 6), IcaOptions(seed=6, restarts=1), None, None),
-        (_scm_samples(10000, 7), IcaOptions(seed=7, restarts=5), None, None),
+    # restarts: the restart count patched in; past_plain: whether the winner
+    # ("winner") or some restart ("a restart") must run past the plain phase
+    # into the stabilised step; cap: the iteration cap patched in, if any
+    @pytest.mark.parametrize("x, seed, restarts, past_plain, cap", [
+        (_scm_samples(10000, 0), 0, 3, None, None),
+        (_scm_samples(10000, 1, "unstable"), 1, 3, None, None),
+        (_scm_samples(200, 2), 2, 3, None, None),
+        (_scm_samples(200, 3, "unstable"), 3, 3, None, None),
+        (_scm_samples(200, 10), 10, 3, "winner", None),
+        (_scm_samples(200, 4, "unstable"), 4, 3, "a restart", None),
+        (_scm_samples(5000, 4), 4, 3, None, None),
+        (_scm_samples(10000, 5), 5, 3, None, 4),
+        (_scm_samples(10000, 6), 6, 1, None, None),
+        (_scm_samples(10000, 7), 7, 5, None, None),
     ], ids=["n1e4-stable", "n1e4-unstable", "n200-stable", "n200-unstable",
             "n200-no-convergence", "n200-restart-past-plain", "n5000-subsample", "capped",
             "one-restart", "five-restarts"])
-    def test_same_estimate(self, x, opts, past_plain, cap, monkeypatch):
+    def test_same_estimate(self, x, seed, restarts, past_plain, cap, monkeypatch):
+        monkeypatch.setattr("lingcond.ica._RESTARTS", restarts)
         if cap is not None:
             monkeypatch.setattr("lingcond.ica._MAX_ITERATIONS", cap)
-        est, runs = _assert_same_estimate(x, opts)
+        est, runs = _assert_same_estimate(x, seed)
+        assert len(runs) == restarts
         if past_plain == "winner":
             # the plain step alone does not converge within 500 iterations here
             assert est.converged and est.iterations > _PLAIN_ITERATIONS
@@ -292,22 +286,25 @@ class TestLockstepMatchesSequential:
             assert max(run[2] for run in runs) > _PLAIN_ITERATIONS
 
     def test_restarts_stopping_at_different_iterations(self, monkeypatch):
+        monkeypatch.setattr("lingcond.ica._RESTARTS", 5)
         x = _scm_samples(10000, 7)
-        _, runs = _assert_same_estimate(x, IcaOptions(seed=7, restarts=5))
+        _, runs = _assert_same_estimate(x, 7)
         counts = [run[2] for run in runs]
         # freezing is exercised only when restarts leave the active set at different times
         assert len(set(counts)) > 1
         # capped at the earliest stop: that restart converges, the others do not
         monkeypatch.setattr("lingcond.ica._MAX_ITERATIONS", min(counts))
-        _, runs = _assert_same_estimate(x, IcaOptions(seed=7, restarts=5))
+        _, runs = _assert_same_estimate(x, 7)
         assert {run[3] for run in runs} == {True, False}
 
     def test_tie_goes_to_earliest_restart(self, monkeypatch):
         x = laplace_sources(2000, 3, 11)
         # equal objectives for every restart: the first restart must win
         monkeypatch.setattr("lingcond.ica._objectives", lambda s, r: np.zeros(r))
-        est = fastica(x, IcaOptions(seed=3, restarts=4))
-        first = fastica(x, IcaOptions(seed=3, restarts=1))
+        monkeypatch.setattr("lingcond.ica._RESTARTS", 4)
+        est = fastica(x, seed=3)
+        monkeypatch.setattr("lingcond.ica._RESTARTS", 1)
+        first = fastica(x, seed=3)
         assert np.array_equal(est.w_white, first.w_white)
 
 
@@ -320,15 +317,15 @@ PLAIN_STEP_CAPPED = [(1, "stable"), (10, "stable"), (11, "stable"), (34, "unstab
 class TestStabilisedTail:
     @pytest.mark.parametrize("seed, regime", PLAIN_STEP_CAPPED)
     def test_formerly_capped_fit_converges(self, seed, regime, monkeypatch):
-        x, opts = _scm_samples(200, seed, regime), IcaOptions(seed=seed)
+        x = _scm_samples(200, seed, regime)
         with monkeypatch.context() as patch:
             patch.setattr("lingcond.ica._PLAIN_ITERATIONS", _MAX_ITERATIONS)
-            plain = fastica(x, opts)
+            plain = fastica(x, seed)
         assert (plain.iterations, plain.converged) == (_MAX_ITERATIONS, False)
-        est = fastica(x, opts)
+        est = fastica(x, seed)
         assert est.converged and est.iterations < _MAX_ITERATIONS
         # every restart, not only the winner, reaches a fixed point within the cap
-        _, iterations, converged, _ = _fixed_point(center_whiten(x)[0], _starts(10, opts))
+        _, iterations, converged, _ = _fixed_point(center_whiten(x)[0], _starts(10, seed))
         assert converged.all() and iterations.max() < _MAX_ITERATIONS
 
 
@@ -341,11 +338,10 @@ class TestDegenerateRestart:
         scm_seed, sample_seed, ica_seed = harness._cell_sub_seeds(1900063, cell, 200)
         x = sample(generate_scm(10, 5, 0.5, regime="unstable", seed=scm_seed), 200,
                    seed=sample_seed)
-        opts = IcaOptions(seed=ica_seed)
-        _, _, converged, failed = _fixed_point(center_whiten(x)[0], _starts(10, opts))
+        _, _, converged, failed = _fixed_point(center_whiten(x)[0], _starts(10, ica_seed))
         assert failed.tolist() == [False, True, False]
         assert converged.tolist() == [True, False, True]
-        est = fastica(x, opts)
+        est = fastica(x, ica_seed)
         assert est.converged and est.iterations < _MAX_ITERATIONS
         assert np.allclose(est.w_white @ est.w_white.T, np.eye(10), atol=1e-6)
 
@@ -355,21 +351,18 @@ class TestDegenerateRestart:
                             lambda m: (m[:0], np.zeros(len(m), dtype=bool)))
         z = center_whiten(laplace_sources(200, 3, 14))[0]
         with pytest.raises(WhiteningError, match="degenerate"):
-            _fixed_point(z, _starts(3, IcaOptions()))
+            _fixed_point(z, _starts(3, 0))
         with pytest.raises(WhiteningError, match="degenerate"):
             fastica(laplace_sources(200, 3, 14))
 
 
 class TestSubsampleRestarts:
-    @pytest.mark.parametrize("d, opts", [
-        (3, IcaOptions(seed=0)),
-        (10, IcaOptions(seed=1)),
-        (10, IcaOptions(seed=2, restarts=2)),
-    ])
-    def test_below_threshold_all_rows_bit_identical(self, d, opts):
+    @pytest.mark.parametrize("d, seed, restarts", [(3, 0, 3), (10, 1, 3), (10, 2, 2)])
+    def test_below_threshold_all_rows_bit_identical(self, d, seed, restarts, monkeypatch):
         # one row short of step 2: the restarts run on all rows, as before the subsample stage
+        monkeypatch.setattr("lingcond.ica._RESTARTS", restarts)
         x = laplace_sources(2 * _ROWS_PER_DIM * d - 1, d, d) @ np.triu(np.ones((d, d)))
-        est, ref = fastica(x, opts), _full_rows_fastica(x, opts)
+        est, ref = fastica(x, seed), _full_rows_fastica(x, seed)
         assert np.array_equal(est.w, ref.w)
         assert np.array_equal(est.w_white, ref.w_white)
         assert (est.iterations, est.converged) == (ref.iterations, ref.converged)
@@ -382,7 +375,7 @@ class TestSubsampleRestarts:
         assert 3000 // (_ROWS_PER_DIM * 3) == 5
         with pytest.raises(WhiteningError):
             center_whiten(x[::5])
-        est, ref = fastica(x, IcaOptions(seed=4)), _full_rows_fastica(x, IcaOptions(seed=4))
+        est, ref = fastica(x, 4), _full_rows_fastica(x, 4)
         assert np.array_equal(est.w, ref.w)
         assert (est.iterations, est.converged) == (ref.iterations, ref.converged)
 
@@ -391,11 +384,10 @@ class TestSubsampleRestarts:
     def test_same_support_and_partition_as_all_rows(self, n, regime, monkeypatch):
         for seed in range(4):
             x = _scm_samples(n, seed, regime)
-            opts = IcaOptions(seed=seed)
-            fit = recover_condensation(x, tau=0.1, ica_opts=opts)
+            fit = recover_condensation(x, tau=0.1, seed=seed)
             with monkeypatch.context() as patch:
                 patch.setattr("lingcond.recover.fastica", _full_rows_fastica)
-                ref = recover_condensation(x, tau=0.1, ica_opts=opts)
+                ref = recover_condensation(x, tau=0.1, seed=seed)
             assert fit.support() == ref.support()
             assert fit.partition == ref.partition
 

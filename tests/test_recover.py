@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from lingcond import (
     CandidateAdjacency,
-    IcaOptions,
     NoAdmissiblePermutationError,
     NoiseSpec,
     ScmSpec,
@@ -70,16 +69,11 @@ class TestHungarianAdmissible:
             brute_perm, brute_score = best_assignment_brute(w, 1e-3)
             if brute_perm is None:
                 with pytest.raises(NoAdmissiblePermutationError):
-                    hungarian_admissible(w, 1e-3)
+                    hungarian_admissible(w)
                 continue
-            perm = hungarian_admissible(w, 1e-3)
+            perm = hungarian_admissible(w)
             score = sum(math.log(abs(w[perm[i], i])) for i in range(d))
             assert score == pytest.approx(brute_score, abs=1e-9)
-
-    def test_eta_validation(self):
-        for eta in (0, -1e-3, 1, 1.5, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                hungarian_admissible(np.eye(2), eta=eta)
 
     def test_infeasible_exactly_when_brute_force_finds_none(self):
         # scipy's infeasibility report is the only check: no admissible
@@ -98,9 +92,9 @@ class TestHungarianAdmissible:
                        for p in itertools.permutations(range(d))):
                 infeasible += 1
                 with pytest.raises(NoAdmissiblePermutationError):
-                    hungarian_admissible(w, 1e-3)
+                    hungarian_admissible(w)
                 continue
-            perm = hungarian_admissible(w, 1e-3)
+            perm = hungarian_admissible(w)
             assert sorted(perm) == list(range(d))
             assert all(ok[perm[i], i] for i in range(d))
         assert 100 < infeasible < 500
@@ -162,9 +156,9 @@ class TestHungarianAdmissible:
                 want = tuple(optimize.linear_sum_assignment(cost)[1].tolist())
             except ValueError:
                 with pytest.raises(NoAdmissiblePermutationError, match="eta=0.001"):
-                    hungarian_admissible(w, 1e-3)
+                    hungarian_admissible(w)
                 continue
-            assert hungarian_admissible(w, 1e-3) == want
+            assert hungarian_admissible(w) == want
 
     def test_no_fit_imports_scipy(self):
         script = (
@@ -214,6 +208,11 @@ class TestEnumerateAdmissible:
         w = rng.normal(0, 1, (5, 5))
         perms = enumerate_admissible(w, 1e-6)
         assert perms == sorted(perms)
+
+    def test_eta_validation(self):
+        for eta in (0, -1e-3, 1, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                enumerate_admissible(np.eye(2), eta=eta)
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
@@ -435,7 +434,7 @@ class TestRecoverCondensation:
         spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
         for seed in range(3):
             x = sample(spec, 10000, seed=seed)
-            res = recover_condensation(x, tau=0.1, ica_opts=IcaOptions(seed=seed))
+            res = recover_condensation(x, tau=0.1, seed=seed)
             assert res.partition.labels == (0, 1, 1, 1, 2)
             assert res.condensation.cluster_edges == frozenset({(0, 1), (1, 2)})
 
@@ -450,9 +449,9 @@ class TestRecoverCondensation:
     def test_extreme_taus_trigger_failure_modes(self):
         scm = generate_scm(10, 4, 0.5, seed=2)
         x = sample(scm, 5000, seed=3)
-        tiny = recover_condensation(x, tau=0.01, ica_opts=IcaOptions(seed=3))
+        tiny = recover_condensation(x, tau=0.01, seed=3)
         assert tiny.partition.num_clusters == 1
-        huge = recover_condensation(x, tau=1.0, ica_opts=IcaOptions(seed=3))
+        huge = recover_condensation(x, tau=1.0, seed=3)
         assert huge.partition.num_clusters == 10
 
     @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
@@ -519,7 +518,7 @@ class TestRecoverCondensation:
         {"enum_cap": 0}, {"enum_cap": -5}, {"enum_cap": 2.5},
         {"tau": "0.1"}, {"tau": True}, {"enum_cap": True},
         {"tau": -math.inf}, {"tau": None}, {"enum_cap": math.inf}, {"enum_cap": "5"},
-        {"enum_cap": 2.0},
+        {"enum_cap": 2.0}, {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "0"},
     ])
     def test_bad_knobs_rejected(self, example_b, mode, knob):
         spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
@@ -529,12 +528,16 @@ class TestRecoverCondensation:
 
     @pytest.mark.parametrize("floor", [0.1, -0.1, 1.0, math.nan, "0.1"])
     def test_scan_floor_is_not_an_argument(self, floor):
-        # the scan's significance floor and the admissibility cut eta are
-        # constants of the pipeline, not settings: a call that names either
-        # is refused whatever the value
-        for name in ("enum_floor", "eta"):
+        # the scan's significance floor, the admissibility cut eta and the
+        # FastICA options are constants of the pipeline, not settings: a call
+        # that names any of them is refused whatever the value
+        for name in ("enum_floor", "eta", "ica_opts"):
             with pytest.raises(TypeError):
                 recover_condensation(np.ones((20, 3)), **{name: floor})
+        # hungarian_admissible always cuts at DEFAULT_ETA, even when given its value
+        for args, kwargs in (((floor,), {}), ((1e-3,), {}), ((), {"eta": 1e-3})):
+            with pytest.raises(TypeError):
+                hungarian_admissible(np.eye(3), *args, **kwargs)
 
     def test_non_finite_samples_rejected(self, example_b):
         spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
@@ -559,7 +562,7 @@ class TestRecoverCondensation:
 
 def _finite_sample_w(seed, regime, n):
     scm = generate_scm(8, 3, 0.5, seed=seed, regime=regime)
-    return fastica(sample(scm, n, seed=seed), IcaOptions(seed=seed)).w
+    return fastica(sample(scm, n, seed=seed), seed).w
 
 
 def _reference_candidates(w, floor):
