@@ -93,7 +93,6 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", required=True)
         cmd.add_argument("--summary")
-        cmd.add_argument("--workers", type=int, default=1)
 
     return parser
 
@@ -142,7 +141,7 @@ def _dispatch(args) -> int:
     if args.command in _STUDIES:
         _, config_cls, run, summarize = _STUDIES[args.command]
         cfg = config_cls.from_json_dict(_load_json(args.config))
-        result = run(cfg, out_path=args.out, workers=args.workers)
+        result = run(cfg, out_path=args.out)
         if args.summary:
             _emit(summarize(result), args.summary)
         return 0

@@ -5,14 +5,17 @@ record seed, fitted once with ``recover_condensation`` at the smallest of
 the study's taus (the grid's ``cfg.taus``, or beta_min / 2 of the fixed
 SCM), then cut and scored at each of them; a threshold sweep is a grid of
 one cell. A unit is pure given its derived sub-seeds, so runs are
-deterministic, resumable (a unit whose rows all exist is skipped) and safely
-parallelizable. Results go to a flat CSV, one column per ``ExperimentRecord``
-field, ordered by key rather than completion time and read back by the rules
-it is written with. Sub-seeds for the model, the sample and FastICA (whose
-seed is its one setting) are derived by hashing the explicit record seed
-together with cell identifiers and a purpose tag through
-``rng.derive_seed`` (SeedSequence); the SCM stream deliberately excludes the
-sample size so one seed sees a growing sample of the same model.
+deterministic and resumable: a unit whose rows all exist is skipped. Units
+run one after another in the calling process; runs over disjoint seeds in
+separate processes write CSVs whose concatenation a run of the whole config
+resumes without a fit. Results go to a flat CSV, one column per
+``ExperimentRecord`` field, ordered by key rather than completion time and
+read back by the rules it is written with. Sub-seeds for the model, the
+sample and FastICA (whose seed is its one setting) are derived by hashing
+the explicit record seed together with cell identifiers and a purpose tag
+through ``rng.derive_seed`` (SeedSequence); the SCM stream deliberately
+excludes the sample size so one seed sees a growing sample of the same
+model.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -28,7 +30,7 @@ import numpy as np
 from . import rng as rng_mod
 from .exceptions import NUMERICAL_FAILURES, finite, finite_array, integer
 from .graphs import support_graph
-from .metrics import evaluate
+from .metrics import MetricsReport, evaluate
 from .recover import (
     DEFAULT_ENUM_CAP, DEFAULT_TAU, MODES, check_tau, recover_condensation,
     threshold as apply_threshold,
@@ -196,7 +198,10 @@ class ExperimentRecord:
 
         Each cell must be one ``to_csv_row`` writes (``_parse_cell``), the
         regime a known one, and the metric columns all filled on a scored
-        row and all empty on an error row.
+        row and all empty on an error row. A scored row's metrics must be
+        ones the scorer gives: in ``MetricsReport``'s ranges, with
+        ``exact_recovery`` equal to ``hamming == 0`` and ``pred_clusters``
+        in [1, d].
         """
         columns, cells = fields(cls), row.rstrip("\n").split(",")
         if len(cells) != len(columns):
@@ -207,6 +212,16 @@ class ExperimentRecord:
         filled = [getattr(rec, f.name) is not None for f in columns if f.default is None]
         if any(filled) if rec.error else not all(filled):
             raise ValueError(f"results row is neither a scored row nor an error row: {row!r}")
+        if not rec.error:
+            try:
+                MetricsReport(rec.ari, rec.cluster_f1, rec.variable_f1, rec.hamming,
+                              rec.pred_clusters)
+                _require(rec.exact_recovery == (rec.hamming == 0),
+                         "exact_recovery must equal hamming == 0")
+                _require(1 <= rec.pred_clusters <= rec.d, "pred_clusters must lie in [1, d]")
+            except ValueError as exc:
+                raise ValueError(f"results row holds metrics the scorer never writes "
+                                 f"({exc}): {row!r}") from None
         return rec
 
 
@@ -268,49 +283,25 @@ def _cell_keys(d: int, kappa: int, lam: float, regime: str) -> tuple:
     return (d, kappa, rng_mod.quantize(lam), _REGIME_CODE[regime])
 
 
-@dataclass(frozen=True)
-class _Unit:
-    """One model at one (n, seed): fitted once, scored at every tau in ``taus``.
+def _run_unit(cfg, rows, scm_seed: int, sample_seed: int, ica_seed: int) -> list:
+    """Fit one unit's model once at its smallest tau, then cut and score it at each row's tau.
 
-    ``cfg`` is the study config, read for ``d``, the weight bounds, the
-    noise family and the remaining ``recover_condensation`` knobs; the
-    three seeds are the unit's derived sub-seeds.
+    ``rows`` are the unit's unscored records, one per tau, sharing the
+    (kappa, lambda, regime, n) they are fitted at; ``cfg`` is the study
+    config, read for ``d``, the weight bounds, the noise family and the
+    remaining ``recover_condensation`` knobs. A cut depends on the candidate
+    and tau alone, so each support equals the one a fit at that tau gives.
+    A failed fit yields one error row per tau.
     """
-
-    cfg: object
-    kappa: int
-    lam: float
-    regime: str
-    n: int
-    seed: int
-    taus: tuple
-    scm_seed: int
-    sample_seed: int
-    ica_seed: int
-
-    def rows(self) -> list:
-        """The unit's records before scoring, one per tau."""
-        return [
-            ExperimentRecord(self.cfg.d, self.kappa, float(self.lam), self.regime,
-                             self.n, self.seed, float(tau))
-            for tau in self.taus
-        ]
-
-
-def _run_unit(unit: _Unit) -> list:
-    """Fit once at the smallest tau, then cut the selected candidate at each tau and score it.
-
-    A cut depends on the candidate and tau alone, so each support equals the
-    one a fit at that tau gives. A failed fit yields one error row per tau.
-    """
-    cfg, rows = unit.cfg, unit.rows()
+    unit = rows[0]
     try:
         scm = generate_scm(
             cfg.d, unit.kappa, unit.lam, cfg.weight_low, cfg.weight_high,
-            unit.regime, seed=unit.scm_seed, noise_family=cfg.noise_family,
+            unit.regime, seed=scm_seed, noise_family=cfg.noise_family,
         )
-        x = sample(scm, unit.n, seed=unit.sample_seed)
-        fitted = recover_condensation(x, tau=min(unit.taus), seed=unit.ica_seed, **cfg._fit())
+        x = sample(scm, unit.n, seed=sample_seed)
+        fitted = recover_condensation(x, tau=min(r.tau for r in rows), seed=ica_seed,
+                                      **cfg._fit())
     except NUMERICAL_FAILURES as exc:
         return [replace(row, error=type(exc).__name__) for row in rows]
     truth = scm.b.support()
@@ -331,37 +322,30 @@ def _run_unit(unit: _Unit) -> list:
     return records
 
 
-def _execute(cfg, taus, sub_seeds, out_path, workers) -> list:
-    """Run one unit per (cell, n, seed) whose rows are missing; merge and write.
+def _execute(cfg, taus, sub_seeds, out_path) -> list:
+    """Fit, in this process, each (cell, n, seed) unit whose rows are missing; merge and write.
 
     ``sub_seeds(seed, cell, n)`` gives the (SCM, sample, ICA) seeds of a unit
     of the config's (kappa, lambda, regime) ``cell``. Rows already in
-    ``out_path`` win, so reruns are idempotent. Returns the wanted records sorted by key.
-    ``workers >= 1`` (ValueError otherwise) caps the pool, which gets one
-    process per unit left to run, at most ``workers``; one unit or one
-    worker runs in this process.
+    ``out_path`` win, so reruns are idempotent, and files written by runs
+    over disjoint seeds merge by concatenation: a run onto the merged file
+    fits nothing it holds. Returns the wanted records sorted by key.
     """
-    workers = integer(workers, "workers", 1)
-    units = []
+    merged = {r.key(): r for r in load_records(out_path)} if out_path else {}
+    wanted = []
     for kappa, lam, regime in cfg._cells():
         cell = _cell_keys(cfg.d, kappa, lam, regime)
         for n in cfg.sample_sizes:
             for seed in cfg.seeds:
-                units.append(_Unit(cfg, kappa, lam, regime, n, seed, taus,
-                                   *sub_seeds(seed, cell, n)))
-    existing = {r.key(): r for r in load_records(out_path)} if out_path else {}
-    todo = [u for u in units if any(r.key() not in existing for r in u.rows())]
-    if min(workers, len(todo)) <= 1:
-        produced = [_run_unit(u) for u in todo]
-    else:  # fork starts every worker up front: no more than there are units
-        with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-            produced = list(pool.map(_run_unit, todo, chunksize=1))
-    merged = dict(existing)
-    for rec in itertools.chain.from_iterable(produced):
-        merged.setdefault(rec.key(), rec)
+                rows = [ExperimentRecord(cfg.d, kappa, float(lam), regime, n, seed, float(tau))
+                        for tau in taus]
+                wanted.extend(r.key() for r in rows)
+                if any(r.key() not in merged for r in rows):
+                    for rec in _run_unit(cfg, rows, *sub_seeds(seed, cell, n)):
+                        merged.setdefault(rec.key(), rec)
     if out_path:
         write_records(out_path, merged.values())
-    return [merged[k] for k in sorted({r.key() for u in units for r in u.rows()})]
+    return [merged[k] for k in sorted(set(wanted))]
 
 
 def _cell_sub_seeds(seed: int, cell: tuple, n: int) -> tuple:
@@ -373,12 +357,12 @@ def _cell_sub_seeds(seed: int, cell: tuple, n: int) -> tuple:
     )
 
 
-def run_grid(cfg: GridConfig, out_path=None, workers: int = 1) -> list:
+def run_grid(cfg: GridConfig, out_path=None) -> list:
     """Fit every (cell, n, seed) of the grid once, cut at each tau; records sorted by key."""
-    return _execute(cfg, cfg.taus, _cell_sub_seeds, out_path, workers)
+    return _execute(cfg, cfg.taus, _cell_sub_seeds, out_path)
 
 
-def run_sample_complexity(cfg: SampleComplexityConfig, out_path=None, workers: int = 1) -> tuple:
+def run_sample_complexity(cfg: SampleComplexityConfig, out_path=None) -> tuple:
     """Fixed-SCM sweep over n; returns (records, summary dict).
 
     The threshold is beta_min / 2 of the generated SCM, fitted in Hungarian
@@ -399,7 +383,7 @@ def run_sample_complexity(cfg: SampleComplexityConfig, out_path=None, workers: i
             rng_mod.derive_seed(seed, TAG_ICA, n),
         )
 
-    records = _execute(cfg, (tau,), sub_seeds, out_path, workers)
+    records = _execute(cfg, (tau,), sub_seeds, out_path)
     summary = summarize_sample_complexity(records, cfg.window)
     summary["tau"] = tau
     summary["betaMin"] = scm.beta_min

@@ -19,7 +19,7 @@ settings.load_profile("lingcond")
 
 @pytest.fixture
 def one_restart(monkeypatch):
-    """Run every FastICA fit with one restart; a forked worker pool inherits the patch."""
+    """Run every FastICA fit with one restart, which keeps study tests small."""
     monkeypatch.setattr("lingcond.ica._RESTARTS", 1)
 
 

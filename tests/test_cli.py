@@ -349,13 +349,18 @@ class TestExperimentCommands:
         assert len(lines) == 3  # header + 2 records
         assert json.loads(summary.read_text())["cells"]
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_is_a_usage_error(self, workspace, workers, capsys):
-        cfg_path = workspace / "grid.json"
-        cfg_path.write_text(json.dumps({"d": 6, "kappas": [2], "sample_sizes": [500], "seeds": 1}))
+    @pytest.mark.parametrize("command, config", [
+        ("grid", {"d": 6, "kappas": [2], "sample_sizes": [500], "seeds": 1}),
+        ("sample-complexity", {"d": 6, "kappa": 2, "sample_sizes": [500], "seeds": 1}),
+    ], ids=["grid", "sample-complexity"])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_workers_flag_is_a_usage_error(self, workspace, capsys, command, config, workers):
+        # a study runs in one process: --workers is refused at any value
+        cfg_path = workspace / "study.json"
+        cfg_path.write_text(json.dumps(config))
         out = workspace / "results.csv"
-        assert run("grid", "--config", cfg_path, "--out", out, "--workers", workers) == 1
-        assert "workers must be an integer >= 1" in capsys.readouterr().err
+        assert run(command, "--config", cfg_path, "--out", out, "--workers", workers) == 1
+        assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tau_sweep_is_a_one_cell_grid(self, workspace):

@@ -65,28 +65,6 @@ RUNNERS = {
 }
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Swap the harness's process pool for one that maps in this process; its sizes."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    return sizes
-
-
 def without_fit_ms(records):
     return [replace(r, fit_ms=None) for r in records]
 
@@ -98,6 +76,7 @@ GOOD_RECORD = ExperimentRecord(
 )
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_UNIT = st.floats(0.0, 1.0)
 _ERROR_TAG = st.text(st.characters(min_codepoint=33, max_codepoint=126, blacklist_characters=","),
                      min_size=1)
 
@@ -121,9 +100,19 @@ class TestRecords:
         # that carries metrics, and a scored row with a metric left empty
         replace(GOOD_RECORD, error="WhiteningError").to_csv_row(),
         replace(GOOD_RECORD, hamming=None).to_csv_row(),
-    ], ids=["short", "error-with-metrics", "metric-missing"])
+        # scored rows whose metrics no scoring call gives
+        replace(GOOD_RECORD, exact_recovery=True, hamming=3).to_csv_row(),
+        replace(GOOD_RECORD, exact_recovery=False, hamming=0).to_csv_row(),
+        replace(GOOD_RECORD, hamming=-4).to_csv_row(),
+        replace(GOOD_RECORD, ari=2.5).to_csv_row(),
+        replace(GOOD_RECORD, variable_f1=-0.5).to_csv_row(),
+        replace(GOOD_RECORD, pred_clusters=0).to_csv_row(),
+        replace(GOOD_RECORD, pred_clusters=GOOD_RECORD.d + 1).to_csv_row(),
+    ], ids=["short", "error-with-metrics", "metric-missing", "exact-with-hamming-3",
+            "inexact-with-hamming-0", "negative-hamming", "ari-above-1", "negative-f1",
+            "no-clusters", "more-clusters-than-d"])
     def test_malformed_row_rejected(self, row):
-        # before, both rows of the right width loaded as records
+        # before, every row of the right width here loaded as a record
         with pytest.raises(ValueError, match="row"):
             ExperimentRecord.from_csv_row(row)
 
@@ -149,12 +138,14 @@ class TestRecords:
         seed=st.integers(0, 2**63), tau=_FINITE,
     ).flatmap(lambda rec: st.one_of(
         st.builds(replace, st.just(rec), error=_ERROR_TAG),
-        st.builds(
-            replace, st.just(rec), ari=_FINITE, cluster_f1=_FINITE, variable_f1=_FINITE,
-            hamming=st.integers(0, 10**4), exact_recovery=st.booleans(),
-            pred_clusters=st.integers(1, 10**4), fit_ms=_FINITE,
+        # a scored row as the scorer writes it: metrics in MetricsReport's
+        # ranges, exact recovery where the Hamming distance is 0, 1..d clusters
+        st.integers(0, 10**4).flatmap(lambda hamming: st.builds(
+            replace, st.just(rec), ari=st.floats(-1.0, 1.0), cluster_f1=_UNIT,
+            variable_f1=_UNIT, hamming=st.just(hamming), exact_recovery=st.just(hamming == 0),
+            pred_clusters=st.integers(1, rec.d), fit_ms=_FINITE,
             ica_iters=st.integers(0, 10**4),
-        ),
+        )),
     )))
     def test_every_written_row_reads_back_equal(self, rec):
         assert ExperimentRecord.from_csv_row(rec.to_csv_row()) == rec
@@ -400,20 +391,25 @@ class TestRunGrid:
         assert run_grid(cfg, out_path=out) == records
         assert out.read_bytes() == first_bytes
 
-    @pytest.mark.parametrize("column, cell, message", [
-        ("exact_recovery", "yes", "results cell 'yes'"),
-        ("regime", "banana", "results cell 'banana'"),
-        ("error", "WhiteningError", "neither a scored row nor an error row"),
-        ("hamming", "", "neither a scored row nor an error row"),
-    ], ids=["yes", "banana", "error-with-metrics", "metric-missing"])
-    def test_corrupt_row_stops_the_resume_and_keeps_the_file(self, tmp_path, column, cell,
-                                                              message):
+    @pytest.mark.parametrize("corrupt, message", [
+        ({"exact_recovery": "yes"}, "results cell 'yes'"),
+        ({"regime": "banana"}, "results cell 'banana'"),
+        ({"error": "WhiteningError"}, "neither a scored row nor an error row"),
+        ({"hamming": ""}, "neither a scored row nor an error row"),
+        ({"exact_recovery": "1", "hamming": "3"}, "the scorer never writes"),
+        ({"exact_recovery": "0", "hamming": "0"}, "the scorer never writes"),
+        ({"exact_recovery": "0", "hamming": "-4"}, "the scorer never writes"),
+        ({"ari": "2.5"}, "the scorer never writes"),
+    ], ids=["yes", "banana", "error-with-metrics", "metric-missing", "exact-with-hamming-3",
+            "inexact-with-hamming-0", "negative-hamming", "ari-above-1"])
+    def test_corrupt_row_stops_the_resume_and_keeps_the_file(self, tmp_path, corrupt, message):
         cfg = tiny_grid_cfg()
         out = tmp_path / "grid.csv"
         run_grid(cfg, out_path=out)
         lines = out.read_text().splitlines(keepends=True)
         cells = lines[1].rstrip("\n").split(",")
-        cells[CSV_HEADER.split(",").index(column)] = cell
+        for column, cell in corrupt.items():
+            cells[CSV_HEADER.split(",").index(column)] = cell
         lines[1] = ",".join(cells) + "\n"
         out.write_text("".join(lines))
         corrupt = out.read_bytes()
@@ -439,49 +435,46 @@ class TestRunGrid:
 class TestStudyUnit:
     """All three runners share one unit: fit once per (cell, n, seed), score every tau."""
 
-    @pytest.mark.parametrize("name", list(RUNNERS))
-    def test_workers_do_not_change_results(self, name, monkeypatch):
-        # only a forked worker inherits the one-restart patch, so under any
-        # start method both runs use the package's own restart count
-        monkeypatch.undo()
+    @pytest.mark.parametrize("name", ["grid", "complexity"])
+    def test_workers_keyword_refused(self, name, monkeypatch):
+        # a study runs in one process, so a pool size is refused, not ignored
+        monkeypatch.setattr(harness, "recover_condensation", None)
         run, make_cfg = RUNNERS[name]
-        serial = run(make_cfg(), out_path=None, workers=1)
-        parallel = run(make_cfg(), out_path=None, workers=2)
-        assert serial and without_fit_ms(serial) == without_fit_ms(parallel)
+        with pytest.raises(TypeError, match="workers"):
+            run(make_cfg(), workers=2)
 
-    @pytest.mark.parametrize("name", list(RUNNERS))
-    @pytest.mark.parametrize("workers", [2.5, True])
-    def test_non_integral_workers_rejected(self, name, workers):
-        # checked before any fit; before, True ran serially and 2.5 failed in the pool
-        run, make_cfg = RUNNERS[name]
-        with pytest.raises(ValueError, match="integer"):
-            run(make_cfg(), out_path=None, workers=workers)
+    def test_resume_fits_only_the_units_whose_rows_are_missing(self, tmp_path, monkeypatch):
+        fits = []
 
-    @pytest.mark.parametrize("name", list(RUNNERS))
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, name, workers, pool_sizes, monkeypatch):
-        # refused before any pool is made or any unit is fitted
-        monkeypatch.setattr(harness, "_run_unit", None)
-        run, make_cfg = RUNNERS[name]
-        with pytest.raises(ValueError, match=">= 1"):
-            run(make_cfg(), out_path=None, workers=workers)
-        assert pool_sizes == []
+        def counting_fit(*args, **kwargs):
+            fits.append(kwargs["seed"])
+            return recover_condensation(*args, **kwargs)
 
-    @pytest.mark.parametrize("name", list(RUNNERS))
-    def test_pool_has_no_more_workers_than_units(self, name, pool_sizes):
-        # fork starts every worker up front, so the pool has one per unit at most
-        run, make_cfg = RUNNERS[name]
-        cfg = make_cfg()
-        records = run(cfg, out_path=None, workers=500)
-        assert pool_sizes == [len(cfg.sample_sizes) * len(cfg.seeds)]
-        assert without_fit_ms(records) == without_fit_ms(run(cfg, out_path=None))
-
-    def test_resumed_units_get_no_workers(self, tmp_path, pool_sizes):
         cfg, out = tiny_grid_cfg(), tmp_path / "grid.csv"
         run_grid(replace(cfg, seeds=(0,)), out_path=out)
-        run_grid(cfg, out_path=out, workers=8)  # one unit left: it runs in this process
-        run_grid(cfg, out_path=out, workers=8)  # none left
-        assert pool_sizes == []
+        monkeypatch.setattr(harness, "recover_condensation", counting_fit)
+        records = run_grid(cfg, out_path=out)  # the seed-1 unit is missing: one fit
+        assert len(fits) == 1 and [r.seed for r in records] == [0, 1]
+        first_bytes = out.read_bytes()
+        assert run_grid(cfg, out_path=out) == records  # none missing: no fit
+        assert len(fits) == 1 and out.read_bytes() == first_bytes
+
+    @pytest.mark.parametrize("name", list(RUNNERS))
+    def test_disjoint_seed_shards_merge_by_concatenation(self, name, tmp_path, monkeypatch):
+        # shards over disjoint seeds, concatenated, hold every row: a run of
+        # the whole config onto the merged file fits nothing and keeps every row
+        run, make_cfg = RUNNERS[name]
+        cfg = make_cfg()
+        shards = [tmp_path / f"{seed}.csv" for seed in cfg.seeds]
+        for seed, shard in zip(cfg.seeds, shards):
+            run(replace(cfg, seeds=(seed,)), out_path=shard)
+        merged = tmp_path / "merged.csv"
+        merged.write_text(CSV_HEADER + "\n" + "".join(
+            "".join(shard.read_text().splitlines(keepends=True)[1:]) for shard in shards))
+        expected = sorted(load_records(merged), key=ExperimentRecord.key)
+        monkeypatch.setattr(harness, "recover_condensation", None)
+        assert run(cfg, out_path=merged) == expected
+        assert load_records(merged) == expected
 
     @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
     def test_multi_tau_grid_is_one_grid_per_tau(self, mode):

@@ -6,11 +6,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lingcond import (
     CandidateAdjacency,
+    DirectedGraph,
     NoAdmissiblePermutationError,
     NoiseSpec,
     ScmSpec,
@@ -30,6 +31,14 @@ from lingcond import (
 import lingcond
 from lingcond import recover
 from conftest import best_assignment_brute
+
+
+# a generated d=10 model and its n=1e4 sample, both drawn from one seed
+_MODEL_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _model_sample(seed):
+    return sample(generate_scm(10, 4, 0.5, seed=seed), 10000, seed=seed)
 
 
 def candidate(radius):
@@ -454,14 +463,42 @@ class TestRecoverCondensation:
         huge = recover_condensation(x, tau=1.0, seed=3)
         assert huge.partition.num_clusters == 10
 
-    @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
-    def test_condensation_does_not_depend_on_units(self, mode):
+    @pytest.mark.parametrize("mode", recover.MODES)
+    @settings(max_examples=4)
+    @given(seed=_MODEL_SEEDS, exponent=st.floats(-6, 6))
+    @example(seed=0, exponent=-6.0)
+    @example(seed=0, exponent=-3.0)
+    @example(seed=0, exponent=3.0)
+    @example(seed=0, exponent=6.0)
+    def test_condensation_does_not_depend_on_units(self, mode, seed, exponent):
         # W scales as 1 / c, and the rook-slot cut is relative to each row of W;
-        # before, the absolute cut on |W| admitted no permutation at c = 1e3 and 1e6
-        x = sample(generate_scm(10, 4, 0.5, seed=0), 10000, seed=0)
+        # before, the absolute cut on |W| admitted no permutation at c = 1e3 and 1e6.
+        # Per-column scaling is left out: it multiplies b_ij by c_i / c_j, so an
+        # absolute tau is not invariant to it
+        x = _model_sample(seed)
         expected = recover_condensation(x, mode=mode).condensation
-        for c in (1e-6, 1e-3, 1e3, 1e6):
-            assert recover_condensation(x * c, mode=mode).condensation == expected
+        assert recover_condensation(x * 10.0**exponent, mode=mode).condensation == expected
+
+    @pytest.mark.parametrize("mode", recover.MODES)
+    @settings(max_examples=4)
+    @given(seed=_MODEL_SEEDS, perm=st.permutations(range(10)))
+    def test_column_permutation_permutes_the_condensation(self, mode, seed, perm):
+        # column j of the permuted sample is variable perm[j], so the fit's node j
+        # is the unpermuted fit's node perm[j]
+        x = _model_sample(seed)
+        fitted = recover_condensation(x[:, perm], mode=mode)
+        moved = {(perm[u], perm[v]) for u, v in fitted.support().edges}
+        expected = recover_condensation(x, mode=mode).condensation
+        assert condense(DirectedGraph(10, frozenset(moved))) == expected
+
+    @pytest.mark.parametrize("mode", recover.MODES)
+    @settings(max_examples=4)
+    @given(seed=_MODEL_SEEDS, order_seed=st.integers(0, 2**32 - 1))
+    def test_row_order_does_not_change_the_condensation(self, mode, seed, order_seed):
+        x = _model_sample(seed)
+        shuffled = x[np.random.default_rng(order_seed).permutation(len(x))]
+        expected = recover_condensation(x, mode=mode).condensation
+        assert recover_condensation(shuffled, mode=mode).condensation == expected
 
     def test_condensation_matches_recomputation(self, example_b):
         spec = ScmSpec(example_b, NoiseSpec(), "stable", 0)
