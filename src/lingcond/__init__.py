@@ -57,9 +57,7 @@ from .scm import (
     ScmSpec,
     WeightedAdjacency,
     generate_scm,
-    hard_cluster_intervention,
     sample,
-    soft_cluster_intervention,
     spectral_radius,
 )
 
@@ -97,7 +95,6 @@ __all__ = [
     "first_stable_select",
     "generate_scm",
     "hamming_support",
-    "hard_cluster_intervention",
     "hungarian_admissible",
     "is_dag",
     "quotient",
@@ -106,7 +103,6 @@ __all__ = [
     "run_grid",
     "run_sample_complexity",
     "sample",
-    "soft_cluster_intervention",
     "spectral_radius",
     "summarize_grid",
     "summarize_sample_complexity",

@@ -6,9 +6,8 @@ to caller mistakes, which raise plain ``ValueError``. The CLI maps the two
 families to distinct exit codes. ``integer`` and ``finite`` are the one check
 of every scalar argument taken from a caller, a JSON file or a study config;
 ``finite_array`` is the one check of every array argument (samples, ``W``,
-``B``, ``delta``, ``c``); ``square_matrix`` adds the one shape check of
-every matrix that must be square (``W``, ``B``), and ``sample_matrix`` that
-of every sample matrix.
+``B``); ``square_matrix`` adds the one shape check of every matrix that must
+be square (``W``, ``B``), and ``sample_matrix`` that of every sample matrix.
 """
 
 import math

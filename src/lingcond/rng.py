@@ -14,7 +14,6 @@ from .exceptions import integer
 PURPOSE_SCM = 1
 PURPOSE_SAMPLE = 2
 PURPOSE_ICA = 3
-PURPOSE_INTERVENTION = 4
 
 # ``quantize`` counts a float stream key in steps of one millionth
 _RESOLUTION = 1e-6

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .exceptions import (
-    SingularModelError, finite, finite_array, integer, sample_matrix, square_matrix,
-)
-from .graphs import DirectedGraph, support_graph, tarjan_scc
+from .exceptions import SingularModelError, finite, integer, sample_matrix, square_matrix
+from .graphs import DirectedGraph, support_graph
 
 NOISE_FAMILIES = ("laplace", "exponential-centered")
 
@@ -254,75 +252,11 @@ def generate_scm(
 
 
 def sample(scm: ScmSpec, n: int, seed: int = 0) -> np.ndarray:
-    """Draw n i.i.d. rows of X = (I - B)^{-1} eps: a zero-shift soft intervention."""
-    return soft_cluster_intervention(scm, np.zeros(scm.d), n, seed)
-
-
-def soft_cluster_intervention(
-    scm: ScmSpec, delta, n: int, seed: int = 0
-) -> np.ndarray:
-    """Sample under a shift intervention: X = (I - B)^{-1} (eps + delta).
-
-    :func:`sample` is the zero-shift case and draws the same noise, so
-    paired comparisons with the observational draw isolate the shift.
-    """
-    delta = finite_array(delta, "delta")
-    if delta.shape != (scm.d,):
-        raise ValueError(f"delta must have length d={scm.d}")
+    """Draw n i.i.d. rows of X = (I - B)^{-1} eps, eps i.i.d. from ``scm.noise``."""
     n = integer(n, "n", 1)
-    gen = rng_mod.stream(seed, rng_mod.PURPOSE_SAMPLE)
-    eps = scm.noise.draw(gen, (n, scm.d))
-    return _solve_system(np.eye(scm.d) - scm.b.matrix, eps + delta)
-
-
-def hard_cluster_intervention(
-    scm: ScmSpec, pi, c, n: int, seed: int = 0
-) -> np.ndarray:
-    """Sample under do(X_pi = c) for a cluster pi that is a union of SCCs.
-
-    The intervened coordinates are pinned to ``c`` and the complement solves
-    the reduced system ``X_rest = (I - B_rr)^{-1} (B_rp c + eps_rest)``.
-    Hard interventions on partial SCCs are rejected: severing some but not
-    all equations of a cycle leaves no well-defined cyclic mechanism.
-    """
-    pi = sorted({integer(v, "node id of pi") for v in pi})
-    if not pi:
-        raise ValueError("pi must be a nonempty node set")
-    if any(v < 0 or v >= scm.d for v in pi):
-        raise ValueError("pi contains out-of-range nodes")
-    c = finite_array(c, "c")
-    if c.shape != (len(pi),):
-        raise ValueError("c must assign one value per node of pi")
-    n = integer(n, "n", 1)
-
-    partition = tarjan_scc(scm.b.support())
-    pi_set = set(pi)
-    for group in partition.clusters():
-        overlap = pi_set.intersection(group)
-        if overlap and len(overlap) != len(group):
-            raise ValueError(
-                f"pi splits the SCC {sorted(group)}; hard interventions must "
-                "target unions of SCCs"
-            )
-
-    rest = [v for v in range(scm.d) if v not in pi_set]
-    gen = rng_mod.stream(seed, rng_mod.PURPOSE_INTERVENTION)
-    out = np.empty((n, scm.d))
-    out[:, pi] = c
-    if rest:
-        b = scm.b.matrix
-        b_rr = b[np.ix_(rest, rest)]
-        b_rp = b[np.ix_(rest, pi)]
-        eps = scm.noise.draw(gen, (n, len(rest)))
-        out[:, rest] = _solve_system(
-            np.eye(len(rest)) - b_rr, eps + b_rp @ c
-        )
-    return out
-
-
-def _solve_system(system: np.ndarray, rhs_rows: np.ndarray) -> np.ndarray:
+    eps = scm.noise.draw(rng_mod.stream(seed, rng_mod.PURPOSE_SAMPLE), (n, scm.d))
     try:
-        return np.linalg.solve(system, rhs_rows.T).T
+        return np.linalg.solve(np.eye(scm.d) - scm.b.matrix, eps.T).T
     except np.linalg.LinAlgError as exc:
         raise SingularModelError(str(exc)) from exc
 
@@ -356,7 +290,3 @@ def save_scm_json(path, scm: ScmSpec) -> None:
         json.dump(scm.to_json_dict(), fh, indent=2)
         fh.write("\n")
 
-
-def load_scm_json(path) -> ScmSpec:
-    with open(path) as fh:
-        return ScmSpec.from_json_dict(json.load(fh))

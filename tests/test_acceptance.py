@@ -10,10 +10,12 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lingcond
 from lingcond import (
     GridConfig,
     NoiseSpec,
@@ -353,6 +355,10 @@ def test_criterion_10_runtime_scaling(tmp_path):
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    # the child imports the same lingcond as this process, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(lingcond.__file__).parents[1]), env.get("PYTHONPATH")))
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env,
         timeout=300,

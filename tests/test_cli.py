@@ -11,8 +11,8 @@ from lingcond.recover import (
     DEFAULT_ENUM_CAP, DEFAULT_ETA, DEFAULT_TAU, recover_condensation,
 )
 from lingcond.scm import (
-    DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, NOISE_FAMILIES, REGIME_TARGETS, generate_scm,
-    load_samples_csv, load_scm_json, save_scm_json,
+    DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, NOISE_FAMILIES, REGIME_TARGETS, ScmSpec,
+    generate_scm, load_samples_csv, save_scm_json,
 )
 
 
@@ -33,7 +33,7 @@ class TestGenerateSampleFit:
 
         assert run("generate", "--d", 10, "--kappa", 4, "--lambda", 0.5,
                    "--seed", 1, "--out", scm_path) == 0
-        scm = load_scm_json(scm_path)
+        scm = ScmSpec.from_json_dict(json.loads(scm_path.read_text()))
         assert scm.d == 10
 
         assert run("sample", "--scm", scm_path, "--n", 5000, "--seed", 2,
@@ -132,7 +132,8 @@ class TestParserBuiltOnce:
         assert run("fit", "--data", data_path, "--seed", 5, "--tau", 0.3,
                    "--out", workspace / "fit.json") == 0
         assert run("generate", "--d", 6, "--kappa", 2, "--lambda", 0.4, "--out", scm_path) == 0
-        assert load_scm_json(scm_path).to_json_dict() == generate_scm(6, 2, 0.4).to_json_dict()
+        scm = ScmSpec.from_json_dict(json.loads(scm_path.read_text()))
+        assert scm.to_json_dict() == generate_scm(6, 2, 0.4).to_json_dict()
 
     def test_generate_writes_the_bytes_of_save_scm_json(self, workspace):
         scm_path, saved = workspace / "scm.json", workspace / "saved.json"

@@ -14,8 +14,7 @@ from lingcond.recover import (
     b_from_w, enumerate_admissible, hungarian_admissible, recover_condensation,
 )
 from lingcond.scm import (
-    ScmSpec, WeightedAdjacency, generate_scm, hard_cluster_intervention, sample,
-    save_samples_csv, soft_cluster_intervention, spectral_radius,
+    ScmSpec, WeightedAdjacency, generate_scm, sample, save_samples_csv, spectral_radius,
 )
 
 
@@ -131,10 +130,6 @@ _ARRAY_ENTRY_POINTS = {
     "WeightedAdjacency": (_SPEC.b.matrix, WeightedAdjacency),
     "spectral_radius": (_SPEC.b.matrix, spectral_radius),
     "support_graph": (_SPEC.b.matrix, support_graph),
-    "soft_cluster_intervention": (np.ones(6), lambda delta: soft_cluster_intervention(
-        _SPEC, delta, 10)),
-    "hard_cluster_intervention": (np.ones(6), lambda c: hard_cluster_intervention(
-        _SPEC, range(6), c, 10)),
     "ols_slope": (np.arange(1.0, 4.0), lambda xs: ols_slope(xs, [1.0, 2.0, 4.0])),
     "save_samples_csv": (_X, lambda x: save_samples_csv(io.StringIO(), x)),
 }
