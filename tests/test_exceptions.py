@@ -9,7 +9,7 @@ import pytest
 from lingcond.exceptions import finite, finite_array, integer, sample_matrix, square_matrix
 from lingcond.graphs import support_graph
 from lingcond.harness import ols_slope
-from lingcond.ica import center_whiten
+from lingcond.ica import center_whiten, fastica
 from lingcond.recover import (
     b_from_w, enumerate_admissible, hungarian_admissible, recover_condensation,
 )
@@ -123,6 +123,7 @@ _W = np.eye(6) - _SPEC.b.matrix
 # every public entry point that takes an array: (valid array, call taking it)
 _ARRAY_ENTRY_POINTS = {
     "center_whiten": (_X, center_whiten),
+    "fastica": (_X, fastica),
     "recover_condensation": (_X, recover_condensation),
     "b_from_w": (_W, lambda w: b_from_w(w, range(6))),
     "hungarian_admissible": (_W, hungarian_admissible),
@@ -147,7 +148,7 @@ _SQUARE_ENTRY_POINTS = {
 
 
 # the entry points that take a sample matrix
-_SAMPLE_ENTRY_POINTS = ("center_whiten", "recover_condensation", "save_samples_csv")
+_SAMPLE_ENTRY_POINTS = ("center_whiten", "fastica", "recover_condensation", "save_samples_csv")
 
 
 def _with_entry(value):

@@ -15,7 +15,10 @@ from lingcond import (
     tarjan_scc,
 )
 from lingcond import rng
-from lingcond.scm import load_samples_csv, save_samples_csv, save_scm_json
+from lingcond.scm import (
+    DEFAULT_SCALES, NOISE_FAMILIES, REGIME_TARGETS, load_samples_csv, save_samples_csv,
+    save_scm_json,
+)
 
 
 def example_spec(example_b):
@@ -191,6 +194,51 @@ class TestSample:
         mask = np.abs(expected) > 0.1
         rel = np.abs(observed[mask] - expected[mask]) / np.abs(expected[mask])
         assert rel.max() < 0.05
+
+    @pytest.mark.parametrize("family", NOISE_FAMILIES)
+    @pytest.mark.parametrize("regime", REGIME_TARGETS)
+    def test_rows_solve_the_structural_equations(self, regime, family):
+        # each row x satisfies (I - B) x = eps for the noise drawn from the seed
+        spec = generate_scm(10, 4, 0.5, regime=regime, seed=2, noise_family=family)
+        x = sample(spec, 300, seed=7)
+        eps = spec.noise.draw(rng.stream(7, rng.PURPOSE_SAMPLE), (300, 10))
+        assert np.allclose(x - x @ spec.b.matrix.T, eps, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("family", NOISE_FAMILIES)
+    def test_mean_is_zero(self, example_b, family):
+        # both noise families are centred, so E[X] = (I - B)^{-1} E[eps] = 0:
+        # every column mean lies within five standard errors of zero
+        spec = ScmSpec(example_b, NoiseSpec(family, DEFAULT_SCALES[family]), "stable", 0)
+        x = sample(spec, 100000, seed=6)
+        assert np.all(np.abs(x.mean(axis=0)) < 5 * x.std(axis=0) / np.sqrt(len(x)))
+
+    @pytest.mark.parametrize("n", [1, 11, 200])
+    def test_shape_and_dtype(self, example_b, n):
+        x = sample(example_spec(example_b), n, seed=3)
+        assert x.shape == (n, 5) and x.dtype == np.float64 and np.isfinite(x).all()
+
+    @pytest.mark.parametrize("to_int", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_n_and_seed_accepted(self, example_b, to_int):
+        spec = example_spec(example_b)
+        assert np.array_equal(sample(spec, to_int(50), seed=to_int(3)), sample(spec, 50, seed=3))
+
+    def test_seeds_give_different_samples(self, example_b):
+        spec = example_spec(example_b)
+        assert not np.array_equal(sample(spec, 50, seed=1), sample(spec, 50, seed=2))
+
+    def test_a_model_read_from_its_json_samples_the_same_rows(self, example_b):
+        # ``lingcond sample`` reads the model with ScmSpec.from_json_dict
+        spec = example_spec(example_b)
+        loaded = ScmSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
+        assert np.array_equal(sample(loaded, 200, seed=5), sample(spec, 200, seed=5))
+
+    def test_solver_failure_becomes_singular_model_error(self, example_b, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularModelError, match="Singular matrix"):
+            sample(example_spec(example_b), 10)
 
     def test_n_validation(self, example_b):
         with pytest.raises(ValueError):
