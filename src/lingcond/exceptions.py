@@ -79,10 +79,12 @@ def finite_array(value, name: str) -> np.ndarray:
 
 
 def square_matrix(value, name: str) -> np.ndarray:
-    """``finite_array(value, name)``; ValueError unless it is a square 2-D matrix."""
+    """``finite_array(value, name)``; ValueError unless it is a square 2-D matrix with a row."""
     m = finite_array(value, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not m.size:
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {m.shape}")
     return m
 
 

@@ -23,6 +23,7 @@ modes are offered:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -51,9 +52,13 @@ _SCAN_FLOOR = 0.1
 
 # the most candidates scored per batched eigenvalue call in the first-stable scan
 _SCAN_BLOCK = 128
+# the most prefixes the enumeration extends at once
+_ENUM_CHUNK = 512
 _UNIT_ROUNDOFF = 2.0**-53
-# the powers j whose traces bound the spectral radius
-_TRACE_POWERS = np.arange(2, 9)
+# the powers j whose traces bound the spectral radius: the first stage tests
+# every candidate, the second only those the first leaves open
+_TRACE_STAGES = ((4,), (2, 3, 5, 6, 7, 8, 12, 16))
+_TOP_POWER = max(_TRACE_STAGES[-1])
 
 
 @dataclass(frozen=True)
@@ -182,17 +187,19 @@ def _admissible_blocks(ok: np.ndarray, size: int):
     ``(k, d)`` mask of free allowed rows lists the children prefix-major and
     row-minor, which is lexicographic order, and they are pushed above the
     rest of their parents' chunk. Free rows are a bool array, not a bitmask,
-    so any ``d`` works.
+    so any ``d`` works. Prefixes are held in the smallest unsigned integer
+    type that holds ``d`` (one byte up to ``d = 255``), which keeps the stack
+    of wide chunks small, and each block is yielded as intp.
     """
     d = ok.shape[0]
-    stack = [(0, np.zeros((1, d), np.intp), np.ones((1, d), bool))]
+    stack = [(0, np.zeros((1, d), np.min_scalar_type(d)), np.ones((1, d), bool))]
     while stack:
         slot, perms, free = stack.pop()
         if len(perms) > size:
             stack.append((slot, perms[size:], free[size:]))
             perms, free = perms[:size], free[:size]
         if slot == d:
-            yield perms
+            yield perms.astype(np.intp)
             continue
         parent, row = np.nonzero(free & ok[:, slot])
         if len(parent):
@@ -217,20 +224,32 @@ def enumerate_admissible(w, eta: float = DEFAULT_ETA) -> list:
             f"enumeration is guarded at d <= {ENUMERATION_MAX_D}, got d={m.shape[0]}"
         )
     return [
-        tuple(p) for block in _admissible_blocks(_rook_slots(m, eta), _SCAN_BLOCK)
+        tuple(p) for block in _admissible_blocks(_rook_slots(m, eta), _ENUM_CHUNK)
         for p in block.tolist()
     ]
 
 
-def _build_stack(m: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Read-only ``(k, d, d)`` stack of ``B = -PW / diag(PW)`` with zero diagonal.
+def _ratio_table(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``t[..., i, :] = -m[r] / m[r, i]`` with ``t[..., i, i] = 0``, where ``r = rows[..., i]``.
 
-    ``perms`` is a ``(k, d)`` integer array, one permutation per row.
+    Row ``i`` of ``B = -PW / diag(PW)`` is ``m[r]`` placed at slot ``i``, so
+    with ``rows = perm`` this is ``B`` itself. With
+    ``rows = arange(d)[:, None]`` it is the ``(d, d, d)`` table of every row
+    at every slot, from which a block of candidates is one gather
+    (``_candidate_stack``), bit for bit the same ``B`` as dividing per
+    candidate. A zero ``m[r, i]`` gives an infinite or NaN row without a
+    warning; it is never a rook slot, so never gathered.
     """
     diag = np.arange(m.shape[0])
-    pw = m[perms]
-    b = -pw / pw[:, diag, diag][:, :, None]
-    b[:, diag, diag] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -m[rows] / m[rows, diag][..., None]
+    t[..., diag, diag] = 0.0
+    return t
+
+
+def _candidate_stack(table: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Read-only ``(k, d, d)`` stack of the candidates of a ``(k, d)`` block of permutations."""
+    b = table[perms, np.arange(perms.shape[1])]
     b.setflags(write=False)
     return b
 
@@ -240,37 +259,62 @@ def _gamma(m: int) -> float:
     return m * _UNIT_ROUNDOFF / (1 - m * _UNIT_ROUNDOFF)
 
 
+@functools.cache
+def _stage_constants(d: int) -> tuple:
+    """Per stage of ``_certified_above``: ``(j - 1, e_j, j / 2)`` as columns, one row per power.
+
+    ``e_j`` is the relative allowance of the trace of ``B^j``; all three
+    depend on ``d`` only, so a scan computes them once.
+    """
+    out = []
+    for powers in _TRACE_STAGES:
+        j = np.array(powers)[:, None]
+        e = np.expm1((j - 2) * math.log1p(_gamma(d)) + math.log1p(_gamma(d * d)))
+        out.append((j - 1, e, j / 2))
+    return tuple(out)
+
+
 def _certified_above(b: np.ndarray, thr: float) -> np.ndarray:
     """Mask of the matrices of a ``(k, d, d)`` stack whose spectral radius exceeds ``thr``.
 
     A ``True`` entry is a proof, not an estimate. For any ``d x d`` matrix,
     ``|tr(B^j)| = |sum_i lambda_i^j| <= d rho(B)^j``, so
     ``|tr(B^j)| > d thr^j`` for some ``j`` implies ``rho(B) > thr``. The test
-    runs for ``j = 2..8`` (``tr B = 0`` for a zero diagonal). Each trace
-    ``t_j = tr(B^a B^c)`` with ``a + c = j``, ``a, c <= 4``, is the sum of
-    ``(B^a)_il (B^c)_li`` that one ``einsum`` reads off the two powers, with
-    no product or transposed copy formed. ``j = 2, 3, 4`` need only ``B``
-    and ``B^2``, and on study inputs they certify about nine in ten of the
-    candidates the bound certifies at all; ``B^3 = B^2 B`` and
-    ``B^4 = B^2 B^2`` are formed, and ``j = 5..8`` tested, only for the
-    rest. ``False`` means "not shown". A NaN fails the comparison, and a
-    trace can overflow only with ``||B||_F^j``, which makes the allowance
-    infinite, so no overflow or NaN certifies a matrix.
+    runs in two stages (``tr B = 0`` for a zero diagonal):
+
+    1. ``j = 4`` for every matrix, from ``B^2 = B B``. On study inputs it
+       certifies about four in five of the matrices the bound certifies at
+       all, and ``j = 2, 3`` would add almost none.
+    2. ``j = 2, 3, 5, 6, 7, 8, 12, 16`` for the rest only, from
+       ``B^3 = B^2 B``, ``B^4 = B^2 B^2`` and ``B^8 = B^4 B^4``. The higher
+       the power, the more the largest eigenvalue dominates the trace.
+
+    ``t_2``, ``t_3`` and ``t_8`` are the sums of the diagonals of the
+    computed ``B^2``, ``B^3`` and ``B^8``; every other ``t_j = tr(B^a B^c)``,
+    ``a + c = j``, is the sum of ``(B^a)_il (B^c)_li`` that one ``einsum``
+    reads off the two powers, with no product formed. ``False`` means "not
+    shown". A NaN fails the comparison, and a trace can overflow only with
+    ``||B||_F^j``, which makes the allowance infinite, so no overflow or NaN
+    certifies a matrix.
 
     The allowance ``err_j`` for rounding (``u = 2^-53``, ``gamma_m`` as in
     ``_gamma``), after Higham, *Accuracy and Stability of Numerical
     Algorithms*, sec. 3.5:
 
     * A computed product of conventional inner products of length ``d`` is
-      exact up to ``|fl(XY) - XY| <= gamma_d |X||Y|``, so by induction the
-      computed ``B^a`` is ``B^a + E_a`` with
-      ``|E_a| <= ((1 + gamma_d)^(a-1) - 1) |B|^a``. Then
+      exact up to ``|fl(XY) - XY| <= gamma_d |X||Y|``. Each power here is a
+      product tree over ``a`` leaves ``B``, which has at most ``a - 1``
+      products along any path, so by induction the computed ``B^a`` is
+      ``B^a + E_a`` with ``|E_a| <= ((1 + gamma_d)^(a-1) - 1) |B|^a``. Then
       ``|tr(B^a B^c) computed exactly from them - tr(B^j)|`` is at most
       ``((1 + gamma_d)^(j-2) - 1) tr(|B|^j)``, and the final sum of ``d^2``
       rounded products adds ``gamma_(d^2) (1 + gamma_d)^(j-2) tr(|B|^j)``.
       So ``|t_j - tr(B^j)| <= e_j tr(|B|^j)`` with
       ``e_j = (1 + gamma_d)^(j-2) (1 + gamma_(d^2)) - 1``, whatever the
-      summation order.
+      summation order. A diagonal sum instead rounds the last product's ``d``
+      inner products and then ``d - 1`` additions, a factor of at most
+      ``(1 + gamma_d)(1 + gamma_(d-1)) <= 1 + gamma_(2d-1)`` in place of
+      ``1 + gamma_(d^2)``, so ``e_j`` covers it too, as ``2d - 1 <= d^2``.
     * ``tr(|B|^j) = sum(|B|^a * (|B|^c).T) <= || |B|^a ||_F || |B|^c ||_F``,
       which is at most ``||B||_F^j`` as the Frobenius norm is submultiplicative.
     * The computed ``s = sum(B * B)`` underestimates ``||B||_F^2`` by at most
@@ -279,27 +323,34 @@ def _certified_above(b: np.ndarray, thr: float) -> np.ndarray:
       these stay far below a factor 2 for any ``d < 10^6``.
     * ``thr^j`` is a running product of ``j`` factors, rounded ``j - 1``
       times; ``d thr^j`` and ``|t_j| - err_j`` round once more each, so
-      ``gamma_10 d thr^j`` bounds their error for ``j <= 8``.
+      ``gamma_18 d thr^j`` bounds their error for ``j <= 16``.
 
-    Hence ``err_j = 2 (e_j s^(j/2) + gamma_10 d thr^j)``, the doubling
+    Hence ``err_j = 2 (e_j s^(j/2) + gamma_18 d thr^j)``, the doubling
     covering the rounding of the allowance itself, and a matrix is certified
     when the computed ``|t_j| - err_j`` exceeds the computed ``d thr^j``.
     """
-    d = b.shape[-1]
+    first, second = _stage_constants(b.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
+        rhs = b.shape[-1] * np.cumprod(np.full(_TOP_POWER, float(thr)))  # d thr^j at j - 1
+        slack = _gamma(_TOP_POWER + 2) * rhs
         fro2 = np.einsum("kij,kij->k", b, b)
-        e = np.expm1((_TRACE_POWERS - 2) * math.log1p(_gamma(d)) + math.log1p(_gamma(d * d)))
-        rhs = d * np.cumprod(np.full(8, float(thr)))[_TRACE_POWERS - 1, None]
-        err = 2 * (e[:, None] * fro2 ** (_TRACE_POWERS[:, None] / 2) + _gamma(10) * rhs)
+
+        def shown(stage, rows, traces):  # which of the matrices ``rows`` the traces certify
+            at, e, half = stage
+            err = 2 * (e * fro2[rows] ** half + slack[at])
+            return (np.abs(traces) - err > rhs[at]).any(axis=0)
+
         b2 = b @ b
-        t = np.array([np.einsum("kij,kji->k", x, y) for x, y in ((b, b), (b, b2), (b2, b2))])
-        certified = (np.abs(t) - err[:3] > rhs[:3]).any(axis=0)
-        rest = np.flatnonzero(~certified)
-        b, b2 = b[rest], b2[rest]
-        b3, b4 = b2 @ b, b2 @ b2
-        pairs = ((b2, b3), (b3, b3), (b3, b4), (b4, b4))
-        t = np.array([np.einsum("kij,kji->k", x, y) for x, y in pairs])
-        certified[rest] = (np.abs(t) - err[3:, rest] > rhs[3:]).any(axis=0)
+        certified = shown(first, slice(None), [np.einsum("kij,kji->k", b2, b2)])
+        if (rest := np.flatnonzero(~certified)).size:
+            b, b2 = b[rest], b2[rest]
+            b3, b4 = b2 @ b, b2 @ b2
+            b8 = b4 @ b4
+            traces = [np.einsum("kii->k", b2), np.einsum("kii->k", b3),  # _TRACE_STAGES' order
+                      np.einsum("kij,kji->k", b2, b3), np.einsum("kij,kji->k", b3, b3),
+                      np.einsum("kij,kji->k", b3, b4), np.einsum("kii->k", b8),
+                      np.einsum("kij,kji->k", b4, b8), np.einsum("kij,kji->k", b8, b8)]
+            certified[rest] = shown(second, rest, traces)
         return certified
 
 
@@ -311,8 +362,9 @@ def b_from_w(w, perm) -> CandidateAdjacency:
         raise ValueError("perm must be a permutation of 0..d-1")
     if np.any(m[perm, range(m.shape[0])] == 0):
         raise ValueError("permuted matrix has a zero diagonal entry")
-    b = _build_stack(m, np.array([perm], dtype=np.intp))
-    return CandidateAdjacency(b=b[0], permutation=perm, spectral_radius=float(_radii(b)[0]))
+    b = _ratio_table(m, np.array(perm, dtype=np.intp))
+    b.setflags(write=False)
+    return CandidateAdjacency(b=b, permutation=perm, spectral_radius=float(_radii(b[None])[0]))
 
 
 def threshold(candidate: CandidateAdjacency, tau: float) -> np.ndarray:
@@ -352,11 +404,14 @@ def _scan_candidates(m: np.ndarray, cap: int):
     matrix.
 
     The first ``cap`` permutations of the lexicographic enumeration
-    (``cap >= 1``), read from ``_admissible_blocks``, are taken in blocks of
-    1, 2, 4, ... rows up to ``_SCAN_BLOCK`` (each ``min(size, cap - seen)``)
-    and built as one stack by ``_build_stack``, the builder behind
-    ``b_from_w``. In each block, a candidate that ``_certified_above`` proves
-    to have a radius above the smallest radius yielded so far is dropped
+    (``cap >= 1``), read from ``_admissible_blocks`` in chunks of up to
+    ``_ENUM_CHUNK``, are taken in blocks of 1, 2, 4, ... rows up to
+    ``_SCAN_BLOCK`` (each ``min(size, cap - seen)``). The scan divides once,
+    into the ratio table of ``_ratio_table``, the builder behind
+    ``b_from_w``; each block's stack is one gather from it
+    (``_candidate_stack``). In each block, a candidate that
+    ``_certified_above`` proves to have a radius above the smallest radius
+    yielded so far is dropped
     without ``eigvals``; the others get their radii from ``_radii`` in one
     batched call and are yielded in enumeration order. Before anything is
     yielded the threshold is ``inf``, which the bound never certifies, so
@@ -374,8 +429,10 @@ def _scan_candidates(m: np.ndarray, cap: int):
     allowance, a few ``d^2 u ||B||_F^j``, is far wider than the error of
     ``eigvals``.)
     """
-    blocks = _admissible_blocks(_rook_slots(m, _SCAN_FLOOR), _SCAN_BLOCK)
-    pending = np.empty((0, m.shape[0]), np.intp)
+    d = m.shape[0]
+    table = _ratio_table(m, np.arange(d)[:, None])
+    blocks = _admissible_blocks(_rook_slots(m, _SCAN_FLOOR), _ENUM_CHUNK)
+    pending = np.empty((0, d), np.intp)
     smallest, seen, size = math.inf, 0, 1
     while seen < cap:
         want = min(size, cap - seen)
@@ -386,7 +443,7 @@ def _scan_candidates(m: np.ndarray, cap: int):
             break
         seen += len(block)
         size = min(2 * size, _SCAN_BLOCK)
-        b = _build_stack(m, block)
+        b = _candidate_stack(table, block)
         keep = np.flatnonzero(~_certified_above(b, smallest))
         for j, radius in zip(keep, _radii(b[keep]) if len(keep) else ()):
             smallest = min(smallest, radius)

@@ -139,9 +139,11 @@ class ScmSpec:
     def from_json_dict(cls, data: dict) -> "ScmSpec":
         """Model from the layout of ``to_json_dict``; ValueError if malformed.
 
-        The file's ``betaMin`` must match the one ``B`` gives, within 1e-12.
+        The file's ``d`` must be ``B``'s size, and its ``betaMin`` the one
+        ``B`` gives, within 1e-12.
         """
         try:
+            d = integer(data["d"], "d")
             beta_min = finite(data["betaMin"], "betaMin")
             scm = cls(
                 b=WeightedAdjacency(data["B"]),
@@ -151,6 +153,8 @@ class ScmSpec:
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed SCM JSON: {exc!r}") from exc
+        if d != scm.d:
+            raise ValueError(f"d={d} does not match the {scm.d} x {scm.d} adjacency")
         if abs(scm.beta_min - beta_min) > 1e-12:
             raise ValueError("betaMin does not match the adjacency entries")
         return scm

@@ -199,6 +199,17 @@ class TestArrayEntryPoints:
         with pytest.raises(ValueError, match=f"{name} must be a square matrix"):
             call(np.ones(shape))
 
+    @pytest.mark.parametrize("entry", _SQUARE_ENTRY_POINTS)
+    def test_empty_matrix_rejected(self, entry):
+        # before, b_from_w, hungarian_admissible and enumerate_admissible failed
+        # inside numpy's max on a 0 x 0 W, spectral_radius returned 0.0 and
+        # WeightedAdjacency said "node count must be positive"
+        name = _SQUARE_ENTRY_POINTS[entry]
+        _, call = _ARRAY_ENTRY_POINTS[entry]
+        message = f"{name} must be a non-empty square matrix, got shape (0, 0)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("shape", [(0, 6), (200, 0), (6,), (2, 3, 3)])
     @pytest.mark.parametrize("entry", _SAMPLE_ENTRY_POINTS)
     def test_empty_or_non_2d_samples_rejected(self, entry, shape):

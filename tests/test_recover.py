@@ -703,16 +703,42 @@ class TestFirstStableScan:
         # so the bound cannot prune it and it gets eigvals alone
         assert scored[0] == 1
 
+    def test_gathered_stack_is_b_from_w_bitwise(self, sample_ws):
+        # the scan divides once into the ratio table and gathers each block
+        # from it; every candidate is the one b_from_w builds by itself
+        w = sample_ws[0]
+        table = recover._ratio_table(w, np.arange(w.shape[0])[:, None])
+        ok = recover._rook_slots(w, recover._SCAN_FLOOR)
+        block = next(recover._admissible_blocks(ok, recover._ENUM_CHUNK))
+        stack = recover._candidate_stack(table, block)
+        assert len(block) > 1 and not stack.flags.writeable
+        for b, perm in zip(stack, block.tolist()):
+            assert b.tobytes() == b_from_w(w, perm).b.tobytes()
+
+    def test_bound_leaves_few_candidates_to_eigvals(self, sample_ws, monkeypatch):
+        # of the 1244 + 127 candidates the two scans build at cap 5000, 57 get
+        # eigvals (4.2%; 72 with powers up to 8 only); a margin of a fifth
+        # keeps the pin off rounding while a weaker bound still fails it
+        build, radii = recover._candidate_stack, recover._radii
+        built, scored = [], []
+        monkeypatch.setattr(recover, "_candidate_stack",
+                            lambda table, perms: built.append(len(perms)) or build(table, perms))
+        monkeypatch.setattr(recover, "_radii", lambda b: scored.append(len(b)) or radii(b))
+        for w in sample_ws.values():
+            first_stable_select(recover._scan_candidates(w, 5000))
+        assert sum(built) == 1244 + 127
+        assert sum(scored) / sum(built) < 0.05
+
     @pytest.mark.parametrize("cap", [1, 2, 3, 100, 1244, 10**6])
     def test_cap_counts_built_candidates(self, sample_ws, monkeypatch, cap):
-        build = recover._build_stack
+        build = recover._candidate_stack
         built = []
 
-        def counting_build(m, perms):
+        def counting_build(table, perms):
             built.append(len(perms))
-            return build(m, perms)
+            return build(table, perms)
 
-        monkeypatch.setattr(recover, "_build_stack", counting_build)
+        monkeypatch.setattr(recover, "_candidate_stack", counting_build)
         got = first_stable_select(recover._scan_candidates(sample_ws[0], cap))
         assert sum(built) == min(cap, 1244)
         assert all(type(p) is int for p in got.permutation)
@@ -732,9 +758,13 @@ def matrix_stacks(draw):
     """Stacks of matrices whose traces stress the bound: random, rotation
     blocks (a dominant complex pair whose powers cancel in the trace),
     strictly triangular (nilpotent) and scaled cyclic permutations (whose
-    power ``d`` has trace exactly ``d rho^d``)."""
+    power ``d`` has trace exactly ``d rho^d``, up to ``d = 16``, the top
+    power the bound tests)."""
     kind = draw(st.sampled_from(["random", "rotation", "nilpotent", "cycle"]))
-    d = draw(st.integers(2 if kind == "cycle" else 1, 8 if kind == "cycle" else 12))
+    if kind == "cycle":  # d divides a tested power: 2..8 itself, 12 or 16
+        d = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 12, 16]))
+    else:
+        d = draw(st.integers(1, 12))
     k = draw(st.integers(1, 6))
     scale = 10.0 ** draw(st.floats(-3, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

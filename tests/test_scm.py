@@ -154,6 +154,25 @@ class TestScmSpecValidation:
         with pytest.raises(ValueError):
             ScmSpec.from_json_dict({**data, "betaMin": beta_min})
 
+    @pytest.mark.parametrize("d, message", [
+        (9, "d=9 does not match the 5 x 5 adjacency"),
+        (4, "d=4 does not match the 5 x 5 adjacency"),
+        (5.0, "d must be an integer"), ("5", "d must be an integer"),
+        (True, "d must be an integer"),
+    ], ids=["larger", "smaller", "float", "string", "bool"])
+    def test_d_checked_against_b(self, example_b, d, message):
+        # before, a 5 x 5 B under "d": 9 loaded as d = 5
+        data = example_spec(example_b).to_json_dict()
+        with pytest.raises(ValueError, match=message):
+            ScmSpec.from_json_dict({**data, "d": d})
+
+    def test_missing_d_rejected(self, example_b):
+        # before, a file with no "d" loaded with d read off B
+        data = example_spec(example_b).to_json_dict()
+        del data["d"]
+        with pytest.raises(ValueError, match="malformed SCM JSON"):
+            ScmSpec.from_json_dict(data)
+
     def test_beta_min_within_tolerance_accepted(self, example_b):
         data = example_spec(example_b).to_json_dict()
         spec = ScmSpec.from_json_dict({**data, "betaMin": data["betaMin"] + 5e-13})
