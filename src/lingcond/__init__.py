@@ -47,7 +47,6 @@ from .recover import (
     RecoveryResult,
     b_from_w,
     enumerate_admissible,
-    first_stable_select,
     hungarian_admissible,
     recover_condensation,
     threshold,
@@ -92,7 +91,6 @@ __all__ = [
     "enumerate_partitions",
     "evaluate",
     "fastica",
-    "first_stable_select",
     "generate_scm",
     "hamming_support",
     "hungarian_admissible",

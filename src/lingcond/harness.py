@@ -197,11 +197,12 @@ class ExperimentRecord:
         """Parse a row the harness writes; ValueError on any other row.
 
         Each cell must be one ``to_csv_row`` writes (``_parse_cell``), the
-        regime a known one, and the metric columns all filled on a scored
-        row and all empty on an error row. A scored row's metrics must be
-        ones the scorer gives: in ``MetricsReport``'s ranges, with
-        ``exact_recovery`` equal to ``hamming == 0`` and ``pred_clusters``
-        in [1, d].
+        regime a known one, the seed non-negative, ``tau`` one ``check_tau``
+        accepts, ``n > d``, and the metric columns all filled on a scored row
+        and all empty on an error row. A scored row's metrics must be ones
+        the scorer gives: in ``MetricsReport``'s ranges, with
+        ``exact_recovery`` equal to ``hamming == 0``, ``pred_clusters`` in
+        [1, d], ``fit_ms >= 0`` and ``ica_iters >= 1``.
         """
         columns, cells = fields(cls), row.rstrip("\n").split(",")
         if len(cells) != len(columns):
@@ -212,16 +213,21 @@ class ExperimentRecord:
         filled = [getattr(rec, f.name) is not None for f in columns if f.default is None]
         if any(filled) if rec.error else not all(filled):
             raise ValueError(f"results row is neither a scored row nor an error row: {row!r}")
-        if not rec.error:
-            try:
+        try:
+            _require(rec.seed >= 0, "seed must be non-negative")
+            check_tau(rec.tau)
+            _require(rec.n > rec.d, "n must exceed d")
+            if not rec.error:
                 MetricsReport(rec.ari, rec.cluster_f1, rec.variable_f1, rec.hamming,
                               rec.pred_clusters)
                 _require(rec.exact_recovery == (rec.hamming == 0),
                          "exact_recovery must equal hamming == 0")
                 _require(1 <= rec.pred_clusters <= rec.d, "pred_clusters must lie in [1, d]")
-            except ValueError as exc:
-                raise ValueError(f"results row holds metrics the scorer never writes "
-                                 f"({exc}): {row!r}") from None
+                _require(rec.fit_ms >= 0, "fit_ms must be non-negative")
+                _require(rec.ica_iters >= 1, "ica_iters must be at least 1")
+        except ValueError as exc:
+            raise ValueError(f"results row holds values the harness never writes "
+                             f"({exc}): {row!r}") from None
         return rec
 
 

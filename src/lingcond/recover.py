@@ -12,13 +12,12 @@ modes are offered:
   ``inf``; when no assignment has finite cost, that is raised as
   ``NoAdmissiblePermutationError``.
 * ``enumerate-first-stable``, for experiments that also score
-  variable-level structure: ``first_stable_select``, the one implementation
-  of the first-stable rule, reads a pruned candidate stream. The stream
-  enumerates permutations lazily in lexicographic order, whole arrays of
-  them at a time, scores them in blocks that double from one candidate up
-  to a ceiling, and on every block drops the candidates that a trace bound
-  proves to lie above the smallest radius yielded so far; the rest it
-  yields in enumeration order with their ``eigvals`` radii.
+  variable-level structure: ``_first_stable_scan`` applies LiNG-D's rule,
+  the first candidate with spectral radius below 1, else the earliest one of
+  smallest radius. It enumerates permutations lazily in lexicographic
+  order, whole arrays of them at a time, scores them in blocks that double
+  from one candidate up to a ceiling, and on every block drops the
+  candidates that a trace bound proves to lie above the best radius so far.
 """
 
 from __future__ import annotations
@@ -375,29 +374,12 @@ def threshold(candidate: CandidateAdjacency, tau: float) -> np.ndarray:
     return b
 
 
-def first_stable_select(candidates) -> CandidateAdjacency:
-    """First candidate with spectral radius < 1; else the minimum-radius one.
+def _first_stable_scan(m: np.ndarray, cap: int) -> CandidateAdjacency:
+    """LiNG-D's pick among the candidates of the first ``cap`` significance-pruned permutations.
 
-    Ties in the fallback resolve to the earliest candidate, so selection is
-    deterministic for any fixed enumeration order. The candidates are read
-    lazily: nothing after the first stable one is read. Raises ValueError
-    when there are none.
-    """
-    best = None
-    for cand in candidates:
-        if cand.spectral_radius < 1.0:
-            return cand
-        if best is None or cand.spectral_radius < best.spectral_radius:
-            best = cand
-    if best is None:
-        raise ValueError("no candidates to select from")
-    return best
-
-
-def _scan_candidates(m: np.ndarray, cap: int):
-    """Yield the significance-pruned candidates the trace bound cannot rule out.
-
-    On finite samples every entry of the estimated demixing matrix is
+    LiNG-D's rule (Lacerda, Spirtes, Ramsey and Hoyer 2008): the first
+    candidate with spectral radius below 1, else the earliest one of smallest
+    radius. On finite samples every entry of the estimated demixing matrix is
     nonzero, so admissibility at ``DEFAULT_ETA`` would admit all d!
     permutations. The rook slots are therefore those of ``_rook_slots`` at
     ``cut = _SCAN_FLOOR``; candidates are still built from the unpruned
@@ -410,31 +392,27 @@ def _scan_candidates(m: np.ndarray, cap: int):
     into the ratio table of ``_ratio_table``, the builder behind
     ``b_from_w``; each block's stack is one gather from it
     (``_candidate_stack``). In each block, a candidate that
-    ``_certified_above`` proves to have a radius above the smallest radius
-    yielded so far is dropped
-    without ``eigvals``; the others get their radii from ``_radii`` in one
-    batched call and are yielded in enumeration order. Before anything is
-    yielded the threshold is ``inf``, which the bound never certifies, so
-    the first block, of one candidate, is yielded whole, and the bound
-    prunes from the second block on. Raises NoAdmissiblePermutationError
-    when the enumeration is empty.
+    ``_certified_above`` proves to have a radius above the best radius so far
+    is dropped without ``eigvals`` (before the first block that is ``inf``,
+    which the bound never certifies); the others get their radii from
+    ``_radii`` in one batched call. The first of them below 1 ends the scan;
+    otherwise the block's earliest minimum becomes the best if it is strictly
+    below it, so ties stay on the earliest candidate. Only the winner is
+    built. Raises NoAdmissiblePermutationError when the enumeration is empty.
 
-    Fed to ``first_stable_select``, the stream gives, bit for bit, the
-    candidate that the rule picks from every candidate of the same order
-    built by ``b_from_w``. A dropped candidate lies above a yielded radius,
-    which is at least 1 while the rule is still reading (a stable candidate
-    ends it), so it can be neither stable nor a new strict minimum. (That
-    needs the ``eigvals`` radius of a dropped candidate to lie above the
-    threshold too, not only its exact radius: the bound's rounding
+    The pick is, bit for bit, the rule's pick over every candidate of the
+    same order built by ``b_from_w``: a pruned candidate lies above the best
+    radius, so it is neither stable nor a new minimum. (The bound's rounding
     allowance, a few ``d^2 u ||B||_F^j``, is far wider than the error of
-    ``eigvals``.)
+    ``eigvals``, so a pruned candidate's ``eigvals`` radius lies above the
+    best radius too.)
     """
     d = m.shape[0]
     table = _ratio_table(m, np.arange(d)[:, None])
     blocks = _admissible_blocks(_rook_slots(m, _SCAN_FLOOR), _ENUM_CHUNK)
     pending = np.empty((0, d), np.intp)
-    smallest, seen, size = math.inf, 0, 1
-    while seen < cap:
+    best, winner, seen, size = math.inf, None, 0, 1
+    while seen < cap and best >= 1.0:
         want = min(size, cap - seen)
         while len(pending) < want and (more := next(blocks, None)) is not None:
             pending = np.concatenate([pending, more])
@@ -444,16 +422,18 @@ def _scan_candidates(m: np.ndarray, cap: int):
         seen += len(block)
         size = min(2 * size, _SCAN_BLOCK)
         b = _candidate_stack(table, block)
-        keep = np.flatnonzero(~_certified_above(b, smallest))
-        for j, radius in zip(keep, _radii(b[keep]) if len(keep) else ()):
-            smallest = min(smallest, radius)
-            yield CandidateAdjacency(
-                b=b[j], permutation=tuple(block[j].tolist()), spectral_radius=float(radius)
-            )
-    if not seen:
+        if len(keep := np.flatnonzero(~_certified_above(b, best))):
+            radii = _radii(b[keep])
+            stable = radii < 1.0
+            j = stable.argmax() if stable.any() else radii.argmin()
+            if radii[j] < best:
+                best, winner = float(radii[j]), (b[keep[j]], block[keep[j]])
+    if winner is None:
         raise NoAdmissiblePermutationError(
             "no admissible permutation among significant rook patterns"
         )
+    b, perm = winner
+    return CandidateAdjacency(b=b, permutation=tuple(perm.tolist()), spectral_radius=best)
 
 
 @dataclass(frozen=True)
@@ -516,7 +496,7 @@ def recover_condensation(
         perm = hungarian_admissible(estimate.w)
         candidate = b_from_w(estimate.w, perm)
     else:
-        candidate = first_stable_select(_scan_candidates(estimate.w, enum_cap))
+        candidate = _first_stable_scan(estimate.w, enum_cap)
     b_hat = threshold(candidate, tau)
     t2 = time.perf_counter()
     condensation = condense(support_graph(b_hat))

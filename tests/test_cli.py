@@ -7,6 +7,7 @@ import pytest
 
 from lingcond import harness
 from lingcond.cli import _UsageError, _build_parser, main
+from lingcond.ica import DemixingEstimate
 from lingcond.recover import (
     DEFAULT_ENUM_CAP, DEFAULT_ETA, DEFAULT_TAU, recover_condensation,
 )
@@ -315,6 +316,17 @@ class TestExitCodes:
         header = "X1,X2,X3"
         np.savetxt(data, x, fmt="%.17g", delimiter=",", header=header, comments="")
         assert run("fit", "--data", data) == 2
+
+    def test_empty_first_stable_scan_exit_code(self, workspace, monkeypatch, capsys):
+        # no permutation of this W is made of rook slots at the scan's 0.1 cut
+        w = np.array([[1, 0.01], [1, 0.01]])
+        data = workspace / "data.csv"
+        x = np.random.default_rng(0).laplace(size=(100, 2))
+        np.savetxt(data, x, fmt="%.17g", delimiter=",", header="X1,X2", comments="")
+        monkeypatch.setattr("lingcond.recover.fastica",
+                            lambda x, seed: DemixingEstimate(w, 1, True, w))
+        assert run("fit", "--data", data, "--mode", "enumerate-first-stable") == 2
+        assert "no admissible permutation" in capsys.readouterr().err
 
     def test_raw_lin_alg_error_is_a_numerical_failure(self, workspace, monkeypatch, capsys):
         # before, LinAlgError (a ValueError subclass) met the usage-error clause first: exit 1

@@ -74,8 +74,12 @@ GOOD_RECORD = ExperimentRecord(
     ari=1.0, cluster_f1=1.0, variable_f1=0.875, hamming=2,
     exact_recovery=False, pred_clusters=5, fit_ms=123.456, ica_iters=17,
 )
+GOOD_ERROR_RECORD = ExperimentRecord(
+    d=10, kappa=4, lam=0.5, regime="stable", n=50, seed=0, tau=0.1, error="WhiteningError",
+)
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NON_NEGATIVE = st.floats(0.0, allow_infinity=False)
 _UNIT = st.floats(0.0, 1.0)
 _ERROR_TAG = st.text(st.characters(min_codepoint=33, max_codepoint=126, blacklist_characters=","),
                      min_size=1)
@@ -86,12 +90,8 @@ class TestRecords:
         assert ExperimentRecord.from_csv_row(GOOD_RECORD.to_csv_row()) == GOOD_RECORD
 
     def test_error_record_round_trip(self):
-        rec = ExperimentRecord(
-            d=10, kappa=4, lam=0.5, regime="stable", n=50, seed=0, tau=0.1,
-            error="WhiteningError",
-        )
-        parsed = ExperimentRecord.from_csv_row(rec.to_csv_row())
-        assert parsed == rec
+        parsed = ExperimentRecord.from_csv_row(GOOD_ERROR_RECORD.to_csv_row())
+        assert parsed == GOOD_ERROR_RECORD
         assert parsed.ari is None
 
     @pytest.mark.parametrize("row", [
@@ -108,9 +108,23 @@ class TestRecords:
         replace(GOOD_RECORD, variable_f1=-0.5).to_csv_row(),
         replace(GOOD_RECORD, pred_clusters=0).to_csv_row(),
         replace(GOOD_RECORD, pred_clusters=GOOD_RECORD.d + 1).to_csv_row(),
+        # rows whose fit no run makes: negative seed or tau, n <= d, a negative
+        # fit time, no ICA iteration; the first three on error rows too
+        replace(GOOD_RECORD, seed=-3).to_csv_row(),
+        replace(GOOD_RECORD, tau=-0.1).to_csv_row(),
+        replace(GOOD_RECORD, n=-200).to_csv_row(),
+        replace(GOOD_RECORD, n=GOOD_RECORD.d).to_csv_row(),
+        replace(GOOD_ERROR_RECORD, seed=-3).to_csv_row(),
+        replace(GOOD_ERROR_RECORD, tau=-0.1).to_csv_row(),
+        replace(GOOD_ERROR_RECORD, n=GOOD_ERROR_RECORD.d).to_csv_row(),
+        replace(GOOD_RECORD, fit_ms=-12.5).to_csv_row(),
+        replace(GOOD_RECORD, ica_iters=-30).to_csv_row(),
+        replace(GOOD_RECORD, ica_iters=0).to_csv_row(),
     ], ids=["short", "error-with-metrics", "metric-missing", "exact-with-hamming-3",
             "inexact-with-hamming-0", "negative-hamming", "ari-above-1", "negative-f1",
-            "no-clusters", "more-clusters-than-d"])
+            "no-clusters", "more-clusters-than-d", "negative-seed", "negative-tau",
+            "negative-n", "n-equal-to-d", "error-negative-seed", "error-negative-tau",
+            "error-n-equal-to-d", "negative-fit-ms", "negative-ica-iters", "no-ica-iters"])
     def test_malformed_row_rejected(self, row):
         # before, every row of the right width here loaded as a record
         with pytest.raises(ValueError, match="row"):
@@ -131,20 +145,20 @@ class TestRecords:
         with pytest.raises(ValueError, match=re.escape(f"results cell {cell!r}")):
             ExperimentRecord.from_csv_row(",".join(cells))
 
-    @given(st.builds(
+    @given(st.integers(1, 10**6).flatmap(lambda d: st.builds(
         ExperimentRecord,
-        d=st.integers(1, 10**6), kappa=st.integers(1, 10**3), lam=_FINITE,
-        regime=st.sampled_from(["stable", "unstable"]), n=st.integers(1, 10**9),
-        seed=st.integers(0, 2**63), tau=_FINITE,
-    ).flatmap(lambda rec: st.one_of(
+        d=st.just(d), kappa=st.integers(1, 10**3), lam=_FINITE,
+        regime=st.sampled_from(["stable", "unstable"]), n=st.integers(d + 1, 10**9),
+        seed=st.integers(0, 2**63), tau=_NON_NEGATIVE,
+    )).flatmap(lambda rec: st.one_of(
         st.builds(replace, st.just(rec), error=_ERROR_TAG),
         # a scored row as the scorer writes it: metrics in MetricsReport's
         # ranges, exact recovery where the Hamming distance is 0, 1..d clusters
         st.integers(0, 10**4).flatmap(lambda hamming: st.builds(
             replace, st.just(rec), ari=st.floats(-1.0, 1.0), cluster_f1=_UNIT,
             variable_f1=_UNIT, hamming=st.just(hamming), exact_recovery=st.just(hamming == 0),
-            pred_clusters=st.integers(1, rec.d), fit_ms=_FINITE,
-            ica_iters=st.integers(0, 10**4),
+            pred_clusters=st.integers(1, rec.d), fit_ms=_NON_NEGATIVE,
+            ica_iters=st.integers(1, 10**4),
         )),
     )))
     def test_every_written_row_reads_back_equal(self, rec):
@@ -396,10 +410,10 @@ class TestRunGrid:
         ({"regime": "banana"}, "results cell 'banana'"),
         ({"error": "WhiteningError"}, "neither a scored row nor an error row"),
         ({"hamming": ""}, "neither a scored row nor an error row"),
-        ({"exact_recovery": "1", "hamming": "3"}, "the scorer never writes"),
-        ({"exact_recovery": "0", "hamming": "0"}, "the scorer never writes"),
-        ({"exact_recovery": "0", "hamming": "-4"}, "the scorer never writes"),
-        ({"ari": "2.5"}, "the scorer never writes"),
+        ({"exact_recovery": "1", "hamming": "3"}, "the harness never writes"),
+        ({"exact_recovery": "0", "hamming": "0"}, "the harness never writes"),
+        ({"exact_recovery": "0", "hamming": "-4"}, "the harness never writes"),
+        ({"ari": "2.5"}, "the harness never writes"),
     ], ids=["yes", "banana", "error-with-metrics", "metric-missing", "exact-with-hamming-3",
             "inexact-with-hamming-0", "negative-hamming", "ari-above-1"])
     def test_corrupt_row_stops_the_resume_and_keeps_the_file(self, tmp_path, corrupt, message):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from lingcond import (
     condense,
     enumerate_admissible,
     fastica,
-    first_stable_select,
     generate_scm,
     hungarian_admissible,
     recover_condensation,
@@ -39,10 +39,6 @@ _MODEL_SEEDS = st.integers(0, 2**32 - 1)
 
 def _model_sample(seed):
     return sample(generate_scm(10, 4, 0.5, seed=seed), 10000, seed=seed)
-
-
-def candidate(radius):
-    return CandidateAdjacency(np.zeros((2, 2)), (0, 1), radius)
 
 
 def _run_python(script: str) -> str:
@@ -386,41 +382,6 @@ class TestThreshold:
                 threshold(cand, tau)
 
 
-class TestFirstStableSelect:
-    def test_first_stable_wins(self):
-        cands = [candidate(1.3), candidate(0.8), candidate(0.7)]
-        assert first_stable_select(cands) is cands[1]
-
-    def test_min_radius_fallback(self):
-        cands = [candidate(1.5), candidate(1.2)]
-        assert first_stable_select(cands) is cands[1]
-
-    def test_fallback_tie_prefers_earlier(self):
-        cands = [candidate(1.2), candidate(1.2)]
-        assert first_stable_select(cands) is cands[0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            first_stable_select([])
-
-    def test_reads_nothing_past_the_first_stable_candidate(self):
-        cands = [candidate(1.3), candidate(1.1), candidate(0.9)]
-
-        def stream():
-            yield from cands
-            raise AssertionError("read past the first stable candidate")
-
-        assert first_stable_select(stream()) is cands[2]
-
-    def test_noiseless_stable_scm_recovers_true_b(self):
-        for seed in range(20):
-            scm = generate_scm(8, 3, 0.5, seed=seed)
-            w = np.eye(8) - scm.b.matrix
-            cands = [b_from_w(w, p) for p in enumerate_admissible(w, 1e-9)]
-            chosen = first_stable_select(cands)
-            assert np.allclose(chosen.b, scm.b.matrix, atol=1e-12)
-
-
 class TestNoiselessPermutationInvariance:
     def test_condensation_constant_across_admissible(self):
         rng = np.random.default_rng(31)
@@ -583,17 +544,16 @@ class TestRecoverCondensation:
         with pytest.raises(ValueError, match="finite"):
             recover_condensation(x)
 
-    def test_scan_matches_first_stable_select_on_population(self, monkeypatch):
-        # the lazy pruned scan and the list-based selector agree when the
+    def test_scan_matches_the_rule_on_population(self, monkeypatch):
+        # the pruned block scan and the one-at-a-time rule agree when the
         # demixing matrix has exact zeros; with its floor at 1e-9 the scan
         # admits every rook slot at eta 1e-9, as enumerate_admissible does
         monkeypatch.setattr(recover, "_SCAN_FLOOR", 1e-9)
         for seed in (1, 4):
             scm = generate_scm(8, 3, 0.5, seed=seed, regime="unstable")
             w = np.eye(8) - scm.b.matrix
-            cands = [b_from_w(w, p) for p in enumerate_admissible(w, 1e-9)]
-            expected = first_stable_select(cands)
-            got = first_stable_select(recover._scan_candidates(w, 10**6))
+            expected = _reference_scan(w, 1e-9, 10**6)
+            got = recover._first_stable_scan(w, 10**6)
             assert got.permutation == expected.permutation
 
 
@@ -614,9 +574,49 @@ def _reference_candidates(w, floor):
 
 
 def _reference_scan(w, floor, cap):
-    """First-stable selection, one candidate at a time, over ``_reference_candidates``."""
-    perms = _reference_candidates(w, floor)
-    return first_stable_select(b_from_w(w, p) for p in itertools.islice(perms, cap))
+    """LiNG-D's rule, one ``b_from_w`` candidate at a time, over the first ``cap`` of
+    ``_reference_candidates``: the first stable one, else the earliest of smallest radius."""
+    best = None
+    for p in itertools.islice(_reference_candidates(w, floor), cap):
+        cand = b_from_w(w, p)
+        if cand.spectral_radius < 1.0:
+            return cand
+        if best is None or cand.spectral_radius < best.spectral_radius:
+            best = cand
+    return best
+
+
+@st.composite
+def scan_inputs(draw):
+    """``(w, cap, stable)``: a ``W`` of d <= 6 whose scan ends in the drawn outcome.
+
+    Stable: ``W = S P (I - B)`` with row scales ``S``, a row order ``P`` and
+    ``||B||_inf < 1``, so the candidate of the true permutation is stable, and
+    ``cap`` reaches it. Fallback: every row a scaled copy of one vector ``v``,
+    slightly perturbed or not, so every candidate is near
+    ``I - diag(v)^-1 1 v^T``, whose radius is ``d - 1 >= 2``; unperturbed
+    rows make the radii tie.
+    """
+    stable = draw(st.booleans())
+    d = draw(st.integers(2 if stable else 3, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(-3, 3, d)
+    if draw(st.booleans()):
+        scales = np.ones(d)
+    if stable:
+        b = rng.uniform(-1, 1, (d, d)) * draw(st.floats(0.1, 0.99)) / (d - 1)
+        np.fill_diagonal(b, 0.0)
+        order = rng.permutation(d)  # W[k] is row order[k] of I - B
+        w = scales[:, None] * (np.eye(d) - b)[order]
+        perms = list(_reference_candidates(w, 0.1))
+        cap = draw(st.integers(perms.index(tuple(np.argsort(order).tolist())) + 1,
+                               len(perms) + 10))
+    else:
+        v = rng.choice([-1.0, 1.0], d) * rng.uniform(0.5, 2, d)
+        eps = draw(st.sampled_from([0.0, 1e-6, 1e-2]))
+        w = scales[:, None] * v * (1 + eps * rng.uniform(-1, 1, (d, d)))
+        cap = draw(st.integers(1, 800))
+    return w, cap, stable
 
 
 @pytest.fixture(scope="module")
@@ -641,7 +641,7 @@ class TestFirstStableScan:
     ])
     def test_matches_reference(self, sample_ws, seed, cap, stable):
         w = sample_ws[seed]
-        got = first_stable_select(recover._scan_candidates(w, cap))
+        got = recover._first_stable_scan(w, cap)
         expected = _reference_scan(w, 0.1, cap)
         assert (expected.spectral_radius < 1.0) == stable
         assert got.permutation == expected.permutation
@@ -655,7 +655,7 @@ class TestFirstStableScan:
         # index 113 opens a block; at 51 the block [63, 114) ends on it
         monkeypatch.setattr(recover, "_SCAN_BLOCK", block)
         w = sample_ws[8]
-        got = first_stable_select(recover._scan_candidates(w, 5000))
+        got = recover._first_stable_scan(w, 5000)
         expected = _reference_scan(w, 0.1, 5000)
         assert got.permutation == expected.permutation
         assert np.array_equal(got.b, expected.b)
@@ -668,19 +668,32 @@ class TestFirstStableScan:
         monkeypatch.setattr(recover, "_SCAN_BLOCK", block)
         w = sample_ws[0].copy()
         w[1] = w[0]
-        got = first_stable_select(recover._scan_candidates(w, 10**6))
+        got = recover._first_stable_scan(w, 10**6)
         expected = _reference_scan(w, 0.1, 10**6)
         assert got.spectral_radius >= 1.0
         assert got.permutation == expected.permutation
         assert got.permutation.index(0) < got.permutation.index(1)
         assert np.array_equal(got.b, expected.b)
 
+    @pytest.mark.parametrize("block", [1, 2, 128])
+    def test_first_stable_beats_a_smaller_later_one(self, monkeypatch, block):
+        # candidates 3 and 4 of this W are the stable ones, radii 0.7345 and
+        # 0.6833; blocks of 2 or more put both in one block, blocks of 1 do not
+        monkeypatch.setattr(recover, "_SCAN_BLOCK", block)
+        w = np.array([[-0.207, 1.535, 0.479], [-0.099, -0.805, 0.149], [-0.29, 1.553, 0.512]])
+        radii = [b_from_w(w, p).spectral_radius for p in _reference_candidates(w, 0.1)]
+        assert [i for i, r in enumerate(radii) if r < 1.0] == [3, 4] and radii[4] < radii[3]
+        got = recover._first_stable_scan(w, 10**6)
+        assert got.permutation == (1, 2, 0)
+        assert got.b.tobytes() == b_from_w(w, (1, 2, 0)).b.tobytes()
+        assert got.spectral_radius == radii[3]
+
     def test_one_candidate_blocks_match_reference(self, sample_ws, monkeypatch):
         # every candidate after the first is tested against the best radius so
         # far, which moves as the scan goes
         monkeypatch.setattr(recover, "_SCAN_BLOCK", 1)
         w = sample_ws[0]
-        got = first_stable_select(recover._scan_candidates(w, 10**6))
+        got = recover._first_stable_scan(w, 10**6)
         expected = _reference_scan(w, 0.1, 10**6)
         assert got.permutation == expected.permutation
         assert np.array_equal(got.b, expected.b)
@@ -696,11 +709,11 @@ class TestFirstStableScan:
             return radii(b)
 
         monkeypatch.setattr(recover, "_radii", counting_radii)
-        first_stable_select(recover._scan_candidates(sample_ws[0], 10**6))
+        recover._first_stable_scan(sample_ws[0], 10**6)
         assert sum(1 for _ in _reference_candidates(sample_ws[0], 0.1)) == 1244
         assert sum(scored) < 1244 / 2
-        # the first block holds one candidate: nothing is yielded before it,
-        # so the bound cannot prune it and it gets eigvals alone
+        # the first block holds one candidate: the best radius is inf before
+        # it, so the bound cannot prune it and it gets eigvals alone
         assert scored[0] == 1
 
     def test_gathered_stack_is_b_from_w_bitwise(self, sample_ws):
@@ -725,7 +738,7 @@ class TestFirstStableScan:
                             lambda table, perms: built.append(len(perms)) or build(table, perms))
         monkeypatch.setattr(recover, "_radii", lambda b: scored.append(len(b)) or radii(b))
         for w in sample_ws.values():
-            first_stable_select(recover._scan_candidates(w, 5000))
+            recover._first_stable_scan(w, 5000)
         assert sum(built) == 1244 + 127
         assert sum(scored) / sum(built) < 0.05
 
@@ -739,7 +752,7 @@ class TestFirstStableScan:
             return build(table, perms)
 
         monkeypatch.setattr(recover, "_candidate_stack", counting_build)
-        got = first_stable_select(recover._scan_candidates(sample_ws[0], cap))
+        got = recover._first_stable_scan(sample_ws[0], cap)
         assert sum(built) == min(cap, 1244)
         assert all(type(p) is int for p in got.permutation)
 
@@ -747,11 +760,37 @@ class TestFirstStableScan:
         # d = 70 is past any 64-bit row mask; the floor leaves only the identity
         d = 70
         w = np.eye(d) + 1e-3 * np.random.default_rng(0).normal(size=(d, d))
-        got = first_stable_select(recover._scan_candidates(w, 10**6))
+        got = recover._first_stable_scan(w, 10**6)
         assert got.permutation == tuple(range(d))
         assert got.spectral_radius < 1.0
         assert np.array_equal(got.b, b_from_w(w, range(d)).b)
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(scan_inputs(), st.integers(1, 200))
+    def test_fold_matches_the_one_at_a_time_rule(self, inputs, block):
+        # any block schedule gives the candidate the rule picks one by one
+        w, cap, stable = inputs
+        with mock.patch.object(recover, "_SCAN_BLOCK", block):
+            got = recover._first_stable_scan(w, cap)
+        expected = _reference_scan(w, 0.1, cap)
+        assert (got.spectral_radius < 1.0) == stable
+        assert got.permutation == expected.permutation
+        assert got.b.tobytes() == expected.b.tobytes()
+        assert got.spectral_radius == expected.spectral_radius
+
+    def test_empty_enumeration_raises(self):
+        # slot 1 has no row above the 0.1 cut, so no permutation is made of rook slots
+        with pytest.raises(NoAdmissiblePermutationError):
+            recover._first_stable_scan(np.array([[1, 0.01], [1, 0.01]]), 10**6)
+
+    def test_noiseless_stable_scm_recovers_true_b(self, monkeypatch):
+        # with its floor at 1e-9 the scan admits every rook slot of W = I - B
+        monkeypatch.setattr(recover, "_SCAN_FLOOR", 1e-9)
+        for seed in range(20):
+            scm = generate_scm(8, 3, 0.5, seed=seed)
+            chosen = recover._first_stable_scan(np.eye(8) - scm.b.matrix, 10**6)
+            assert np.allclose(chosen.b, scm.b.matrix, atol=1e-12)
 
 @st.composite
 def matrix_stacks(draw):

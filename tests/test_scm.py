@@ -286,11 +286,15 @@ class TestSample:
 def test_public_names_resolve_and_sample_is_the_one_sampler():
     # ``sample`` draws every sample, and ScmSpec.from_json_dict reads every SCM file
     import lingcond
+    import lingcond.recover
     import lingcond.scm
 
     assert all(hasattr(lingcond, name) for name in lingcond.__all__)
     for name in ("soft_cluster_intervention", "hard_cluster_intervention", "load_scm_json"):
         assert not hasattr(lingcond, name) and not hasattr(lingcond.scm, name), name
+    # the first-stable rule lives in the scan itself, not in a public selector
+    assert not hasattr(lingcond, "first_stable_select")
+    assert not hasattr(lingcond.recover, "first_stable_select")
 
 
 class TestSerialization:
