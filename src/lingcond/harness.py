@@ -36,7 +36,7 @@ from .recover import (
     threshold as apply_threshold,
 )
 from .scm import (
-    DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, _check_model_args, generate_scm, sample,
+    DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, _check_cell, _check_model_args, generate_scm, sample,
 )
 
 # purpose tags for harness-level sub-seed derivation
@@ -197,12 +197,14 @@ class ExperimentRecord:
         """Parse a row the harness writes; ValueError on any other row.
 
         Each cell must be one ``to_csv_row`` writes (``_parse_cell``), the
-        regime a known one, the seed non-negative, ``tau`` one ``check_tau``
-        accepts, ``n > d``, and the metric columns all filled on a scored row
-        and all empty on an error row. A scored row's metrics must be ones
-        the scorer gives: in ``MetricsReport``'s ranges, with
-        ``exact_recovery`` equal to ``hamming == 0``, ``pred_clusters`` in
-        [1, d], ``fit_ms >= 0`` and ``ica_iters >= 1``.
+        regime a known one, ``(d, kappa, lambda)`` a cell ``generate_scm``
+        accepts (``_check_cell``, the rule the study configs apply), the seed
+        non-negative, ``tau`` one ``check_tau`` accepts, ``n > d``, and the
+        metric columns all filled on a scored row and all empty on an error
+        row. A scored row's metrics must be ones the scorer gives: in
+        ``MetricsReport``'s ranges, with ``hamming`` at most the ``d(d-1)``
+        possible edges and ``exact_recovery`` equal to ``hamming == 0``,
+        ``pred_clusters`` in [1, d], ``fit_ms >= 0`` and ``ica_iters >= 1``.
         """
         columns, cells = fields(cls), row.rstrip("\n").split(",")
         if len(cells) != len(columns):
@@ -214,12 +216,14 @@ class ExperimentRecord:
         if any(filled) if rec.error else not all(filled):
             raise ValueError(f"results row is neither a scored row nor an error row: {row!r}")
         try:
+            _check_cell(rec.d, rec.kappa, rec.lam)
             _require(rec.seed >= 0, "seed must be non-negative")
             check_tau(rec.tau)
             _require(rec.n > rec.d, "n must exceed d")
             if not rec.error:
                 MetricsReport(rec.ari, rec.cluster_f1, rec.variable_f1, rec.hamming,
                               rec.pred_clusters)
+                _require(rec.hamming <= rec.d * (rec.d - 1), "hamming must be at most d(d-1)")
                 _require(rec.exact_recovery == (rec.hamming == 0),
                          "exact_recovery must equal hamming == 0")
                 _require(1 <= rec.pred_clusters <= rec.d, "pred_clusters must lie in [1, d]")

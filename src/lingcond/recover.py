@@ -22,7 +22,6 @@ modes are offered:
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -54,10 +53,8 @@ _SCAN_BLOCK = 128
 # the most prefixes the enumeration extends at once
 _ENUM_CHUNK = 512
 _UNIT_ROUNDOFF = 2.0**-53
-# the powers j whose traces bound the spectral radius: the first stage tests
-# every candidate, the second only those the first leaves open
-_TRACE_STAGES = ((4,), (2, 3, 5, 6, 7, 8, 12, 16))
-_TOP_POWER = max(_TRACE_STAGES[-1])
+# the highest power j whose trace bounds the spectral radius (j = 4, 6, ..., 16)
+_TOP_POWER = 16
 
 
 @dataclass(frozen=True)
@@ -258,99 +255,67 @@ def _gamma(m: int) -> float:
     return m * _UNIT_ROUNDOFF / (1 - m * _UNIT_ROUNDOFF)
 
 
-@functools.cache
-def _stage_constants(d: int) -> tuple:
-    """Per stage of ``_certified_above``: ``(j - 1, e_j, j / 2)`` as columns, one row per power.
-
-    ``e_j`` is the relative allowance of the trace of ``B^j``; all three
-    depend on ``d`` only, so a scan computes them once.
-    """
-    out = []
-    for powers in _TRACE_STAGES:
-        j = np.array(powers)[:, None]
-        e = np.expm1((j - 2) * math.log1p(_gamma(d)) + math.log1p(_gamma(d * d)))
-        out.append((j - 1, e, j / 2))
-    return tuple(out)
-
-
 def _certified_above(b: np.ndarray, thr: float) -> np.ndarray:
     """Mask of the matrices of a ``(k, d, d)`` stack whose spectral radius exceeds ``thr``.
 
     A ``True`` entry is a proof, not an estimate. For any ``d x d`` matrix,
     ``|tr(B^j)| = |sum_i lambda_i^j| <= d rho(B)^j``, so
-    ``|tr(B^j)| > d thr^j`` for some ``j`` implies ``rho(B) > thr``. The test
-    runs in two stages (``tr B = 0`` for a zero diagonal):
-
-    1. ``j = 4`` for every matrix, from ``B^2 = B B``. On study inputs it
-       certifies about four in five of the matrices the bound certifies at
-       all, and ``j = 2, 3`` would add almost none.
-    2. ``j = 2, 3, 5, 6, 7, 8, 12, 16`` for the rest only, from
-       ``B^3 = B^2 B``, ``B^4 = B^2 B^2`` and ``B^8 = B^4 B^4``. The higher
-       the power, the more the largest eigenvalue dominates the trace.
-
-    ``t_2``, ``t_3`` and ``t_8`` are the sums of the diagonals of the
-    computed ``B^2``, ``B^3`` and ``B^8``; every other ``t_j = tr(B^a B^c)``,
-    ``a + c = j``, is the sum of ``(B^a)_il (B^c)_li`` that one ``einsum``
-    reads off the two powers, with no product formed. ``False`` means "not
-    shown". A NaN fails the comparison, and a trace can overflow only with
-    ``||B||_F^j``, which makes the allowance infinite, so no overflow or NaN
-    certifies a matrix.
+    ``|tr(B^j)| > d thr^j`` for some ``j`` implies ``rho(B) > thr``. One loop
+    tests ``j = 4, 6, ..., _TOP_POWER`` on the matrices still open: step
+    ``a = 2, 3, ...`` forms ``B^a = B^(a-1) B`` and reads
+    ``t_2a = tr(B^a B^a)``, the sum of ``(B^a)_il (B^a)_li`` that one
+    ``einsum`` takes with no product formed, and the matrices it certifies
+    leave the chain. The higher the power, the more the largest eigenvalue
+    dominates the trace. ``False`` means "not shown". A NaN fails the
+    comparison, and a trace can overflow only with ``||B||_F^j``, which makes
+    the allowance infinite, so no overflow or NaN certifies a matrix.
 
     The allowance ``err_j`` for rounding (``u = 2^-53``, ``gamma_m`` as in
     ``_gamma``), after Higham, *Accuracy and Stability of Numerical
     Algorithms*, sec. 3.5:
 
     * A computed product of conventional inner products of length ``d`` is
-      exact up to ``|fl(XY) - XY| <= gamma_d |X||Y|``. Each power here is a
-      product tree over ``a`` leaves ``B``, which has at most ``a - 1``
-      products along any path, so by induction the computed ``B^a`` is
-      ``B^a + E_a`` with ``|E_a| <= ((1 + gamma_d)^(a-1) - 1) |B|^a``. Then
-      ``|tr(B^a B^c) computed exactly from them - tr(B^j)|`` is at most
+      exact up to ``|fl(XY) - XY| <= gamma_d |X||Y|``. The chain has
+      ``a - 1`` products on its path to ``B^a``, so by induction the computed
+      ``B^a`` is ``B^a + E_a`` with ``|E_a| <= ((1 + gamma_d)^(a-1) - 1) |B|^a``.
+      Then ``|tr(B^a B^a) computed exactly from it - tr(B^j)|`` is at most
       ``((1 + gamma_d)^(j-2) - 1) tr(|B|^j)``, and the final sum of ``d^2``
       rounded products adds ``gamma_(d^2) (1 + gamma_d)^(j-2) tr(|B|^j)``.
       So ``|t_j - tr(B^j)| <= e_j tr(|B|^j)`` with
       ``e_j = (1 + gamma_d)^(j-2) (1 + gamma_(d^2)) - 1``, whatever the
-      summation order. A diagonal sum instead rounds the last product's ``d``
-      inner products and then ``d - 1`` additions, a factor of at most
-      ``(1 + gamma_d)(1 + gamma_(d-1)) <= 1 + gamma_(2d-1)`` in place of
-      ``1 + gamma_(d^2)``, so ``e_j`` covers it too, as ``2d - 1 <= d^2``.
-    * ``tr(|B|^j) = sum(|B|^a * (|B|^c).T) <= || |B|^a ||_F || |B|^c ||_F``,
-      which is at most ``||B||_F^j`` as the Frobenius norm is submultiplicative.
+      summation order.
+    * ``tr(|B|^j) = sum(|B|^a * (|B|^a).T) <= || |B|^a ||_F^2``, which is at
+      most ``||B||_F^j`` as the Frobenius norm is submultiplicative.
     * The computed ``s = sum(B * B)`` underestimates ``||B||_F^2`` by at most
-      a relative ``gamma_(d^2)``; ``s^(j/2)``, ``e_j`` and the products that
-      form the allowance add a relative error of a few ``u`` each. Together
-      these stay far below a factor 2 for any ``d < 10^6``.
-    * ``thr^j`` is a running product of ``j`` factors, rounded ``j - 1``
-      times; ``d thr^j`` and ``|t_j| - err_j`` round once more each, so
-      ``gamma_18 d thr^j`` bounds their error for ``j <= 16``.
+      a relative ``gamma_(d^2)``; ``s^a``, ``e_j`` and the products that form
+      the allowance add a relative error of a few ``u`` each. Together these
+      stay far below a factor 2 for any ``d < 10^6``.
+    * ``thr^j = (thr^a)^2``, with ``thr^a`` a running product, is rounded
+      ``j - 1`` times; ``d thr^j`` and ``|t_j| - err_j`` round once more
+      each, so ``gamma_18 d thr^j`` bounds their error for ``j <= 16``.
 
-    Hence ``err_j = 2 (e_j s^(j/2) + gamma_18 d thr^j)``, the doubling
-    covering the rounding of the allowance itself, and a matrix is certified
-    when the computed ``|t_j| - err_j`` exceeds the computed ``d thr^j``.
+    Hence ``err_j = 2 (e_j s^a + gamma_18 d thr^j)``, the doubling covering
+    the rounding of the allowance itself, and a matrix is certified when the
+    computed ``|t_j| - err_j`` exceeds the computed ``d thr^j``. The loop ends
+    early once no matrix is open or ``d thr^j`` is infinite.
     """
-    first, second = _stage_constants(b.shape[-1])
+    d = b.shape[-1]
+    certified = np.zeros(len(b), bool)
+    rows = np.arange(len(b))  # the matrices still open
+    p, thr_a = b, thr  # B^a and thr^a, from a = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = b.shape[-1] * np.cumprod(np.full(_TOP_POWER, float(thr)))  # d thr^j at j - 1
-        slack = _gamma(_TOP_POWER + 2) * rhs
         fro2 = np.einsum("kij,kij->k", b, b)
-
-        def shown(stage, rows, traces):  # which of the matrices ``rows`` the traces certify
-            at, e, half = stage
-            err = 2 * (e * fro2[rows] ** half + slack[at])
-            return (np.abs(traces) - err > rhs[at]).any(axis=0)
-
-        b2 = b @ b
-        certified = shown(first, slice(None), [np.einsum("kij,kji->k", b2, b2)])
-        if (rest := np.flatnonzero(~certified)).size:
-            b, b2 = b[rest], b2[rest]
-            b3, b4 = b2 @ b, b2 @ b2
-            b8 = b4 @ b4
-            traces = [np.einsum("kii->k", b2), np.einsum("kii->k", b3),  # _TRACE_STAGES' order
-                      np.einsum("kij,kji->k", b2, b3), np.einsum("kij,kji->k", b3, b3),
-                      np.einsum("kij,kji->k", b3, b4), np.einsum("kii->k", b8),
-                      np.einsum("kij,kji->k", b4, b8), np.einsum("kij,kji->k", b8, b8)]
-            certified[rest] = shown(second, rest, traces)
-        return certified
+        for a in range(2, _TOP_POWER // 2 + 1):
+            thr_a *= thr
+            if not rows.size or (rhs := d * (thr_a * thr_a)) == math.inf:
+                break
+            p = p @ b
+            e = math.expm1((2 * a - 2) * math.log1p(_gamma(d)) + math.log1p(_gamma(d * d)))
+            err = 2 * (e * fro2**a + _gamma(_TOP_POWER + 2) * rhs)
+            shown = np.abs(np.einsum("kij,kji->k", p, p)) - err > rhs
+            certified[rows[shown]] = True
+            rows, b, p, fro2 = rows[~shown], b[~shown], p[~shown], fro2[~shown]
+    return certified
 
 
 def b_from_w(w, perm) -> CandidateAdjacency:

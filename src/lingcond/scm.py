@@ -160,14 +160,19 @@ class ScmSpec:
         return scm
 
 
-def _check_model_args(d, kappa, lam, weight_low, weight_high, regime, noise_family) -> None:
-    """Raise ValueError unless ``generate_scm`` can build a model from these arguments."""
+def _check_cell(d, kappa, lam) -> None:
+    """Raise ValueError unless ``generate_scm`` accepts this ``d``, ``kappa`` and ``lam``."""
     if integer(kappa, "kappa") < 1:
         raise ValueError("kappa must be at least 1")
     if integer(d, "d") < 2 * kappa:
         raise ValueError(f"d={d} cannot host {kappa} SCCs of size >= 2")
     if not 0.0 <= finite(lam, "lam") <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
+
+
+def _check_model_args(d, kappa, lam, weight_low, weight_high, regime, noise_family) -> None:
+    """Raise ValueError unless ``generate_scm`` can build a model from these arguments."""
+    _check_cell(d, kappa, lam)
     if not 0 < finite(weight_low, "weight_low") <= finite(weight_high, "weight_high"):
         raise ValueError("need 0 < weight_low <= weight_high, both finite")
     if regime not in REGIME_TARGETS:

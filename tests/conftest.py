@@ -14,6 +14,9 @@ from lingcond import DirectedGraph, Partition, WeightedAdjacency
 settings.register_profile(
     "lingcond", derandomize=True, deadline=None, max_examples=200, database=None
 )
+# a longer run (3,000 examples per test), chosen on the command line with
+# --hypothesis-profile=deep, which overrides the profile loaded here
+settings.register_profile("deep", parent=settings.get_profile("lingcond"), max_examples=3000)
 settings.load_profile("lingcond")
 
 

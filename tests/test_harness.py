@@ -78,7 +78,6 @@ GOOD_ERROR_RECORD = ExperimentRecord(
     d=10, kappa=4, lam=0.5, regime="stable", n=50, seed=0, tau=0.1, error="WhiteningError",
 )
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _NON_NEGATIVE = st.floats(0.0, allow_infinity=False)
 _UNIT = st.floats(0.0, 1.0)
 _ERROR_TAG = st.text(st.characters(min_codepoint=33, max_codepoint=126, blacklist_characters=","),
@@ -120,11 +119,21 @@ class TestRecords:
         replace(GOOD_RECORD, fit_ms=-12.5).to_csv_row(),
         replace(GOOD_RECORD, ica_iters=-30).to_csv_row(),
         replace(GOOD_RECORD, ica_iters=0).to_csv_row(),
+        # cells generate_scm refuses (no SCC, more SCCs than d / 2 hosts, a
+        # density outside [0, 1]) and more differing edges than d(d-1)
+        replace(GOOD_RECORD, kappa=0).to_csv_row(),
+        replace(GOOD_RECORD, kappa=50).to_csv_row(),
+        replace(GOOD_RECORD, lam=-0.5).to_csv_row(),
+        replace(GOOD_RECORD, lam=7.0).to_csv_row(),
+        replace(GOOD_ERROR_RECORD, kappa=50).to_csv_row(),
+        replace(GOOD_RECORD, hamming=500).to_csv_row(),
     ], ids=["short", "error-with-metrics", "metric-missing", "exact-with-hamming-3",
             "inexact-with-hamming-0", "negative-hamming", "ari-above-1", "negative-f1",
             "no-clusters", "more-clusters-than-d", "negative-seed", "negative-tau",
             "negative-n", "n-equal-to-d", "error-negative-seed", "error-negative-tau",
-            "error-n-equal-to-d", "negative-fit-ms", "negative-ica-iters", "no-ica-iters"])
+            "error-n-equal-to-d", "negative-fit-ms", "negative-ica-iters", "no-ica-iters",
+            "kappa-0", "kappa-50", "negative-lambda", "lambda-7", "error-kappa-50",
+            "hamming-500"])
     def test_malformed_row_rejected(self, row):
         # before, every row of the right width here loaded as a record
         with pytest.raises(ValueError, match="row"):
@@ -145,16 +154,18 @@ class TestRecords:
         with pytest.raises(ValueError, match=re.escape(f"results cell {cell!r}")):
             ExperimentRecord.from_csv_row(",".join(cells))
 
-    @given(st.integers(1, 10**6).flatmap(lambda d: st.builds(
+    # rows the harness writes: cells generate_scm accepts (d >= 2,
+    # 1 <= kappa <= d // 2, lambda in [0, 1]) and at most d(d-1) differing edges
+    @given(st.integers(2, 10**6).flatmap(lambda d: st.builds(
         ExperimentRecord,
-        d=st.just(d), kappa=st.integers(1, 10**3), lam=_FINITE,
+        d=st.just(d), kappa=st.integers(1, d // 2), lam=_UNIT,
         regime=st.sampled_from(["stable", "unstable"]), n=st.integers(d + 1, 10**9),
         seed=st.integers(0, 2**63), tau=_NON_NEGATIVE,
     )).flatmap(lambda rec: st.one_of(
         st.builds(replace, st.just(rec), error=_ERROR_TAG),
         # a scored row as the scorer writes it: metrics in MetricsReport's
         # ranges, exact recovery where the Hamming distance is 0, 1..d clusters
-        st.integers(0, 10**4).flatmap(lambda hamming: st.builds(
+        st.integers(0, min(10**4, rec.d * (rec.d - 1))).flatmap(lambda hamming: st.builds(
             replace, st.just(rec), ari=st.floats(-1.0, 1.0), cluster_f1=_UNIT,
             variable_f1=_UNIT, hamming=st.just(hamming), exact_recovery=st.just(hamming == 0),
             pred_clusters=st.integers(1, rec.d), fit_ms=_NON_NEGATIVE,

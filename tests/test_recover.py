@@ -729,9 +729,9 @@ class TestFirstStableScan:
             assert b.tobytes() == b_from_w(w, perm).b.tobytes()
 
     def test_bound_leaves_few_candidates_to_eigvals(self, sample_ws, monkeypatch):
-        # of the 1244 + 127 candidates the two scans build at cap 5000, 57 get
-        # eigvals (4.2%; 72 with powers up to 8 only); a margin of a fifth
-        # keeps the pin off rounding while a weaker bound still fails it
+        # of the 1244 + 127 candidates the two scans build at cap 5000, 55 get
+        # eigvals (4.0%; 62 with the chain stopped at tr B^12, 80 at tr B^8); the
+        # pin keeps a margin off rounding while the tr B^8 chain still fails it
         build, radii = recover._candidate_stack, recover._radii
         built, scored = [], []
         monkeypatch.setattr(recover, "_candidate_stack",
@@ -796,12 +796,12 @@ class TestFirstStableScan:
 def matrix_stacks(draw):
     """Stacks of matrices whose traces stress the bound: random, rotation
     blocks (a dominant complex pair whose powers cancel in the trace),
-    strictly triangular (nilpotent) and scaled cyclic permutations (whose
-    power ``d`` has trace exactly ``d rho^d``, up to ``d = 16``, the top
-    power the bound tests)."""
+    strictly triangular (nilpotent) and scaled cyclic permutations (``B^m``
+    of a ``d``-cycle has trace exactly ``d rho^m`` when ``d`` divides ``m``,
+    else 0; the lengths drawn divide a tested power ``4, 6, ..., 16``)."""
     kind = draw(st.sampled_from(["random", "rotation", "nilpotent", "cycle"]))
-    if kind == "cycle":  # d divides a tested power: 2..8 itself, 12 or 16
-        d = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 12, 16]))
+    if kind == "cycle":  # d divides a tested power: 2..8 (twice d is tested), 10..16 itself
+        d = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16]))
     else:
         d = draw(st.integers(1, 12))
     k = draw(st.integers(1, 6))
