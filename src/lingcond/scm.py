@@ -11,6 +11,8 @@ spectral radius hits the regime target.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,12 @@ REGIME_TARGETS = {"stable": 0.9, "unstable": 1.5}
 # generate_scm draws |weight| uniformly from [DEFAULT_WEIGHT_LOW, DEFAULT_WEIGHT_HIGH]
 DEFAULT_WEIGHT_LOW = 0.5
 DEFAULT_WEIGHT_HIGH = 0.95
+
+# values formatted per pass of save_samples_csv, so its memory is bounded at any d
+_CSV_CHUNK = 1 << 16
+
+# suffixes by which np.loadtxt picks a decompressor
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 DET_TOLERANCE = 1e-10
 MAX_REDRAWS = 100
@@ -271,24 +279,70 @@ def sample(scm: ScmSpec, n: int, seed: int = 0) -> np.ndarray:
 
 
 def save_samples_csv(path, x: np.ndarray) -> None:
-    """Write samples as CSV with header X1..Xd and full double precision.
+    """Write samples as CSV: a header ``X1,...,Xd``, then one ``%.17g`` row per sample.
 
-    Raises ValueError, before opening ``path``, unless ``x`` is a 2-D matrix
-    of finite numbers with at least one row and one column: ``load_samples_csv``
-    reads back only such files.
+    ``path`` is a file name (str or PathLike), opened in text mode, or an open
+    text file. The bytes equal ``np.savetxt(path, x, fmt="%.17g",
+    delimiter=",", header=header, comments="")``; ``%.17g`` round-trips every
+    double exactly. Raises ValueError, before opening ``path``, unless ``x`` is
+    a 2-D matrix of finite numbers with at least one row and one column, and
+    for a name that numpy's loader would decompress: ``load_samples_csv``
+    reads back only plain-text files of such matrices.
     """
     x = sample_matrix(x, "samples")
-    header = ",".join(f"X{i + 1}" for i in range(x.shape[1]))
-    np.savetxt(path, x, fmt="%.17g", delimiter=",", header=header, comments="")
+    if isinstance(path, (str, os.PathLike)):
+        _check_plain_text_name(path)
+        with open(path, "w") as fh:
+            _write_samples(fh, x)
+    else:
+        _write_samples(path, x)
+
+
+def _write_samples(fh, x: np.ndarray) -> None:
+    d = x.shape[1]
+    fh.write(",".join(f"X{i + 1}" for i in range(d)) + "\n")
+    # one % over a block formats in C what np.savetxt formats row by row
+    row_format = ",".join(["%.17g"] * d) + "\n"
+    rows = max(1, _CSV_CHUNK // d)
+    for start in range(0, x.shape[0], rows):
+        block = x[start:start + rows]
+        fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _check_plain_text_name(path) -> None:
+    if os.fsdecode(path).endswith(_COMPRESSED_SUFFIXES):
+        raise ValueError(f"{path}: samples CSVs are plain text, and numpy's loader "
+                         f"decompresses files named {', '.join(_COMPRESSED_SUFFIXES)}")
+
+
+def _is_finite_number(field: str) -> bool:
+    try:
+        return math.isfinite(float(field))
+    except ValueError:
+        return False
 
 
 def load_samples_csv(path) -> np.ndarray:
-    """Read a header of column names, then rows of finite numbers, one per name."""
+    """Read a samples CSV: a header of column names, then rows of finite numbers, one per name.
+
+    ``path`` is a file name of plain text, as ``save_samples_csv`` writes.
+    Blank lines are skipped. Raises ValueError for a compressed name, a first
+    line of numbers (the header is required), a file with no sample rows, a
+    row that does not parse, ``#`` included (the file has no comment lines),
+    non-finite entries and rows of another length than the header.
+    """
+    _check_plain_text_name(path)
     with open(path) as fh:
-        columns = len(fh.readline().split(","))
+        names = fh.readline().split(",")
+        if all(_is_finite_number(name) for name in names):
+            raise ValueError(f"{path}: a samples CSV starts with its column names "
+                             f"(X1,...,Xd); its first line holds numbers")
+        columns = len(names)
         if not any(line.strip() for line in fh):
             raise ValueError(f"{path} holds a header but no sample rows")
-    x = sample_matrix(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2), "sample matrix")
+    x = sample_matrix(
+        np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None), "sample matrix"
+    )
     if x.shape[1] != columns:
         raise ValueError(f"{path}: the header names {columns} columns, the rows hold {x.shape[1]}")
     return x

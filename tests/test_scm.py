@@ -1,8 +1,13 @@
 import dataclasses
+import io
 import json
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lingcond import (
     NoiseSpec,
@@ -23,6 +28,34 @@ from lingcond.scm import (
 
 def example_spec(example_b):
     return ScmSpec(example_b, NoiseSpec(), "stable", 0)
+
+
+# %.17g writes exponents below -4 and from 17 up in exponent notation: both
+# sides of each switch (and of 1e16, repr's switch), the extremes of the
+# doubles, and -0.0
+_CSV_EDGES = [
+    sign * v
+    for edge in (1e-5, 1e-4, 1e16, 1e17)
+    for v in (float(np.nextafter(edge, 0.0)), edge)
+    for sign in (1.0, -1.0)
+] + [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+csv_entries = st.one_of(
+    st.sampled_from(_CSV_EDGES),
+    st.integers(-(2 ** 53), 2 ** 53).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def savetxt_oracle(target, x) -> None:
+    """np.savetxt of a samples CSV: the bytes save_samples_csv must write."""
+    header = ",".join(f"X{i + 1}" for i in range(x.shape[1]))
+    np.savetxt(target, x, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def written_bytes(target) -> bytes:
+    if isinstance(target, io.StringIO):
+        return target.getvalue().encode()
+    return Path(target).read_bytes()
 
 
 class TestWeightedAdjacency:
@@ -346,19 +379,51 @@ class TestSerialization:
         assert header == "X1,X2,X3,X4,X5"
         assert np.array_equal(load_samples_csv(path), x)  # %.17g round-trips exactly
 
-    @pytest.mark.parametrize("x, message", [
-        (np.array([[0.5, np.nan], [1.0, 2.0]]), "samples must be finite"),
-        (np.array([[0.5, 1.0], [1.0, 2.0]]) > 0.7, "samples must hold integers or floats"),
-        (np.arange(3.0), "2-D sample matrix"),
-        (np.empty((0, 3)), "2-D sample matrix"),
-        (np.empty((5, 0)), "2-D sample matrix"),
+    # passes of 1, 5 and 24 values in place of 2^16, so rows around one and two
+    # passes stay few: every d writes one row per pass at 1, several at 24
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), d=st.integers(1, 12), chunk=st.sampled_from([1, 5, 24]),
+           target=st.sampled_from(["str", "path", "stringio"]))
+    def test_samples_csv_bytes_equal_savetxt(self, tmp_path, data, d, chunk, target):
+        rows = max(1, chunk // d)
+        n = data.draw(st.sampled_from(sorted({1, max(1, rows - 1), rows, rows + 1, 2 * rows + 3})))
+        x = data.draw(arrays(np.float64, (n, d), elements=csv_entries))
+        if target == "stringio":
+            ours, oracle = io.StringIO(), io.StringIO()
+        else:
+            kind = str if target == "str" else Path
+            ours, oracle = kind(tmp_path / "ours.csv"), kind(tmp_path / "oracle.csv")
+        with mock.patch("lingcond.scm._CSV_CHUNK", chunk):
+            save_samples_csv(ours, x)
+        savetxt_oracle(oracle, x)
+        assert written_bytes(ours) == written_bytes(oracle)
+
+    def test_samples_csv_bytes_equal_savetxt_over_full_passes(self, tmp_path):
+        # a fit-d10 sample: 1e4 rows of 10 columns, written in passes of 6553 rows
+        x = sample(generate_scm(10, 4, 0.5, seed=1), 10_000, seed=1)
+        save_samples_csv(tmp_path / "ours.csv", x)
+        savetxt_oracle(tmp_path / "oracle.csv", x)
+        assert written_bytes(tmp_path / "ours.csv") == written_bytes(tmp_path / "oracle.csv")
+
+    @pytest.mark.parametrize("name, x, message", [
+        ("data.csv", np.array([[0.5, np.nan], [1.0, 2.0]]), "samples must be finite"),
+        ("data.csv", np.array([[0.5, 1.0], [1.0, 2.0]]) > 0.7,
+         "samples must hold integers or floats"),
+        ("data.csv", np.arange(3.0), "2-D sample matrix"),
+        ("data.csv", np.empty((0, 3)), "2-D sample matrix"),
+        ("data.csv", np.empty((5, 0)), "2-D sample matrix"),
+        ("data.csv.gz", np.ones((2, 2)), "plain text"),
+        ("data.csv.bz2", np.ones((2, 2)), "plain text"),
+        ("data.xz", np.ones((2, 2)), "plain text"),
+        ("data.lzma", np.ones((2, 2)), "plain text"),
     ])
-    def test_samples_csv_refuses_what_it_could_not_read_back(self, tmp_path, x, message):
+    def test_samples_csv_refuses_what_it_could_not_read_back(self, tmp_path, name, x, message):
         # before, NaN was written into a file load_samples_csv refuses, a bool
-        # matrix was written as 1/0, a 1-D array raised a raw IndexError, and
+        # matrix was written as 1/0, a 1-D array raised a raw IndexError,
         # (0, 3) and (5, 0) arrays were written as a bare header and as five
-        # blank lines
-        path = tmp_path / "data.csv"
+        # blank lines, and a .gz name was gzipped, which the loader's header
+        # scan failed to decode
+        path = tmp_path / name
         with pytest.raises(ValueError, match=message):
             save_samples_csv(path, x)
         assert not path.exists()
@@ -369,11 +434,31 @@ class TestSerialization:
         ("X1,X2\n\n", "no sample rows"),
         ("", "no sample rows"),
         ("X1,X2\n1,nan\n3,4\n", "sample matrix must be finite"),
+        ("X1,X2\n1.5,2.5\n#3,4\n5,6 # note\n7,8\n", "'#3'"),
+        ("X1,X2\n1.5,2.5\n5,6 # note\n7,8\n", "'6 # note'"),
+        ("1.5,2.5\n3,4\n5,6\n7,8\n", "starts with its column names"),
     ])
     def test_samples_csv_must_match_its_header(self, tmp_path, text, message):
         # before, a 3-name header over rows of 2 values loaded as an n x 2
-        # matrix, and a header-only file as a 0 x 1 matrix with a UserWarning
+        # matrix, a header-only file as a 0 x 1 matrix with a UserWarning, a
+        # "#" row was dropped, a "# note" cut off, and a file without a header
+        # lost its first sample to it
         path = tmp_path / "data.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
+            load_samples_csv(path)
+
+    @pytest.mark.parametrize("text", ["X1,X2\n1,2\n\n3,4\n", "X1,X2\r\n1,2\r\n3,4\r\n"])
+    def test_samples_csv_skips_blank_lines_and_reads_crlf(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        assert load_samples_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("name", ["data.csv.gz", "data.csv.bz2", "data.xz", "data.lzma"])
+    def test_samples_csv_loader_refuses_compressed_names(self, tmp_path, name):
+        # before, np.loadtxt tried to decompress a plain-text file of such a
+        # name and raised an OSError or an LZMAError
+        path = tmp_path / name
+        path.write_text("X1,X2\n1,2\n")
+        with pytest.raises(ValueError, match="plain text"):
             load_samples_csv(path)
