@@ -3,12 +3,13 @@
 Both studies run one unit of work: a model, one sample of size n and one
 record seed, fitted once with ``recover_condensation`` at the smallest of
 the study's taus (the grid's ``cfg.taus``, or beta_min / 2 of the fixed
-SCM), then cut and scored at each of them; a threshold sweep is a grid of
-one cell. A unit is pure given its derived sub-seeds, so runs are
-deterministic and resumable: a unit whose rows all exist is skipped. Units
-run one after another in the calling process; runs over disjoint seeds in
-separate processes write CSVs whose concatenation a run of the whole config
-resumes without a fit. Results go to a flat CSV, one column per
+SCM), then cut at each of them by ``RecoveryResult.cut`` and scored; a
+threshold sweep is a grid of one cell. Both fit in Hungarian mode unless a
+grid config names another. A unit is pure given its derived sub-seeds, so
+runs are deterministic and resumable: a unit whose rows all exist is
+skipped. Units run one after another in the calling process; runs over
+disjoint seeds in separate processes write CSVs whose concatenation a run of
+the whole config resumes without a fit. Results go to a flat CSV, one column per
 ``ExperimentRecord`` field, ordered by key rather than completion time and
 read back by the rules it is written with. Sub-seeds for the model, the
 sample and FastICA (whose seed is its one setting) are derived by hashing
@@ -29,12 +30,8 @@ import numpy as np
 
 from . import rng as rng_mod
 from .exceptions import NUMERICAL_FAILURES, finite, finite_array, integer
-from .graphs import support_graph
 from .metrics import MetricsReport, evaluate
-from .recover import (
-    DEFAULT_ENUM_CAP, DEFAULT_TAU, MODES, check_tau, recover_condensation,
-    threshold as apply_threshold,
-)
+from .recover import DEFAULT_ENUM_CAP, DEFAULT_TAU, MODES, check_tau, recover_condensation
 from .scm import (
     DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, _check_cell, _check_model_args, generate_scm, sample,
 )
@@ -121,7 +118,7 @@ class GridConfig(_StudyConfig):
     sample_sizes: tuple = (50, 200, 1000, 5000, 20000, 100000)
     seeds: tuple = tuple(range(10))
     taus: tuple = (DEFAULT_TAU,)
-    mode: str = "enumerate-first-stable"
+    mode: str = "hungarian"
     enum_cap: int = DEFAULT_ENUM_CAP
 
     def __post_init__(self):
@@ -294,14 +291,14 @@ def _cell_keys(d: int, kappa: int, lam: float, regime: str) -> tuple:
 
 
 def _run_unit(cfg, rows, scm_seed: int, sample_seed: int, ica_seed: int) -> list:
-    """Fit one unit's model once at its smallest tau, then cut and score it at each row's tau.
+    """Fit one unit's model once at its smallest tau, then score ``fitted.cut(tau)`` per row.
 
     ``rows`` are the unit's unscored records, one per tau, sharing the
     (kappa, lambda, regime, n) they are fitted at; ``cfg`` is the study
     config, read for ``d``, the weight bounds, the noise family and the
-    remaining ``recover_condensation`` knobs. A cut depends on the candidate
-    and tau alone, so each support equals the one a fit at that tau gives.
-    A failed fit yields one error row per tau.
+    remaining ``recover_condensation`` knobs. Each row's cut equals the
+    result of a fit at its tau (``RecoveryResult.cut``), and its
+    ``ica_iters`` is the fit's own. A failed fit yields one error row per tau.
     """
     unit = rows[0]
     try:
@@ -317,7 +314,7 @@ def _run_unit(cfg, rows, scm_seed: int, sample_seed: int, ica_seed: int) -> list
     truth = scm.b.support()
     records = []
     for row in rows:
-        report = evaluate(support_graph(apply_threshold(fitted.candidate, row.tau)), truth)
+        report = evaluate(fitted.cut(row.tau).support(), truth)
         records.append(replace(
             row,
             ari=report.ari,
@@ -327,7 +324,7 @@ def _run_unit(cfg, rows, scm_seed: int, sample_seed: int, ica_seed: int) -> list
             exact_recovery=report.hamming_support == 0,
             pred_clusters=report.predicted_partition_size,
             fit_ms=fitted.timings_ms["total_ms"],
-            ica_iters=fitted.ica_iterations,
+            ica_iters=fitted.estimate.iterations,
         ))
     return records
 

@@ -4,15 +4,14 @@ The pipeline estimates a demixing matrix by FastICA, picks one or more row
 permutations made of rook slots, entries above a fixed fraction of their
 row's largest magnitude (``_rook_slots``), maps each to a candidate
 adjacency ``B = I - diag(PW)^{-1} PW``, hard-thresholds, and reads the SCC
-partition and inter-cluster edges off the surviving support. Two selection
-modes are offered:
+partition and inter-cluster edges off the surviving support; one fit serves
+every threshold (``RecoveryResult.cut``). Two selection modes are offered:
 
 * ``hungarian`` (the default): one permutation from a min-cost assignment
   (``_min_cost_assignment``) in which entries that are not rook slots cost
   ``inf``; when no assignment has finite cost, that is raised as
   ``NoAdmissiblePermutationError``.
-* ``enumerate-first-stable``, for experiments that also score
-  variable-level structure: ``_first_stable_scan`` applies LiNG-D's rule,
+* ``enumerate-first-stable``: ``_first_stable_scan`` applies LiNG-D's rule,
   the first candidate with spectral radius below 1, else the earliest one of
   smallest radius. It enumerates permutations lazily in lexicographic
   order, whole arrays of them at a time, scores them in blocks that double
@@ -24,13 +23,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import NoAdmissiblePermutationError, finite, integer, square_matrix
 from .graphs import Condensation, DirectedGraph, Partition, condense, support_graph
-from .ica import fastica
+from .ica import DemixingEstimate, fastica
 from .scm import _radii
 
 MODES = ("hungarian", "enumerate-first-stable")
@@ -403,14 +402,14 @@ def _first_stable_scan(m: np.ndarray, cap: int) -> CandidateAdjacency:
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Output of the full pipeline: the selected candidate, its cut and their condensation."""
+    """Output of the full pipeline: the fit, its selected candidate, a cut and its condensation."""
 
     candidate: CandidateAdjacency  # uncut: its spectral_radius is the radius the selection judged
     b_hat: np.ndarray  # threshold(candidate, tau)
     condensation: Condensation
     tau: float
     timings_ms: dict
-    ica_iterations: int
+    estimate: DemixingEstimate
     mode: str
 
     @property
@@ -420,6 +419,16 @@ class RecoveryResult:
     def support(self) -> DirectedGraph:
         return support_graph(self.b_hat)
 
+    def cut(self, tau) -> RecoveryResult:
+        """This fit cut at ``tau``: ``b_hat``, ``condensation`` and ``tau`` replaced, no refit.
+
+        A cut depends on the candidate and ``tau`` alone, so it equals the
+        result of a fit of the same sample and seed at ``tau``, timings aside.
+        """
+        b_hat = threshold(self.candidate, tau)
+        return replace(self, b_hat=b_hat, condensation=condense(support_graph(b_hat)),
+                       tau=check_tau(tau))
+
     def to_json_dict(self) -> dict:
         return {
             "partition": list(self.partition.labels),
@@ -428,7 +437,7 @@ class RecoveryResult:
             "tau": self.tau,
             "eta": DEFAULT_ETA,
             "timings": {k: float(v) for k, v in self.timings_ms.items()},
-            "icaIterations": self.ica_iterations,
+            "icaIterations": self.estimate.iterations,
             "mode": self.mode,
         }
 
@@ -443,10 +452,11 @@ def recover_condensation(
     """Run the full pipeline on a sample matrix.
 
     FastICA from ``seed`` -> permutation selection (per ``mode``) ->
-    candidate adjacency -> hard threshold at ``tau`` -> SCC partition and
-    inter-cluster edges of the surviving support. Per-stage wall times are
-    recorded in milliseconds. Raises ValueError on a non-finite or
-    out-of-range knob before fitting.
+    candidate adjacency -> ``RecoveryResult.cut`` at ``tau``: hard threshold,
+    then SCC partition and inter-cluster edges of the surviving support.
+    Per-stage wall times are recorded in milliseconds, the cut's under
+    ``tarjan_ms``. Raises ValueError on a non-finite or out-of-range knob
+    before fitting.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -458,26 +468,13 @@ def recover_condensation(
     estimate = fastica(x, seed)
     t1 = time.perf_counter()
     if mode == "hungarian":
-        perm = hungarian_admissible(estimate.w)
-        candidate = b_from_w(estimate.w, perm)
+        candidate = b_from_w(estimate.w, hungarian_admissible(estimate.w))
     else:
         candidate = _first_stable_scan(estimate.w, enum_cap)
-    b_hat = threshold(candidate, tau)
     t2 = time.perf_counter()
-    condensation = condense(support_graph(b_hat))
+    result = RecoveryResult(candidate, None, None, None, {}, estimate, mode).cut(tau)  # uncut
     t3 = time.perf_counter()
-
-    return RecoveryResult(
-        candidate=candidate,
-        b_hat=b_hat,
-        condensation=condensation,
-        tau=tau,
-        timings_ms={
-            "ica_ms": (t1 - t0) * 1e3,
-            "assign_ms": (t2 - t1) * 1e3,
-            "tarjan_ms": (t3 - t2) * 1e3,
-            "total_ms": (t3 - t0) * 1e3,
-        },
-        ica_iterations=estimate.iterations,
-        mode=mode,
-    )
+    return replace(result, timings_ms={
+        "ica_ms": (t1 - t0) * 1e3, "assign_ms": (t2 - t1) * 1e3,
+        "tarjan_ms": (t3 - t2) * 1e3, "total_ms": (t3 - t0) * 1e3,
+    })

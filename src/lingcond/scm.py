@@ -322,6 +322,27 @@ def _is_finite_number(field: str) -> bool:
         return False
 
 
+def _first_bad_line(path, columns: int) -> str | None:
+    """Where a samples CSV stops parsing: its first row not of ``columns`` numbers, by line number.
+
+    Lines are counted in the file, header and blank lines included; blank
+    lines are skipped, as ``np.loadtxt`` skips them.
+    """
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            cells = line.rstrip("\n").split(",")
+            if number == 1 or cells == [""]:
+                continue
+            if len(cells) != columns:
+                return f"line {number}: the header names {columns} columns, the line {len(cells)}"
+            for cell in cells:
+                try:
+                    float(cell.replace("_", "x"))  # numpy's parser, unlike float's, takes no "_"
+                except ValueError:
+                    return f"line {number}: {cell!r} is not a number"
+    return None
+
+
 def load_samples_csv(path) -> np.ndarray:
     """Read a samples CSV: a header of column names, then rows of finite numbers, one per name.
 
@@ -329,7 +350,8 @@ def load_samples_csv(path) -> np.ndarray:
     Blank lines are skipped. Raises ValueError for a compressed name, a first
     line of numbers (the header is required), a file with no sample rows, a
     row that does not parse, ``#`` included (the file has no comment lines),
-    non-finite entries and rows of another length than the header.
+    naming its line in the file (``_first_bad_line``), non-finite entries
+    and rows of another length than the header.
     """
     _check_plain_text_name(path)
     with open(path) as fh:
@@ -340,9 +362,11 @@ def load_samples_csv(path) -> np.ndarray:
         columns = len(names)
         if not any(line.strip() for line in fh):
             raise ValueError(f"{path} holds a header but no sample rows")
-    x = sample_matrix(
-        np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None), "sample matrix"
-    )
+    try:
+        x = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError as exc:  # numpy counts rows from 0 after the header and blank lines
+        raise ValueError(f"{path}, {_first_bad_line(path, columns) or exc}") from exc
+    x = sample_matrix(x, "sample matrix")
     if x.shape[1] != columns:
         raise ValueError(f"{path}: the header names {columns} columns, the rows hold {x.shape[1]}")
     return x

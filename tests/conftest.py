@@ -149,3 +149,11 @@ def best_assignment_brute(w, eta):
         if score > best_score:
             best_perm, best_score = perm, score
     return best_perm, best_score
+
+
+# a samples CSV that stops parsing, and where its message says it stops
+BAD_SAMPLE_LINES = [
+    ("X1,X2\n1.5,2.5\n#3,4\n", "line 3: '#3' is not a number"),
+    ("X1,X2\n\n1.5,2.5\n\n1,x\n", "line 5: 'x' is not a number"),
+    ("X1,X2\n1,2\n\n3\n", "line 4: the header names 2 columns, the line 1"),
+]

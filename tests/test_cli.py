@@ -15,6 +15,7 @@ from lingcond.scm import (
     DEFAULT_WEIGHT_HIGH, DEFAULT_WEIGHT_LOW, NOISE_FAMILIES, REGIME_TARGETS, ScmSpec,
     generate_scm, load_samples_csv, save_scm_json,
 )
+from conftest import BAD_SAMPLE_LINES
 
 
 def run(*argv):
@@ -167,6 +168,14 @@ class TestExitCodes:
 
     def test_usage_error_missing_file(self, workspace):
         assert run("fit", "--data", workspace / "missing.csv") == 1
+
+    @pytest.mark.parametrize("text, where", BAD_SAMPLE_LINES)
+    def test_unparsable_samples_name_their_line(self, workspace, capsys, text, where):
+        data = workspace / "data.csv"
+        data.write_text(text)
+        assert run("fit", "--data", data, "--out", workspace / "fit.json") == 1
+        assert where in capsys.readouterr().err
+        assert not (workspace / "fit.json").exists()
 
     def test_usage_error_bad_enum_cap(self, workspace):
         data = workspace / "data.csv"

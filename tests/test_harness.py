@@ -382,6 +382,21 @@ class TestConfigs:
         with pytest.raises(ValueError, match="unknown config keys"):
             SampleComplexityConfig.from_json_dict({"mode": "hungarian"})
 
+    def test_grid_mode_defaults_to_hungarian(self, tmp_path):
+        # a grid config that names no mode writes the CSV of one that names
+        # "hungarian", fit_ms aside; before, it fitted with the first-stable scan
+        assert GridConfig().mode == "hungarian"
+        data = {"d": 6, "kappas": [2], "lambdas": [0.4], "regimes": ["unstable"],
+                "taus": [0.05, 0.2], "sample_sizes": [300, 800], "seeds": 2}
+        fit_ms = CSV_HEADER.split(",").index("fit_ms")
+        written = []
+        for name, extra in (("default", {}), ("named", {"mode": "hungarian"})):
+            out = tmp_path / f"{name}.csv"
+            run_grid(GridConfig.from_json_dict({**data, **extra}), out_path=out)
+            written.append([line.split(",")[:fit_ms] + line.split(",")[fit_ms + 1:]
+                            for line in out.read_text().splitlines()])
+        assert len(written[0]) == 9 and written[0] == written[1]
+
 
 class TestRunGrid:
     def test_records_and_rerun_idempotence(self, tmp_path):
@@ -549,7 +564,7 @@ class TestStudyUnit:
                     rec.pred_clusters, rec.ica_iters) == (
                 report.ari, report.cluster_dag_f1, report.variable_f1, report.hamming_support,
                 report.hamming_support == 0, report.predicted_partition_size,
-                fit.ica_iterations)
+                fit.estimate.iterations)
 
     @pytest.mark.parametrize("name", list(RUNNERS))
     def test_failed_fit_gives_one_error_row_per_tau(self, name, monkeypatch):

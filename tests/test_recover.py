@@ -557,6 +557,46 @@ class TestRecoverCondensation:
             assert got.permutation == expected.permutation
 
 
+class TestCut:
+    """One fit serves every tau: ``RecoveryResult.cut`` cuts it again with no refit."""
+
+    @pytest.mark.parametrize("mode", recover.MODES)
+    def test_cut_equals_a_fit_at_that_tau(self, mode):
+        x = sample(generate_scm(8, 3, 0.5, regime="unstable", seed=2), 1000, seed=2)
+        fitted = recover_condensation(x, tau=0.05, seed=3, mode=mode, enum_cap=500)
+        for tau in (0.0, 0.02, 0.05, 0.1, 0.3, 1, 5.0):
+            cut = fitted.cut(tau)
+            fresh = recover_condensation(x, tau=tau, seed=3, mode=mode, enum_cap=500)
+            assert cut.b_hat.tobytes() == fresh.b_hat.tobytes()
+            assert not cut.b_hat.flags.writeable
+            assert (cut.condensation, cut.tau, cut.estimate.iterations) == (
+                fresh.condensation, fresh.tau, fresh.estimate.iterations)
+            assert type(cut.tau) is float
+            assert cut.to_json_dict()["icaIterations"] == fresh.estimate.iterations
+            # the fit itself is shared, not copied
+            assert cut.candidate is fitted.candidate and cut.estimate is fitted.estimate
+        assert fitted.tau == 0.05  # cutting leaves the fit's own cut as it was
+
+    def test_cut_runs_no_fastica(self, example_b, monkeypatch):
+        fitted = recover_condensation(sample(ScmSpec(example_b, NoiseSpec(), "stable", 0),
+                                             3000, seed=9))
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a cut ran FastICA")
+
+        monkeypatch.setattr(recover, "fastica", no_fit)
+        cut = fitted.cut(0.5)
+        assert np.array_equal(cut.b_hat, threshold(fitted.candidate, 0.5))
+        assert cut.condensation == condense(cut.support())
+
+    @pytest.mark.parametrize("tau", [math.nan, -0.1, True])
+    def test_cut_refuses_a_bad_tau(self, example_b, tau):
+        fitted = recover_condensation(sample(ScmSpec(example_b, NoiseSpec(), "stable", 0),
+                                             2000, seed=1))
+        with pytest.raises(ValueError, match="tau"):
+            fitted.cut(tau)
+
+
 def _finite_sample_w(seed, regime, n):
     scm = generate_scm(8, 3, 0.5, seed=seed, regime=regime)
     return fastica(sample(scm, n, seed=seed), seed).w

@@ -24,6 +24,7 @@ from lingcond.scm import (
     DEFAULT_SCALES, NOISE_FAMILIES, REGIME_TARGETS, load_samples_csv, save_samples_csv,
     save_scm_json,
 )
+from conftest import BAD_SAMPLE_LINES
 
 
 def example_spec(example_b):
@@ -447,6 +448,17 @@ class TestSerialization:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             load_samples_csv(path)
+
+    @pytest.mark.parametrize("text, where", BAD_SAMPLE_LINES)
+    def test_samples_csv_parse_error_names_the_file_line(self, tmp_path, text, where):
+        # before, numpy's message counted data rows from 0 after the header and
+        # the blank lines ("row 1" for the first two cases), and the ragged row
+        # came with numpy's hint to pass usecols
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_samples_csv(path)
+        assert str(info.value) == f"{path}, {where}"
 
     @pytest.mark.parametrize("text", ["X1,X2\n1,2\n\n3,4\n", "X1,X2\r\n1,2\r\n3,4\r\n"])
     def test_samples_csv_skips_blank_lines_and_reads_crlf(self, tmp_path, text):
