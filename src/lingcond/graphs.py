@@ -30,10 +30,8 @@ class DirectedGraph:
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        d = integer(self.d, "node count")
-        edges = frozenset((integer(u, "node id"), integer(v, "node id")) for u, v in self.edges)
-        if d < 1:
-            raise ValueError("node count must be positive")
+        d = integer(self.d, "node count", 1)
+        edges = frozenset(map(_edge, self.edges))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edges)
         for u, v in edges:
@@ -57,10 +55,18 @@ class DirectedGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "DirectedGraph":
         """Graph from ``{"d": d, "edges": [[src, dst], ...]}``; ValueError if malformed."""
-        try:
-            return cls(data["d"], frozenset(tuple(e) for e in data["edges"]))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed graph JSON: {exc!r}") from exc
+        edges = data.get("edges") if isinstance(data, dict) else None
+        if not isinstance(edges, list):
+            raise ValueError(f"malformed graph JSON: no list of [src, dst] edges in {data!r}")
+        return cls(data.get("d"), edges)
+
+
+def _edge(edge) -> tuple:  # a (src, dst) pair of node ids; ValueError naming any other edge
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        raise ValueError(f"edge {edge!r} is not a (src, dst) pair") from None
+    return integer(u, "node id"), integer(v, "node id")
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,21 @@
 """Experiment harness: grid runs and the sample-complexity study.
 
-Both studies run one unit of work: a model, one sample of size n and one
-record seed, fitted once with ``recover_condensation`` at the smallest of
-the study's taus (the grid's ``cfg.taus``, or beta_min / 2 of the fixed
-SCM), then cut at each of them by ``RecoveryResult.cut`` and scored; a
-threshold sweep is a grid of one cell. Both fit in Hungarian mode unless a
-grid config names another. A unit is pure given its derived sub-seeds, so
-runs are deterministic and resumable: a unit whose rows all exist is
-skipped. Units run one after another in the calling process; runs over
-disjoint seeds in separate processes write CSVs whose concatenation a run of
-the whole config resumes without a fit. Results go to a flat CSV, one column per
-``ExperimentRecord`` field, ordered by key rather than completion time and
-read back by the rules it is written with. Sub-seeds for the model, the
-sample and FastICA (whose seed is its one setting) are derived by hashing
-the explicit record seed together with cell identifiers and a purpose tag
-through ``rng.derive_seed`` (SeedSequence); the SCM stream deliberately
-excludes the sample size so one seed sees a growing sample of the same
-model.
+Both studies run one unit of work: a model, one sample of size n and one record
+seed, fitted once with ``recover_condensation`` at the smallest of the study's
+taus (the grid's ``cfg.taus``, or beta_min / 2 of the fixed SCM), then cut at
+each of them by ``RecoveryResult.cut`` and scored with the cut's condensation;
+a threshold sweep is a grid of one cell. Both fit in Hungarian mode unless a
+grid config names another. A unit is pure given its derived sub-seeds, so runs
+are deterministic and resumable: a unit whose rows all exist is skipped. Units
+run one after another in the calling process; runs over disjoint seeds in
+separate processes write CSVs whose concatenation a run of the whole config
+resumes without a fit. Results go to a flat CSV, one column per
+``ExperimentRecord`` field, ordered by key rather than completion time and read
+back by the rules it is written with. Sub-seeds for the model, the sample and
+FastICA (whose seed is its one setting) are derived by hashing the explicit
+record seed together with cell identifiers and a purpose tag through
+``rng.derive_seed`` (SeedSequence); the SCM stream deliberately excludes the
+sample size so one seed sees a growing sample of the same model.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .exceptions import NUMERICAL_FAILURES, finite, finite_array, integer
+from .graphs import condense
 from .metrics import MetricsReport, evaluate
 from .recover import DEFAULT_ENUM_CAP, DEFAULT_TAU, MODES, check_tau, recover_condensation
 from .scm import (
@@ -297,7 +297,8 @@ def _run_unit(cfg, rows, scm_seed: int, sample_seed: int, ica_seed: int) -> list
     (kappa, lambda, regime, n) they are fitted at; ``cfg`` is the study
     config, read for ``d``, the weight bounds, the noise family and the
     remaining ``recover_condensation`` knobs. Each row's cut equals the
-    result of a fit at its tau (``RecoveryResult.cut``), and its
+    result of a fit at its tau (``RecoveryResult.cut``) and is scored with its
+    own condensation against the true one, condensed once per unit; its
     ``ica_iters`` is the fit's own. A failed fit yields one error row per tau.
     """
     unit = rows[0]
@@ -311,10 +312,12 @@ def _run_unit(cfg, rows, scm_seed: int, sample_seed: int, ica_seed: int) -> list
                                       **cfg._fit())
     except NUMERICAL_FAILURES as exc:
         return [replace(row, error=type(exc).__name__) for row in rows]
-    truth = scm.b.support()
+    true_support = scm.b.support()
+    truth = condense(true_support)
     records = []
     for row in rows:
-        report = evaluate(fitted.cut(row.tau).support(), truth)
+        cut = fitted.cut(row.tau)
+        report = evaluate(cut.support(), cut.condensation, true_support, truth)
         records.append(replace(
             row,
             ari=report.ari,

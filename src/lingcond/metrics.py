@@ -1,11 +1,11 @@
-"""Evaluation metrics: adjusted Rand index, edge F1 scores, support Hamming."""
+"""Evaluation metrics of given condensations and supports: ARI, edge F1, support Hamming."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Condensation, DirectedGraph, Partition, condense, quotient, tarjan_scc
+from .graphs import Condensation, DirectedGraph, Partition, quotient
 
 
 def ari(pred: Partition, truth: Partition) -> float:
@@ -83,15 +83,13 @@ class MetricsReport:
             raise ValueError("hamming_support must be non-negative")
 
 
-def evaluate(pred_support: DirectedGraph, true_support: DirectedGraph) -> MetricsReport:
-    """Score a recovered support against the generating one via their condensations."""
-    hamming = hamming_support(pred_support, true_support)
-    pred_partition = tarjan_scc(pred_support)
-    truth = condense(true_support)
+def evaluate(pred_support: DirectedGraph, pred: Condensation,
+             true_support: DirectedGraph, truth: Condensation) -> MetricsReport:
+    """Score a recovered support and condensation against the true ones, each as given."""
     return MetricsReport(
-        ari=ari(pred_partition, truth.partition),
+        hamming_support=hamming_support(pred_support, true_support),  # first: checks the d's
+        ari=ari(pred.partition, truth.partition),
         cluster_dag_f1=cluster_dag_f1(pred_support, truth),
         variable_f1=edge_f1(pred_support.edges, true_support.edges),
-        hamming_support=hamming,
-        predicted_partition_size=pred_partition.num_clusters,
+        predicted_partition_size=pred.partition.num_clusters,
     )

@@ -281,32 +281,25 @@ def sample(scm: ScmSpec, n: int, seed: int = 0) -> np.ndarray:
 def save_samples_csv(path, x: np.ndarray) -> None:
     """Write samples as CSV: a header ``X1,...,Xd``, then one ``%.17g`` row per sample.
 
-    ``path`` is a file name (str or PathLike), opened in text mode, or an open
-    text file. The bytes equal ``np.savetxt(path, x, fmt="%.17g",
-    delimiter=",", header=header, comments="")``; ``%.17g`` round-trips every
-    double exactly. Raises ValueError, before opening ``path``, unless ``x`` is
-    a 2-D matrix of finite numbers with at least one row and one column, and
-    for a name that numpy's loader would decompress: ``load_samples_csv``
-    reads back only plain-text files of such matrices.
+    ``path`` is a file name (str or PathLike), opened in text mode. The bytes
+    equal ``np.savetxt(path, x, fmt="%.17g", delimiter=",", header=header,
+    comments="")``; ``%.17g`` round-trips every double exactly. Raises
+    ValueError, before opening ``path``, unless ``x`` is a 2-D matrix of
+    finite numbers with at least one row and one column, and for a name that
+    numpy's loader would decompress: ``load_samples_csv`` reads back only
+    plain-text files of such matrices.
     """
     x = sample_matrix(x, "samples")
-    if isinstance(path, (str, os.PathLike)):
-        _check_plain_text_name(path)
-        with open(path, "w") as fh:
-            _write_samples(fh, x)
-    else:
-        _write_samples(path, x)
-
-
-def _write_samples(fh, x: np.ndarray) -> None:
+    _check_plain_text_name(path)
     d = x.shape[1]
-    fh.write(",".join(f"X{i + 1}" for i in range(d)) + "\n")
     # one % over a block formats in C what np.savetxt formats row by row
     row_format = ",".join(["%.17g"] * d) + "\n"
     rows = max(1, _CSV_CHUNK // d)
-    for start in range(0, x.shape[0], rows):
-        block = x[start:start + rows]
-        fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+    with open(path, "w") as fh:
+        fh.write(",".join(f"X{i + 1}" for i in range(d)) + "\n")
+        for start in range(0, x.shape[0], rows):
+            block = x[start:start + rows]
+            fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _check_plain_text_name(path) -> None:

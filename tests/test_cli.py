@@ -285,6 +285,19 @@ class TestExitCodes:
         assert run("lattice", "--graph", path) == 1
         assert not capsys.readouterr().out
 
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1, 2]], "edge [0, 1, 2] is not a (src, dst) pair"),
+        ([[0, 1], [2]], "edge [2] is not a (src, dst) pair"),
+        ({"0": 1}, "no list of [src, dst] edges"),
+    ])
+    def test_malformed_graph_edge_is_named(self, workspace, capsys, edges, message):
+        # before, these exited 1 with "too many (or not enough) values to unpack"
+        path, out = workspace / "graph.json", workspace / "lattice.json"
+        path.write_text(json.dumps({"d": 3, "edges": edges}))
+        assert run("lattice", "--graph", path, "--out", out) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("corrupt", [
         "top-level list", "noise family only", "betaMin off B", "betaMin string", "betaMin bool",
     ])

@@ -1,4 +1,3 @@
-import io
 import math
 import re
 from fractions import Fraction
@@ -132,7 +131,7 @@ _ARRAY_ENTRY_POINTS = {
     "spectral_radius": (_SPEC.b.matrix, spectral_radius),
     "support_graph": (_SPEC.b.matrix, support_graph),
     "ols_slope": (np.arange(1.0, 4.0), lambda xs: ols_slope(xs, [1.0, 2.0, 4.0])),
-    "save_samples_csv": (_X, lambda x: save_samples_csv(io.StringIO(), x)),
+    "save_samples_csv": (_X, lambda x: save_samples_csv("samples.csv", x)),  # in tmp_path
 }
 
 
@@ -174,6 +173,10 @@ _CORRUPTIONS = {
 
 
 class TestArrayEntryPoints:
+    @pytest.fixture(autouse=True)
+    def _in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # save_samples_csv writes a file name relative to it
+
     @pytest.mark.parametrize("entry", _ARRAY_ENTRY_POINTS)
     def test_valid_array_accepted(self, entry):
         valid, call = _ARRAY_ENTRY_POINTS[entry]

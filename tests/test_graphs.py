@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -49,11 +51,17 @@ class TestDirectedGraph:
     @pytest.mark.parametrize("data", [
         [], None, {"d": 3}, {"d": 3, "edges": [5]}, {"d": 3, "edges": 5},
         {"d": 3, "edges": [[0, 1, 2]]}, {"d": "3", "edges": []},
-        {"d": 3, "edges": [[0, True]]},
+        {"d": 3, "edges": [[0, True]]}, {"d": 3, "edges": {}}, {"d": 3, "edges": {"0": 1}},
     ])
     def test_malformed_json_raises_value_error(self, data):
         with pytest.raises(ValueError):
             DirectedGraph.from_json_dict(data)
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5, None])
+    def test_an_edge_that_is_no_pair_is_named(self, edge):
+        # before, (0, 1, 2) raised "too many values to unpack (expected 2)"
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} is not a (src, dst) pair")):
+            DirectedGraph(3, {(0, 1), edge})
 
 
 class TestPartition:

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from lingcond import (
     ExperimentRecord,
     GridConfig,
     SampleComplexityConfig,
+    condense,
     evaluate,
     generate_scm,
     recover_condensation,
@@ -19,7 +21,7 @@ from lingcond import (
     summarize_grid,
     summarize_sample_complexity,
 )
-from lingcond import harness, rng as rng_mod
+from lingcond import graphs, harness, rng as rng_mod
 from lingcond.exceptions import NumericalError
 from lingcond.harness import CSV_HEADER, load_records, ols_slope, write_records
 
@@ -516,6 +518,26 @@ class TestStudyUnit:
         assert run(cfg, out_path=merged) == expected
         assert load_records(merged) == expected
 
+    @pytest.mark.parametrize("taus, calls", [((0.05, 0.2, 0.6), 10), ((0.2,), 6)])
+    def test_each_support_is_condensed_once(self, taus, calls, monkeypatch):
+        # two Tarjan passes per condensation (condense, then Condensation's DAG
+        # check): the fit's cut, the unit's true support, and each row's cut
+        counted = []
+
+        def counting_tarjan(g):
+            counted.append(g)
+            return tarjan(g)
+
+        tarjan = graphs.tarjan_scc
+        for module in [m for name, m in sys.modules.items() if name.startswith("lingcond")]:
+            if getattr(module, "tarjan_scc", None) is tarjan:
+                monkeypatch.setattr(module, "tarjan_scc", counting_tarjan)
+        cfg = GridConfig(d=6, kappas=(2,), lambdas=(0.4,), regimes=("stable",), taus=taus,
+                         sample_sizes=(500,), seeds=(0,), mode="hungarian")
+        records = run_grid(cfg)
+        assert len(records) == len(taus) and not any(r.error for r in records)
+        assert len(counted) == calls
+
     @pytest.mark.parametrize("mode", ["hungarian", "enumerate-first-stable"])
     def test_multi_tau_grid_is_one_grid_per_tau(self, mode):
         # one fit per (cell, n, seed) cut at each tau gives the rows of a grid run at that tau
@@ -558,7 +580,8 @@ class TestStudyUnit:
             fit = recover_condensation(
                 sample(scm, rec.n, seed=sample_seed), tau=rec.tau, seed=ica_seed, mode=mode,
             )
-            report = evaluate(fit.support(), scm.b.support())
+            truth = scm.b.support()
+            report = evaluate(fit.support(), fit.condensation, truth, condense(truth))
             assert not rec.error
             assert (rec.ari, rec.cluster_f1, rec.variable_f1, rec.hamming, rec.exact_recovery,
                     rec.pred_clusters, rec.ica_iters) == (

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lingcond import (
+    Condensation,
     DirectedGraph,
     MetricsReport,
     Partition,
@@ -137,7 +138,8 @@ class TestReports:
             MetricsReport(1.0, 1.0, 1.0, -1, 1)
 
     def test_evaluate_against_self(self, example_graph, example_b):
-        report = evaluate(example_graph, example_b.support())
+        truth = condense(example_b.support())
+        report = evaluate(example_graph, condense(example_graph), example_b.support(), truth)
         assert report.ari == 1.0
         assert report.cluster_dag_f1 == 1.0
         assert report.variable_f1 == 1.0
@@ -162,7 +164,11 @@ class TestReports:
                 for v in range(d)
                 if ((u, v) in pred.edges) != ((u, v) in true.edges)
             )
-            report = evaluate(pred, true)
+            # both condensations from the oracle partitions, none from tarjan_scc
+            pred_edges = {(pred_p.labels[u], pred_p.labels[v]) for u, v in pred.edges
+                          if pred_p.labels[u] != pred_p.labels[v]}
+            report = evaluate(pred, Condensation(pred_p, frozenset(pred_edges)),
+                              true, Condensation(true_p, frozenset(cluster_edges)))
             assert report.ari == ari_pair_counting(pred_p, true_p)
             assert report.cluster_dag_f1 == edge_f1(projected, cluster_edges)
             assert report.variable_f1 == edge_f1(pred.edges, true.edges)
@@ -170,7 +176,20 @@ class TestReports:
             assert report.predicted_partition_size == pred_p.num_clusters
 
     def test_evaluate_node_count_mismatch(self, example_graph):
+        small, large = DirectedGraph(4), DirectedGraph(6)
         with pytest.raises(ValueError):
-            evaluate(DirectedGraph(4), example_graph)
+            evaluate(small, condense(small), example_graph, condense(example_graph))
         with pytest.raises(ValueError):
-            evaluate(example_graph, DirectedGraph(6))
+            evaluate(example_graph, condense(example_graph), large, condense(large))
+
+    def test_evaluate_scores_the_condensation_it_is_given(self, example_graph):
+        # the fit decides which condensation it predicts: evaluate reads the
+        # partition it is given, here one cluster, not condense(pred_support)
+        truth = condense(example_graph)
+        merged = Condensation(Partition((0,) * 5), frozenset())
+        assert merged != condense(example_graph)
+        report = evaluate(example_graph, merged, example_graph, truth)
+        assert report.predicted_partition_size == 1
+        assert report.ari == ari(merged.partition, truth.partition) < 1.0
+        # the edge scores read the supports
+        assert (report.cluster_dag_f1, report.variable_f1, report.hamming_support) == (1.0, 1.0, 0)
