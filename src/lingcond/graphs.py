@@ -107,13 +107,6 @@ class Partition:
     def num_clusters(self) -> int:
         return max(self.labels) + 1
 
-    def clusters(self) -> list:
-        """Node groups as sorted lists, ordered by cluster id."""
-        groups = [[] for _ in range(self.num_clusters)]
-        for node, lab in enumerate(self.labels):
-            groups[lab].append(node)
-        return groups
-
     def refines(self, other: "Partition") -> bool:
         """True when every cluster of self lies inside a cluster of other."""
         if self.d != other.d:

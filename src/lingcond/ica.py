@@ -10,10 +10,10 @@ one setting. The contrast is log cosh (``g = tanh``), as Hyvarinen (1999)
 recommends; the restart count, tolerance and iteration cap are constants.
 
 From ``n = 400 d`` rows on, the restarts run on an evenly spaced subsample
-of about ``200 d`` rows (``_ROWS_PER_DIM``), whitened on its own, and only
-the winner is iterated on all rows. Above n of about 1000 the restarts
-almost always reach the same fixed point, so running all of them on every
-row would repeat the first one's work.
+of about ``200 d`` rows (``_ROWS_PER_DIM``), cut from the whitened rows and
+whitened again, and only the winner is iterated on all rows. Above n of
+about 1000 the restarts almost always reach the same fixed point, so
+running all of them on every row would repeat the first one's work.
 
 The iteration has two phases. The first ``_PLAIN_ITERATIONS`` (K = 150)
 iterations take the plain fixed-point step ``w <- E{z g(w'z)} - E{g'(w'z)} w``.
@@ -229,13 +229,13 @@ def fastica(x, seed: int = 0) -> DemixingEstimate:
     (module docstring); ``iterations`` counts both phases.
 
     Below ``n = 400 d`` rows the restarts run on all rows. From there on
-    they run on every ``step``-th row, ``step = n // (200 d)``, whitened on
-    its own; the objective picks the winner on those rows, and the winner,
-    mapped into the whitening of all rows and decorrelated, is iterated
-    once more on all rows with the same tolerance and cap. ``iterations``
-    and ``converged`` then report that refinement. If the subsample's
-    covariance is rank deficient while that of all rows is not, the
-    restarts run on all rows. The restarts run in lockstep; each stage's
+    they run on every ``step``-th whitened row, ``step = n // (200 d)``,
+    whitened again; the objective picks the winner on those rows, and the
+    winner, mapped into the whitening of all rows and decorrelated, is
+    iterated once more on all rows with the same tolerance and cap.
+    ``iterations`` and ``converged`` then report that refinement. If the
+    covariance of the whitened subsample is rank deficient, the restarts
+    run on all rows. The restarts run in lockstep; each stage's
     results match running its starts one after another. A ``seed`` that is
     not an integer ``>= 0`` raises ValueError.
     """
@@ -243,18 +243,17 @@ def fastica(x, seed: int = 0) -> DemixingEstimate:
     z, k, _ = center_whiten(x)
     n, d = z.shape
     step = n // (_ROWS_PER_DIM * d)
-    zs, ks = z, k
+    zs = z
     if step >= 2:
         try:
-            # x passed center_whiten's checks: a finite 2-D array of integers or floats
-            zs, ks, _ = _whiten(np.asarray(x)[::step])
+            zs, ks, _ = _whiten(z[::step])
         except WhiteningError:
             step = 1  # the subsample missed the rows that give some direction its spread
     w, iterations, converged, failed = _fixed_point(zs, _starts(d, seed))
     objectives = _objectives(zs @ w.reshape(-1, d).T, len(w))
     best = int(np.argmax(np.where(failed, -np.inf, objectives)))
     if step >= 2:
-        start, ok = _symmetric_decorrelate((w[best] @ ks @ np.linalg.inv(k))[None])
+        start, ok = _symmetric_decorrelate((w[best] @ ks)[None])
         if not ok[0]:
             raise WhiteningError("degenerate refinement start in symmetric decorrelation")
         w, iterations, converged, _ = _fixed_point(z, start)

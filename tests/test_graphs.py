@@ -79,10 +79,6 @@ class TestPartition:
         p = Partition.from_labels(["b", "a", "b", "c"])
         assert p.labels == (0, 1, 0, 2)
 
-    def test_clusters(self):
-        p = Partition((0, 1, 1, 2))
-        assert p.clusters() == [[0], [1, 2], [3]]
-
     def test_refines(self):
         fine = Partition((0, 1, 2, 3))
         coarse = Partition((0, 0, 1, 1))

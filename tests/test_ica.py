@@ -209,15 +209,16 @@ def _sequential_fastica(x, seed):
     amplifies the last-bit difference to O(1).
 
     From ``2 * _ROWS_PER_DIM * d`` rows on, the restarts run on every
-    ``step``-th row whitened on its own, and the winner, mapped into the
-    whitening of all rows and decorrelated, runs once more on all rows.
+    ``step``-th whitened row, whitened again by ``ks``; the winner, mapped
+    back by ``ks`` into the whitening of all rows and decorrelated, runs
+    once more on all rows.
     Returns the chosen ``(objective, w, iterations, converged)`` and the
     restarts' runs.
     """
-    z, k, _ = center_whiten(x)
+    z = center_whiten(x)[0]
     n, d = z.shape
     step = n // (_ROWS_PER_DIM * d)
-    zs, ks = (z, k) if step < 2 else center_whiten(x[::step])[:2]
+    zs, ks = (z, None) if step < 2 else center_whiten(z[::step])[:2]
     runs = []
     for restart in range(ica_mod._RESTARTS):
         gen = rng_mod.stream(seed, rng_mod.PURPOSE_ICA, restart)
@@ -229,7 +230,7 @@ def _sequential_fastica(x, seed):
         if best is None or run[0] > best[0]:
             best = run
     if step >= 2:
-        start = _decorrelate(best[1] @ ks @ np.linalg.inv(k))
+        start = _decorrelate(best[1] @ ks)
         best = (best[0], *_sequential_run(z, start))
     return best, runs
 
@@ -378,6 +379,27 @@ class TestSubsampleRestarts:
         est, ref = fastica(x, 4), _full_rows_fastica(x, 4)
         assert np.array_equal(est.w, ref.w)
         assert (est.iterations, est.converged) == (ref.iterations, ref.converged)
+
+    def test_subsample_cut_from_whitened_rows(self, monkeypatch):
+        # the raw every-fifth-row covariance falls under RANK_TOLERANCE while that
+        # of all rows passes; the whitened subsample is well conditioned
+        x = laplace_sources(3000, 3, 3) @ np.triu(np.ones((3, 3)))
+        x[:, 2] *= 1.585e-5
+        center_whiten(x)
+        with pytest.raises(WhiteningError):
+            center_whiten(x[::5])
+        rows = []
+
+        def fixed_point(z, w):
+            rows.append(len(z))
+            return _fixed_point(z, w)
+
+        monkeypatch.setattr("lingcond.ica._fixed_point", fixed_point)
+        est = fastica(x, 0)
+        assert rows == [3000 // 5, 3000]
+        (_, w_ref, iterations, converged), _ = _sequential_fastica(x, 0)
+        assert np.abs(est.w_white - w_ref).max() <= 1e-12
+        assert (est.iterations, est.converged) == (iterations, converged)
 
     @pytest.mark.parametrize("n", [10_000, 100_000])
     @pytest.mark.parametrize("regime", ["stable", "unstable"])
