@@ -194,10 +194,17 @@ def is_dag(g: DirectedGraph) -> bool:
 
 
 def condense(g: DirectedGraph) -> Condensation:
-    """The SCC partition of g together with the quotient's edges."""
+    """The SCC partition of g together with the quotient's edges.
+
+    The quotient of a graph by its SCCs is acyclic, so the condensation is
+    built without ``Condensation``'s DAG check, a second Tarjan pass; the
+    check stays for condensations built by hand.
+    """
     p = tarjan_scc(g)
-    q = quotient(g, p)
-    return Condensation(p, q.edges)
+    condensation = object.__new__(Condensation)
+    object.__setattr__(condensation, "partition", p)
+    object.__setattr__(condensation, "cluster_edges", quotient(g, p).edges)
+    return condensation
 
 
 def reverse_cycle(g: DirectedGraph, cycle: Sequence) -> DirectedGraph:

@@ -6,6 +6,12 @@ controlled number of non-trivial SCCs (each built around a directed
 Hamilton cycle), intra-SCC chords and order-respecting inter-cluster edges
 sampled at a common density, and weights rescaled by a global scalar so the
 spectral radius hits the regime target.
+
+Samples travel as CSV text. ``load_samples_csv`` reads the ``%.17g`` rows
+``save_samples_csv`` writes by an exact integer route (Clinger 1990): each
+value is its dot-stripped digits, parsed as an integer, divided once by a
+power of ten in x87 extended precision. Its bits are ``np.loadtxt``'s, and
+any file outside that route is read by ``np.loadtxt`` itself.
 """
 
 from __future__ import annotations
@@ -34,6 +40,24 @@ DEFAULT_WEIGHT_HIGH = 0.95
 
 # values formatted per pass of save_samples_csv, so its memory is bounded at any d
 _CSV_CHUNK = 1 << 16
+
+# bytes read per block of whole lines by load_samples_csv's integer route
+_CSV_BLOCK = 1 << 16
+
+# that route divides |m| < 10**18 < 2**63 by 10**k, k <= 27, both exact in
+# the 64-bit significand of x87 extended precision, so the quotient is
+# rounded once there; it is read from the 16-byte layout of x86-64
+_X87_DIVISION = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+_EXACT_DIGITS = 10 ** 18
+_EXACT_SCALE = 27
+_POW10 = np.array([10 ** k for k in range(_EXACT_SCALE + 1)], dtype=np.longdouble)
+
+# the integer parse's view of a block: dots deleted, "\n" a separator, and
+# every byte outside [0-9+-,] an "x", which np.fromstring refuses
+_DIGITS_ONLY = bytes(
+    b if chr(b) in "0123456789+-," else ord(",") if b == ord("\n") else ord("x")
+    for b in range(256)
+)
 
 # suffixes by which np.loadtxt picks a decompressor
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
@@ -336,6 +360,118 @@ def _first_bad_line(path, columns: int) -> str | None:
     return None
 
 
+def _exact_block(block: bytes, columns: int):
+    """The values of a block of whole lines, row after row, or None where ``np.loadtxt`` must decide.
+
+    Every token must be ``[+-]digits.digits`` (either side may be empty, not
+    both), or such a mantissa with an ``e``/``E`` exponent, and every line
+    must hold ``columns`` of them. The digits with the dot deleted are an
+    integer ``m``, parsed in C by ``np.fromstring``, and the value is
+    ``|m| / 10**k``, ``k`` digits after the dot, divided in x87 extended
+    precision and rounded to double. That is one rounding of the exact
+    quotient, so the correctly rounded value, unless the 64-bit quotient
+    lies on a midpoint between two doubles: its low 11 bits are 0x400 for
+    about one random 18-digit token in 2,000, and for no ``%.17g`` of a
+    double, which lies closer to it than half an ulp. Those tokens, exponent
+    tokens, and tokens with ``|m| >= 10**18`` or ``k > 27`` are read by
+    ``float``, whose correctly rounded parse is the one numpy's loader calls.
+    """
+    a = np.frombuffer(block, np.uint8)
+    # bytes up to "," but "+": the separators, and bytes the integer parse refuses
+    seps = np.flatnonzero(a <= ord(","))
+    if b"+" in block:
+        seps = seps[a[seps] != ord("+")]
+    dots = np.flatnonzero(a == ord("."))
+    n = seps.size
+    if n % columns or dots.size != n:
+        return None
+    starts = np.empty_like(seps)
+    starts[0], starts[1:] = 0, seps[:-1] + 1
+    if not (np.all(dots >= starts) and np.all(dots < seps)):
+        return None  # a token without exactly one dot
+    newline = a[seps] == ord("\n")
+    if not newline[columns - 1::columns].all() or np.count_nonzero(newline) != n // columns:
+        return None  # a ragged or blank line
+    for short in np.flatnonzero(seps - starts <= 2).tolist():
+        if not block[starts[short]:seps[short]].replace(b".", b"").isdigit():
+            return None  # np.fromstring reads a lone sign as 0
+    digits = block.translate(_DIGITS_ONLY, b".")
+    rare = {}  # token index -> its text, for tokens float reads
+    for letter in b"eE":
+        at = block.find(letter)
+        while at >= 0:
+            i = int(np.searchsorted(seps, at))
+            rare[i] = block[starts[i]:seps[i]]
+            at = block.find(letter, seps[i])
+    if rare:  # the integer parse reads exponent tokens as 0
+        digits = bytearray(digits)
+        for i, text in rare.items():
+            if text.translate(None, b"0123456789.eE+-"):
+                return None  # float, unlike numpy, would skip blanks and "_"
+            digits[starts[i] - i:seps[i] - i - 1] = b"0" * (len(text) - 1)
+        digits = bytes(digits)
+    try:  # numpy refuses unmatched data; older numpy warns and stops short
+        m = np.fromstring(digits, dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if m.size != n:
+        return None
+    k = seps - dots - 1
+    q = np.abs(m).astype(np.longdouble)
+    q /= _POW10[np.minimum(k, _EXACT_SCALE)]
+    values = q.astype(np.float64)
+    np.negative(values, out=values, where=a[starts] == ord("-"))
+    significands = q.view(np.uint64)[::2]  # the low 8 of each x87 value's 16 bytes
+    unsure = (significands & 0x7FF) == 0x400
+    unsure |= (m >= _EXACT_DIGITS) | (m <= -_EXACT_DIGITS) | (k > _EXACT_SCALE)
+    for i in np.flatnonzero(unsure).tolist():
+        rare.setdefault(i, block[starts[i]:seps[i]])
+    try:
+        for i, text in rare.items():
+            values[i] = float(text)
+    except ValueError:
+        return None
+    return values
+
+
+def _line_blocks(fh):
+    """The rest of the binary file ``fh`` in blocks of whole lines, about ``_CSV_BLOCK`` bytes each.
+
+    Each block ends in a newline; one is added to a last line without it.
+    """
+    tail = b""
+    while chunk := fh.read(_CSV_BLOCK):
+        block = tail + chunk
+        cut = block.rfind(b"\n") + 1
+        if cut:  # else a line longer than a block: read on
+            yield block[:cut]
+        tail = block[cut:]
+    if tail:
+        yield tail + b"\n"
+
+
+def _read_exact(path, columns: int):
+    """``np.loadtxt``'s matrix of a samples CSV, read block by block, or None where it must read it."""
+    if not _X87_DIVISION:
+        return None
+    with open(path, "rb") as fh:
+        if b"\r" in fh.readline():  # the header, which np.loadtxt skips as one line
+            return None
+        size = os.fstat(fh.fileno()).st_size
+        out, count = np.empty(0), 0
+        for block in _line_blocks(fh):
+            values = _exact_block(block, columns)
+            if values is None:
+                return None
+            if count + values.size > out.size:  # sized by the bytes per value so far
+                estimate = math.ceil((count + values.size) * size / fh.tell())
+                out.resize(max(estimate, count + values.size), refcheck=False)
+            out[count:count + values.size] = values
+            count += values.size
+    out.resize(count, refcheck=False)
+    return out.reshape(-1, columns)
+
+
 def load_samples_csv(path) -> np.ndarray:
     """Read a samples CSV: a header of column names, then rows of finite numbers, one per name.
 
@@ -345,6 +481,14 @@ def load_samples_csv(path) -> np.ndarray:
     row that does not parse, ``#`` included (the file has no comment lines),
     naming its line in the file (``_first_bad_line``), non-finite entries
     and rows of another length than the header.
+
+    The matrix is bit for bit ``np.loadtxt(path, delimiter=",",
+    skiprows=1, ndmin=2, comments=None)``. Rows of decimal tokens with one
+    dot each, such as ``%.17g`` writes, are read by an exact integer route
+    (``_exact_block``) in blocks of ``_CSV_BLOCK`` bytes. A file with a blank
+    line, a CR, a blank, a ``#``, a ragged row or a token without exactly one
+    dot, or a platform whose ``np.longdouble`` is not x87 extended, is read
+    by ``np.loadtxt``, and its errors are that loader's.
     """
     _check_plain_text_name(path)
     with open(path) as fh:
@@ -355,10 +499,12 @@ def load_samples_csv(path) -> np.ndarray:
         columns = len(names)
         if not any(line.strip() for line in fh):
             raise ValueError(f"{path} holds a header but no sample rows")
-    try:
-        x = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
-    except ValueError as exc:  # numpy counts rows from 0 after the header and blank lines
-        raise ValueError(f"{path}, {_first_bad_line(path, columns) or exc}") from exc
+    x = _read_exact(path, columns)
+    if x is None:
+        try:
+            x = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+        except ValueError as exc:  # numpy counts rows from 0 after the header and blank lines
+            raise ValueError(f"{path}, {_first_bad_line(path, columns) or exc}") from exc
     x = sample_matrix(x, "sample matrix")
     if x.shape[1] != columns:
         raise ValueError(f"{path}: the header names {columns} columns, the rows hold {x.shape[1]}")

@@ -518,9 +518,9 @@ class TestStudyUnit:
         assert run(cfg, out_path=merged) == expected
         assert load_records(merged) == expected
 
-    @pytest.mark.parametrize("taus, calls", [((0.05, 0.2, 0.6), 10), ((0.2,), 6)])
+    @pytest.mark.parametrize("taus, calls", [((0.05, 0.2, 0.6), 5), ((0.2,), 3)])
     def test_each_support_is_condensed_once(self, taus, calls, monkeypatch):
-        # two Tarjan passes per condensation (condense, then Condensation's DAG
+        # one Tarjan pass per condensation (condense skips Condensation's DAG
         # check): the fit's cut, the unit's true support, and each row's cut
         counted = []
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +21,7 @@ from lingcond import (
     spectral_radius,
     tarjan_scc,
 )
-from lingcond import rng
+from lingcond import rng, scm
 from lingcond.scm import (
     DEFAULT_SCALES, NOISE_FAMILIES, REGIME_TARGETS, load_samples_csv, save_samples_csv,
     save_scm_json,
@@ -45,6 +47,80 @@ csv_entries = st.one_of(
     st.integers(-(2 ** 53), 2 ** 53).map(float),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+
+
+def _double(bits: int) -> float:
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+def _bits(value: float) -> int:
+    return int(np.array(value).view(np.uint64))
+
+
+# tokens %.17g writes with one dot: doubles of the size samples take, 1e-4 to
+# 1e4 in magnitude (plain tokens), and any finite double drawn by its bits
+# (nearly all in exponent form, subnormals included)
+_sample_sized = st.builds(lambda bits, sign: sign * _double(bits),
+                          st.integers(_bits(1e-4), _bits(1e4) - 1), st.sampled_from([1.0, -1.0]))
+_any_double = st.builds(lambda bits, sign: sign * _double(bits),
+                        st.integers(1, _bits(np.finfo(np.float64).max)), st.sampled_from([1.0, -1.0]))
+dotted_entries = st.one_of(_sample_sized, _sample_sized, _any_double)
+
+# decimal tokens as a person might write them: leading zeros (up to 40, past
+# the 10**27 the integer route divides by), up to 18 digits or 19 and 20
+# (past its 10**18), a dot anywhere, an optional sign and exponent
+_written_digits = st.builds(
+    lambda zeros, digits: "0" * zeros + digits,
+    st.sampled_from([0, 0, 1, 5, 26, 40]),
+    st.one_of(st.text("0123456789", min_size=1, max_size=18),
+              st.integers(10 ** 18 - 1, 10 ** 20 - 1).map(str),
+              st.sampled_from([str(2 ** 63 - 1), str(2 ** 63), str(2 ** 64)])),
+)
+written_tokens = st.builds(
+    lambda sign, digits, at, exponent: sign + digits[:at] + "." + digits[at:] + exponent,
+    st.sampled_from(["", "-", "+"]),
+    _written_digits,
+    st.integers(0, 60),
+    st.sampled_from(["", "", "", "e5", "E-3", "e+300", "e-330"]),
+)
+
+# bytes a corruption of a samples CSV writes
+_CORRUPT_BYTES = list(b"0123456789.,eE+- \t\r\n#x_")
+
+
+def numpy_loader(path) -> np.ndarray:
+    """The matrix np.loadtxt reads from a samples CSV: the bits load_samples_csv must return."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+
+
+def reader_outcome(path, x87=True):
+    """load_samples_csv's matrix, as its shape and bytes, or its ValueError text.
+
+    With ``x87`` False the reader takes numpy's loader path, as on a
+    platform whose long double is not x87 extended.
+    """
+    with mock.patch("lingcond.scm._X87_DIVISION", x87 and scm._X87_DIVISION):
+        try:
+            x = load_samples_csv(path)
+        except ValueError as exc:
+            return str(exc)
+    return x.shape, x.tobytes()
+
+
+def x87_quotient(token: str) -> tuple:
+    """|m| / 10**k of a dotted decimal token rounded to a 64-bit significand, ties to even.
+
+    ``m`` is the token's digits with the dot deleted and ``k`` the number
+    after the dot: the quotient the reader's x87 division rounds to, as
+    ``(significand, shift)``, the quotient being ``significand / 2**shift``.
+    """
+    q = Fraction(int(token.lstrip("+-").replace(".", "")), 10 ** (len(token) - token.index(".") - 1))
+    shift = 64 - q.numerator.bit_length() + q.denominator.bit_length()
+    while q * 2 ** shift >= 2 ** 64:
+        shift -= 1
+    while q * 2 ** shift < 2 ** 63:
+        shift += 1
+    return round(q * 2 ** shift), shift
 
 
 def savetxt_oracle(target, x) -> None:
@@ -465,3 +541,103 @@ class TestSerialization:
         path.write_text("X1,X2\n1,2\n")
         with pytest.raises(ValueError, match="plain text"):
             load_samples_csv(path)
+
+
+class TestSamplesCsvReader:
+    """load_samples_csv's integer route returns np.loadtxt's bits and raises its errors."""
+
+    # blocks of 1, 2, 7 and 64 bytes besides the default, so rows straddle block cuts
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), d=st.integers(1, 6), block=st.sampled_from([1, 2, 7, 64, scm._CSV_BLOCK]),
+           entries=st.sampled_from([dotted_entries, st.one_of(dotted_entries, csv_entries)]))
+    def test_bits_equal_numpy_loader(self, tmp_path, data, d, block, entries):
+        x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 12)), d), elements=entries))
+        path = tmp_path / "data.csv"
+        save_samples_csv(path, x)
+        with mock.patch("lingcond.scm._CSV_BLOCK", block):
+            got = load_samples_csv(path)
+        assert got.shape == x.shape and got.tobytes() == numpy_loader(path).tobytes()
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), d=st.integers(1, 4), block=st.sampled_from([7, 64, scm._CSV_BLOCK]))
+    def test_written_tokens_read_as_numpy_loader_reads_them(self, tmp_path, data, d, block):
+        rows = data.draw(st.lists(st.lists(st.one_of(written_tokens, _sample_sized.map(
+            lambda v: "%.17g" % v)), min_size=d, max_size=d), min_size=1, max_size=6))
+        path = tmp_path / "data.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in [[f"X{i + 1}" for i in range(d)]]
+                                + rows))
+        with mock.patch("lingcond.scm._CSV_BLOCK", block):
+            got = reader_outcome(path)
+        assert got == reader_outcome(path, x87=False)
+        if not isinstance(got, str):  # a value past the doubles reads as inf, which is refused
+            assert got[1] == numpy_loader(path).tobytes()
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), d=st.integers(1, 4),
+           edits=st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                                    st.integers(0, 1 << 16), st.sampled_from(_CORRUPT_BYTES)),
+                          min_size=1, max_size=3))
+    def test_corruptions_raise_what_numpy_loader_raises(self, tmp_path, data, d, edits):
+        x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 6)), d), elements=dotted_entries))
+        path = tmp_path / "data.csv"
+        save_samples_csv(path, x)
+        raw = bytearray(path.read_bytes())
+        for kind, at, byte in edits:
+            at %= len(raw) + (kind == "insert")
+            if kind == "insert":
+                raw.insert(at, byte)
+            elif kind == "delete":
+                del raw[at]
+            else:
+                raw[at] = byte
+        path.write_bytes(bytes(raw))
+        assert reader_outcome(path) == reader_outcome(path, x87=False)
+
+    @pytest.mark.parametrize("text", [
+        "X1,X2\n1.5,2.5\n\n3.5,4.5\n",  # a blank line
+        "X1,X2\r\n1.5,2.5\r\n3.5,4.5\r\n",  # CRLF
+        "X1,X2\r1.5,2.5\n3.5,4.5\n",  # a CR in the header line
+        "X1,X2\n1.5, 2.5\n3.5,4.5\n",  # a blank
+        "X1,X2\n1.5,2.5\n#3.5,4.5\n",  # a "#"
+        "X1,X2\n1.5\n2.5,3.5,4.5\n",  # ragged rows holding as many values as two full ones
+        "X1,X2\n1,2.5.5\n",  # tokens without exactly one dot, as many dots as tokens
+        "X1,X2\n1,2\n",  # tokens without a dot
+        "X1,X2\n-.,1.5\n",  # a lone sign, which np.fromstring reads as 0
+    ])
+    def test_whole_file_fallbacks_are_numpy_loaders(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loader:
+            got = reader_outcome(path)
+        assert loader.call_count == 1 and got == reader_outcome(path, x87=False)
+
+    @pytest.mark.skipif(not scm._X87_DIVISION, reason="np.longdouble is not x87 extended here")
+    def test_rare_branches_on_a_fixed_seed(self, tmp_path):
+        # 20,000 random 18-digit decimals, as another program might write them.
+        # %.17g of a double lies closer to it than half an ulp, so its quotient
+        # never lies on a midpoint between two doubles; about one in 2,000 of
+        # these does, and rounded again to double, some would round the wrong way
+        gen = np.random.default_rng(1)
+        digits = gen.integers(10 ** 17, 10 ** 18, (2_000, 10)).astype(str)
+        dots, signs = gen.integers(0, 19, digits.shape), gen.choice(["", "-"], digits.shape)
+        tokens = [[sign + m[:at] + "." + m[at:] for sign, m, at in zip(*row)]
+                  for row in zip(signs.tolist(), digits.tolist(), dots.tolist())]
+        path = tmp_path / "data.csv"
+        path.write_text("".join(",".join(row) + "\n"
+                                for row in [[f"X{i + 1}" for i in range(10)]] + tokens))
+        with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loader:
+            got = load_samples_csv(path)
+        assert loader.call_count == 0 and got.tobytes() == numpy_loader(path).tobytes()
+        midpoints = [(r, c, token) for r, row in enumerate(tokens) for c, token in enumerate(row)
+                     if x87_quotient(token)[0] & 0x7FF == 0x400]
+        assert len(midpoints) == 47
+        assert all(got[r, c] == float(token) for r, c, token in midpoints)
+        twice_rounded = [math.copysign(float(Fraction(significand, 2 ** shift)), float(token))
+                         for significand, shift, token in
+                         ((*x87_quotient(token), token) for _, _, token in midpoints)]
+        assert sum(_bits(wrong) != _bits(float(token))
+                   for wrong, (_, _, token) in zip(twice_rounded, midpoints)) == 3
+        with mock.patch("lingcond.scm._X87_DIVISION", False), \
+                mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loader:
+            again = load_samples_csv(path)
+        assert loader.call_count == 1 and again.tobytes() == got.tobytes()
