@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -392,6 +393,11 @@ def _exact_block(block: bytes, columns: int):
     newline = a[seps] == ord("\n")
     if not newline[columns - 1::columns].all() or np.count_nonzero(newline) != n // columns:
         return None  # a ragged or blank line
+    after_dots = a[dots + 1]
+    if np.any((after_dots == ord("-")) | (after_dots == ord("+"))):
+        # deleting the dot of ".-5" leaves "-5"; a sign elsewhere inside a
+        # token stays inside its digits, which np.fromstring refuses
+        return None
     for short in np.flatnonzero(seps - starts <= 2).tolist():
         if not block[starts[short]:seps[short]].replace(b".", b"").isdigit():
             return None  # np.fromstring reads a lone sign as 0
@@ -410,10 +416,12 @@ def _exact_block(block: bytes, columns: int):
                 return None  # float, unlike numpy, would skip blanks and "_"
             digits[starts[i] - i:seps[i] - i - 1] = b"0" * (len(text) - 1)
         digits = bytes(digits)
-    try:  # numpy refuses unmatched data; older numpy warns and stops short
-        m = np.fromstring(digits, dtype=np.int64, sep=",")
-    except (ValueError, DeprecationWarning):
-        return None
+    with warnings.catch_warnings():  # numpy < 2 warns at unmatched data and stops short
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:  # numpy 2 refuses it
+            m = np.fromstring(digits, dtype=np.int64, sep=",")
+        except ValueError:
+            return None
     if m.size != n:
         return None
     k = seps - dots - 1
@@ -486,9 +494,10 @@ def load_samples_csv(path) -> np.ndarray:
     skiprows=1, ndmin=2, comments=None)``. Rows of decimal tokens with one
     dot each, such as ``%.17g`` writes, are read by an exact integer route
     (``_exact_block``) in blocks of ``_CSV_BLOCK`` bytes. A file with a blank
-    line, a CR, a blank, a ``#``, a ragged row or a token without exactly one
-    dot, or a platform whose ``np.longdouble`` is not x87 extended, is read
-    by ``np.loadtxt``, and its errors are that loader's.
+    line, a CR, a blank, a ``#``, a ragged row, a token without exactly one
+    dot, a lone sign (``-.``) or a sign after the dot (``.-5``), or a
+    platform whose ``np.longdouble`` is not x87 extended, is read by
+    ``np.loadtxt``, and its errors are that loader's.
     """
     _check_plain_text_name(path)
     with open(path) as fh:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -593,6 +594,40 @@ class TestSamplesCsvReader:
         path.write_bytes(bytes(raw))
         assert reader_outcome(path) == reader_outcome(path, x87=False)
 
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(row=st.lists(written_tokens, min_size=1, max_size=3), data=st.data())
+    def test_signs_anywhere_in_a_token_read_as_numpy_loader_reads_them(self, tmp_path, row, data):
+        # random edits of a file seldom put a sign inside a token, so put one there
+        i = data.draw(st.integers(0, len(row) - 1))
+        at = data.draw(st.integers(0, len(row[i])))
+        row[i] = row[i][:at] + data.draw(st.sampled_from(["-", "+", "--", "+-"])) + row[i][at:]
+        path = tmp_path / "data.csv"
+        path.write_text(",".join(f"X{j + 1}" for j in range(len(row))) + "\n" + ",".join(row) + "\n")
+        assert reader_outcome(path) == reader_outcome(path, x87=False)
+
+    def test_unmatched_data_under_older_numpy_is_numpy_loaders(self, tmp_path):
+        # numpy < 2's np.fromstring warns at unmatched data and returns the
+        # values before it; the reader must hand the file on, and show no
+        # warning where warnings are shown, as a console run shows them
+        parse = np.fromstring
+
+        def warn_and_stop_short(string, dtype, sep):
+            try:
+                return parse(string, dtype=dtype, sep=sep)
+            except ValueError as exc:
+                warnings.warn(str(exc), DeprecationWarning)
+                return np.zeros(0, dtype)
+
+        path = tmp_path / "data.csv"
+        path.write_text("X1,X2\n1.5,2.5\n3.5,4x.5\n")
+        with mock.patch("numpy.fromstring", warn_and_stop_short), \
+                mock.patch("numpy.loadtxt", wraps=np.loadtxt) as loader, \
+                warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            got = reader_outcome(path)
+        assert shown == [] and loader.call_count == 1
+        assert got == reader_outcome(path, x87=False)
+
     @pytest.mark.parametrize("text", [
         "X1,X2\n1.5,2.5\n\n3.5,4.5\n",  # a blank line
         "X1,X2\r\n1.5,2.5\r\n3.5,4.5\r\n",  # CRLF
@@ -603,6 +638,8 @@ class TestSamplesCsvReader:
         "X1,X2\n1,2.5.5\n",  # tokens without exactly one dot, as many dots as tokens
         "X1,X2\n1,2\n",  # tokens without a dot
         "X1,X2\n-.,1.5\n",  # a lone sign, which np.fromstring reads as 0
+        "X1,X2\n.-5,1.5\n",  # a sign after the dot, which the dot-deleted digits hide
+        "X1,X2\n1.5,.+5\n",
     ])
     def test_whole_file_fallbacks_are_numpy_loaders(self, tmp_path, text):
         path = tmp_path / "data.csv"
